@@ -102,36 +102,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_report(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--resume", metavar="FILE", help="skip rows already present in FILE")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for grid cells")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed for randomized work")
-        p.add_argument("--ci", action="store_true", help="require an explicit --seed for randomized work")
-        p.add_argument("--limit-nodes", type=int, default=None)
-        p.add_argument("--limit-downsets", type=int, default=10**7)
-        p.add_argument("--warm-start", choices=("on", "off"), default="on")
+        p.add_argument("--resume", metavar="FILE", help="skip rows already present in FILE (json only)")
 
     p_bounds = sub.add_parser("bounds", help="evaluate a named formula over a grid")
-    add_common(p_bounds)
+    add_report(p_bounds)
     p_bounds.add_argument("--name", required=True, help=f"one of {sorted(_bounds.FORMULAS)}")
     for flag in ("--n", "--k", "--m", "--p", "--s", "--i", "--l"):
         p_bounds.add_argument(flag, type=_range_arg)
     p_bounds.add_argument("--weights", type=_weights_arg)
 
     p_search = sub.add_parser("search", help="exact extremal search over a grid")
-    add_common(p_search)
+    add_report(p_search)
     p_search.add_argument("--n", type=_range_arg, required=True)
     p_search.add_argument("--k", type=_range_arg, required=True)
     p_search.add_argument("--s", type=_range_arg)
     p_search.add_argument("--weights", type=_weights_arg)
     p_search.add_argument("--m", type=_range_arg, help="use weights (m-s, 1, ..., 1)")
     p_search.add_argument("--solver", choices=("oracle", "shifted", "both"), default="shifted")
+    p_search.add_argument("--jobs", type=int, default=1, help="parallel workers for grid cells")
+    p_search.add_argument("--limit-nodes", type=int, default=None)
+    p_search.add_argument("--limit-downsets", type=int, default=10**7)
+    p_search.add_argument("--warm-start", choices=("on", "off"), default="on")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    add_common(p_verify)
+    add_report(p_verify)
     p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
+    p_verify.add_argument("--seed", type=int, default=None, help="RNG seed for randomized suites")
+    p_verify.add_argument("--ci", action="store_true", help="require an explicit --seed for randomized suites")
+    p_verify.add_argument("--limit-nodes", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=None, help="trial count for randomized suites")
 
     p_match = sub.add_parser("matching", help="matching numbers of a family or chain file")
@@ -551,6 +552,8 @@ def _validate_limits(args) -> str | None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "resume", None) and args.format == "csv":
+        parser.error("--resume reads the json stream; it cannot be combined with --format csv")
     problem = _validate_limits(args)
     if problem:
         print(problem, file=sys.stderr)

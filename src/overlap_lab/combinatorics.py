@@ -7,6 +7,7 @@ overflow, so counts of any desk-scale magnitude are safe.  Elements are
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -14,22 +15,13 @@ MAX_GROUND_SET = 64
 
 
 def binom(m: int, s: int) -> int:
-    """C(m, s) by the multiplicative formula with checked exact division.
+    """C(m, s), exact (math.comb).
 
     Returns 0 when s > m.  Negative arguments are rejected.
     """
     if m < 0 or s < 0:
         raise ValueError(f"binom arguments must be nonnegative, got ({m}, {s})")
-    if s > m:
-        return 0
-    s = min(s, m - s)
-    r = 1
-    for i in range(1, s + 1):
-        q, rem = divmod(r * (m - s + i), i)
-        if rem:
-            raise ArithmeticError(f"inexact division in binom({m}, {s}) at step {i}")
-        r = q
-    return r
+    return math.comb(m, s)
 
 
 def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:

@@ -7,8 +7,6 @@ This module carries the compression and shifting operators, downset
 """
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -25,7 +23,6 @@ from .combinatorics import (
 )
 
 DOWNSET_LIMIT_DEFAULT = 10**7
-CACHE_ENV_VAR = "OVERLAP_LAB_CACHE"
 
 
 class DownsetLimitError(RuntimeError):
@@ -284,28 +281,11 @@ def _poset_preds(n: int, k: int) -> tuple[int, ...]:
 # downset (shifted-family) enumeration
 # ---------------------------------------------------------------------------
 
-def _cache_path(n: int, k: int) -> str | None:
-    root = os.environ.get(CACHE_ENV_VAR)
-    if not root:
-        return None
-    return os.path.join(root, f"downsets-n{n}-k{k}.json")
-
-
 def downset_bitsets(n: int, k: int, limit: int = DOWNSET_LIMIT_DEFAULT) -> list[int]:
     """All downsets of (C([n],k), shift order) as rank bitsets.
 
     Ordered by nondecreasing cardinality, ties by ascending bitset value.
-    Results are memoized on disk when OVERLAP_LAB_CACHE names a directory.
     """
-    path = _cache_path(n, k)
-    if path and os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            data = {}  # unreadable cache entry: re-enumerate and rewrite
-        if data.get("n") == n and data.get("k") == k and len(data["bitsets"]) <= limit:
-            return list(data["bitsets"])
     preds = _poset_preds(n, k)
     capacity = binom(n, k)
     out: list[int] = []
@@ -325,12 +305,6 @@ def downset_bitsets(n: int, k: int, limit: int = DOWNSET_LIMIT_DEFAULT) -> list[
                 if not (d & bit) and not (preds[r] & ~d):
                     nxt.add(d | bit)
         level = sorted(nxt)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"n": n, "k": k, "bitsets": out}, fh)
-        os.replace(tmp, path)
     return out
 
 

@@ -18,6 +18,7 @@ read in colex order.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,16 @@ def _normalize_weights(s: int, weights: Sequence) -> tuple[Fraction, ...]:
     return ws
 
 
+def _integer_weights(ws: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Weights scaled to integers, and the scale L = lcm of their denominators.
+
+    Every objective value is then an integer multiple of 1/L, so the solvers
+    search in ints and divide by L once, when they build the record.
+    """
+    scale = math.lcm(*(w.denominator for w in ws))
+    return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
+
+
 def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fraction, str]:
     """Largest construction value among the named chains; used as a warm start."""
     ws = _normalize_weights(s, weights)
@@ -164,8 +175,9 @@ def oracle_f(
             f"oracle space (s+2)^C(n,k) = {raw} exceeds guard {limit_candidates}"
         )
     disj = _disjointness(n, k)
-    sum_w = sum(ws)
-    contrib = [sum(ws[lvl:], Fraction(0)) for lvl in range(s + 1)]
+    iw, scale = _integer_weights(ws)
+    sum_w = sum(iw)
+    contrib = [sum(iw[lvl:]) for lvl in range(s + 1)]
     lead0 = 0
     while lead0 <= s and ws[lead0] == 0:
         lead0 += 1
@@ -173,11 +185,13 @@ def oracle_f(
     min_cards = s + 1 - lead0
 
     fam_bits = [0] * (s + 1)
-    best_val = Fraction(-1)
+    best_val = -1
     best_card: int | None = None
     best_chain: tuple[int, ...] | None = None
     if warm_start:
-        best_val, _ = best_construction(n, k, s, ws)
+        warm = best_construction(n, k, s, ws)[0] * scale
+        assert warm.denominator == 1, "warm-start value is not a multiple of 1/L"
+        best_val = warm.numerator
     nodes = 0
 
     def completes_rainbow(rank: int, level: int) -> bool:
@@ -202,7 +216,7 @@ def oracle_f(
                 return True
         return False
 
-    def explore(pos: int, val: Fraction, card: int) -> None:
+    def explore(pos: int, val: int, card: int) -> None:
         nonlocal best_val, best_card, best_chain, nodes
         nodes += 1
         if limit_nodes is not None and nodes > limit_nodes:
@@ -229,14 +243,14 @@ def oracle_f(
                     fam_bits[i] &= ~bit
         explore(pos + 1, val, card)
 
-    explore(0, Fraction(0), 0)
+    explore(0, 0, 0)
     if best_chain is None:
         # warm value was optimal but ties were never completed; cannot happen
         # because the warm value comes from a feasible chain in the search space
         raise AssertionError("search completed without a witness")
     witness = Chain(tuple(Family(n, k, b) for b in best_chain))
     record = ExtremalRecord(
-        n, k, s, ws, best_val, witness, "oracle", nodes, time.perf_counter() - t0, m
+        n, k, s, ws, Fraction(best_val, scale), witness, "oracle", nodes, time.perf_counter() - t0, m
     )
     return _validated_record(record)
 
@@ -286,18 +300,21 @@ def exact_f_shifted(
     lead0 = 0
     while lead0 <= s and ws[lead0] == 0:
         lead0 += 1
-    prefix_w = [sum(ws[: j + 1], Fraction(0)) for j in range(s + 1)]
+    iw, scale = _integer_weights(ws)
+    prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]
 
-    best_val = Fraction(-1)
+    best_val = -1
     best_card: int | None = None
     best_key: tuple[int, ...] | None = None
     best_chain: tuple[int, ...] | None = None
     if warm_start:
-        best_val, _ = best_construction(n, k, s, ws)
+        warm = best_construction(n, k, s, ws)[0] * scale
+        assert warm.denominator == 1, "warm-start value is not a multiple of 1/L"
+        best_val = warm.numerator
     nodes = 0
     chain_bits = [0] * (s + 1)
 
-    def offer(val: Fraction, card: int) -> None:
+    def offer(val: int, card: int) -> None:
         nonlocal best_val, best_card, best_key, best_chain
         if val < best_val:
             return
@@ -328,7 +345,7 @@ def exact_f_shifted(
 
         return rep_search(first, (1 << capacity) - 1)
 
-    def descend(j: int, val: Fraction, card: int) -> None:
+    def descend(j: int, val: int, card: int) -> None:
         nonlocal nodes
         parent = chain_bits[j + 1] if j < s else None
         if j < lead0:
@@ -343,7 +360,7 @@ def exact_f_shifted(
             # B_0 = B_1 maximizes the head term (its weight is positive here)
             chain_bits[0] = chain_bits[1]
             sz = chain_bits[0].bit_count()
-            offer(val + ws[0] * sz, card + sz)
+            offer(val + iw[0] * sz, card + sz)
             return
         candidates = by_size if parent is None else [d for d in by_size if not d & ~parent]
         for d in candidates:
@@ -351,9 +368,9 @@ def exact_f_shifted(
             if limit_nodes is not None and nodes > limit_nodes:
                 raise NodeLimitError(f"shifted search exceeded {limit_nodes} nodes", nodes)
             size = d.bit_count()
-            val2 = val + ws[j] * size
+            val2 = val + iw[j] * size
             card2 = card + size
-            potential = val2 + (prefix_w[j - 1] * size if j else Fraction(0))
+            potential = val2 + (prefix_w[j - 1] * size if j else 0)
             if potential < best_val:
                 continue
             if (
@@ -375,14 +392,14 @@ def exact_f_shifted(
     if s == 0:
         # a single family: overlapping means no rainbow 1-matching, i.e. B_0 empty
         chain_bits[0] = 0
-        offer(Fraction(0), 0)
+        offer(0, 0)
     else:
-        descend(s, Fraction(0), 0)
+        descend(s, 0, 0)
     if best_chain is None:
         raise AssertionError("search completed without a witness")
     witness = Chain(tuple(Family(n, k, b) for b in best_chain))
     record = ExtremalRecord(
-        n, k, s, ws, best_val, witness, "shifted", nodes, time.perf_counter() - t0, m
+        n, k, s, ws, Fraction(best_val, scale), witness, "shifted", nodes, time.perf_counter() - t0, m
     )
     return _validated_record(record)
 

@@ -173,17 +173,19 @@ def test_jobs_preserve_row_order(tmp_path):
     assert seq.read_bytes() == par.read_bytes()
 
 
-def test_downset_cache_round_trip(tmp_path):
+def test_downset_cache_env_is_ignored(tmp_path):
+    # a truncated downset list under OVERLAP_LAB_CACHE once changed the optimum
     cache = tmp_path / "cache"
     cache.mkdir()
-    env = {"OVERLAP_LAB_CACHE": str(cache)}
-    args = ["search", "--n", "5", "--k", "2", "--weights", "2,1", "--solver", "shifted"]
-    first = run_cli(args, env=env)
-    assert first.returncode == 0
-    assert (cache / "downsets-n5-k2.json").exists()
-    second = run_cli(args, env=env)
-    assert second.returncode == 0
-    assert first.stdout == second.stdout
+    planted = '{"n": 6, "k": 2, "bitsets": [0, 1, 3, 5]}'
+    (cache / "downsets-n6-k2.json").write_text(planted)
+    args = ["search", "--n", "6", "--k", "2", "--weights", "1,1", "--solver", "shifted"]
+    with_env = run_cli(args, env={"OVERLAP_LAB_CACHE": str(cache)})
+    assert with_env.returncode == 0, with_env.stderr
+    assert json.loads(with_env.stdout)["rows"][0]["optimum"] == 15
+    assert with_env.stdout == run_cli(args).stdout
+    assert [p.name for p in cache.iterdir()] == ["downsets-n6-k2.json"]
+    assert (cache / "downsets-n6-k2.json").read_text() == planted
 
 
 def test_matching_subcommand(tmp_path, capsys):
@@ -207,6 +209,39 @@ def test_matching_subcommand(tmp_path, capsys):
 def test_limit_validation():
     assert main(["search", "--n", "4", "--k", "2", "--weights", "1,1", "--jobs", "0"]) == 2
     assert main(["verify", "--suite", "bde", "--trials", "-3"]) == 2
+
+
+_BASE_ARGV = {
+    "bounds": ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"],
+    "search": ["search", "--n", "4", "--k", "2", "--weights", "2,1"],
+    "verify": ["verify", "--suite", "thm3"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("verify", "--limit-downsets 5"),
+        ("verify", "--warm-start off"),
+        ("verify", "--jobs 2"),
+        ("bounds", "--seed 1"),
+        ("bounds", "--ci"),
+        ("bounds", "--limit-nodes 5"),
+        ("bounds", "--limit-downsets 5"),
+        ("bounds", "--warm-start on"),
+        ("bounds", "--jobs 2"),
+        ("search", "--seed 1"),
+        ("search", "--ci"),
+        ("bounds", "--format csv --resume r.json"),
+        ("search", "--format csv --resume r.json"),
+        ("verify", "--format csv --resume r.json"),
+    ],
+)
+def test_unhonoured_flags_are_usage_errors(command, extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_BASE_ARGV[command], *extra.split()])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_violation_exit_code(monkeypatch, tmp_path):

@@ -233,13 +233,27 @@ def test_downset_limit():
         downset_bitsets(8, 3, limit=100)
 
 
-def test_downset_cache_env(tmp_path, monkeypatch):
+@pytest.mark.parametrize("corruption", ["half", "list"])
+def test_corrupt_downset_cache_is_ignored(tmp_path, monkeypatch, corruption):
+    # Downsets were once memoized on disk under OVERLAP_LAB_CACHE and trusted
+    # unchecked: half of the (6,2) list made the shifted solver return 10 for
+    # 15, and a bare JSON list raised AttributeError.  Enumeration is always
+    # fresh now, so a planted file is neither read nor rewritten.
+    from overlap_lab.search import exact_f_shifted
+
+    full = downset_bitsets(6, 2)
+    planted = (
+        {"n": 6, "k": 2, "bitsets": full[: len(full) // 2]} if corruption == "half" else full
+    )
+    cache_file = tmp_path / "downsets-n6-k2.json"
+    cache_file.write_text(json.dumps(planted))
     monkeypatch.setenv("OVERLAP_LAB_CACHE", str(tmp_path))
-    first = downset_bitsets(5, 2)
-    cache_file = tmp_path / "downsets-n5-k2.json"
-    assert cache_file.exists()
-    assert json.loads(cache_file.read_text())["bitsets"] == first
-    assert downset_bitsets(5, 2) == first
+    assert downset_bitsets(6, 2) == full
+    for warm in (True, False):
+        assert exact_f_shifted(6, 2, 1, (1, 1), warm_start=warm).optimum == 15
+        assert exact_f_shifted(6, 2, 2, (1, 1, 1), warm_start=warm).optimum == 30
+    assert json.loads(cache_file.read_text()) == planted
+    assert [p.name for p in tmp_path.iterdir()] == [cache_file.name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlap_lab.bounds import conj2_bound, thm2_value, thm3_value, thm4_value
 from overlap_lab.combinatorics import binom
@@ -86,6 +88,41 @@ def test_solvers_agree_small_grid():
                 a = check_record(oracle_f(n, k, s, ws))
                 b = check_record(exact_f_shifted(n, k, s, ws))
                 assert a.optimum == b.optimum, (n, k, s, ws)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+@st.composite
+def rational_instances(draw):
+    """(n, k, s, weights): a zero prefix, then nonincreasing positive rationals.
+
+    The positive weights have distinct prime denominators, so the scale L
+    the solvers search under is the product of up to three primes.
+    """
+    k = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 2))
+    zeros = draw(st.integers(0, s))
+    # below n = (s+1)k - 1 the constraint is vacuous; with a positive head,
+    # (6,2,2) costs the oracle seconds, so it stops at n = 5
+    n = draw(st.integers((s + 1) * k - 1, 5 if (k, s, zeros) == (2, 2, 0) else 6))
+    size = s + 1 - zeros
+    dens = draw(st.lists(st.sampled_from(_PRIMES), min_size=size, max_size=size, unique=True))
+    nums = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))
+    positive = sorted((Fraction(a, b) for a, b in zip(nums, dens)), reverse=True)
+    return n, k, s, (Fraction(0),) * zeros + tuple(positive)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(rational_instances())
+def test_integer_objective_agrees_across_solvers(instance):
+    n, k, s, ws = instance
+    a = check_record(oracle_f(n, k, s, ws))
+    b = check_record(exact_f_shifted(n, k, s, ws))
+    assert (a.optimum, a.witness) == (b.optimum, b.witness)
+    for rec in (a, b):
+        assert isinstance(rec.optimum, Fraction)
+        assert rec.optimum == rec.witness.weighted_value(ws)
 
 
 def test_rational_weights():
