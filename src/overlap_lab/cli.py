@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -170,12 +171,10 @@ class ReportWriter:
     def _load_resume(self, path: str) -> None:
         if not os.path.exists(path):
             return
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        rows: list[dict] = []
+        text = _read_text(path, "resume")
+        rows: list = []
         try:
             doc = json.loads(text)
-            rows = doc.get("rows", []) if isinstance(doc, dict) else []
         except json.JSONDecodeError:
             for line in text.splitlines():
                 line = line.strip()
@@ -187,8 +186,16 @@ class ReportWriter:
                     continue  # truncated tail line
                 if isinstance(obj, dict) and "cell" in obj:
                     rows.append(obj)
+        else:
+            rows = doc.get("rows", []) if isinstance(doc, dict) else None
+            if not isinstance(rows, list):
+                raise ValueError(f"resume file {path!r} is not a report with a list of rows")
         for row in rows:
-            if isinstance(row, dict) and "cell" in row:
+            if not isinstance(row, dict):
+                raise ValueError(f"resume file {path!r} holds a row that is not an object")
+            if "cell" in row:
+                if not isinstance(row["cell"], str):
+                    raise ValueError(f"resume file {path!r} holds a row whose cell is not a string")
                 self._done[row["cell"]] = row
 
     def lookup(self, cell_key: str) -> dict | None:
@@ -506,6 +513,50 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if status == "pass" else EXIT_VIOLATION
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} file {path!r}: {exc.strerror}") from exc
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_sets(sets) -> bool:
+    return isinstance(sets, list) and all(isinstance(t, list) and all(map(_is_int, t)) for t in sets)
+
+
+_FILE_SHAPES = {
+    "family": '{"n": int, "k": int, "sets": [[int, ...], ...]}',
+    "chain": '{"n": int, "k": int, "families": [sets, ...], "weights": [int | "a/b", ...] (optional)}',
+}
+
+
+def _load_input(path: str, what: str) -> dict:
+    """The JSON object of a family or chain file, rejected unless it has that shape."""
+    try:
+        doc = json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} file {path!r} is not JSON: {exc}") from exc
+    ok = isinstance(doc, dict) and _is_int(doc.get("n")) and _is_int(doc.get("k"))
+    if ok and what == "family":
+        ok = _is_sets(doc.get("sets"))
+    elif ok:
+        families, weights = doc.get("families"), doc.get("weights") or []
+        ok = (
+            isinstance(families, list)
+            and all(map(_is_sets, families))
+            and isinstance(weights, list)
+            and all(isinstance(w, (int, str)) or isinstance(w, float) and math.isfinite(w) for w in weights)
+        )
+    if not ok:
+        raise ValueError(f"{what} file {path!r} is not of the form {_FILE_SHAPES[what]}")
+    return doc
+
+
 def cmd_matching(args) -> int:
     from .family import chain_from_dict, family_from_dict
     from .matching import is_overlapping, matching_number, rainbow_matching_number
@@ -514,8 +565,7 @@ def cmd_matching(args) -> int:
         print("matching needs exactly one of --family or --chain", file=sys.stderr)
         return EXIT_USAGE
     if args.family:
-        with open(args.family, encoding="utf-8") as fh:
-            fam = family_from_dict(json.load(fh))
+        fam = family_from_dict(_load_input(args.family, "family"))
         out = {
             "n": fam.n,
             "k": fam.k,
@@ -523,8 +573,7 @@ def cmd_matching(args) -> int:
             "matching_number": matching_number(fam),
         }
     else:
-        with open(args.chain, encoding="utf-8") as fh:
-            chain = chain_from_dict(json.load(fh))
+        chain = chain_from_dict(_load_input(args.chain, "chain"))
         out = {
             "n": chain.n,
             "k": chain.k,

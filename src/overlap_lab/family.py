@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .combinatorics import (
     MAX_GROUND_SET,
@@ -281,31 +281,61 @@ def _poset_preds(n: int, k: int) -> tuple[int, ...]:
 # downset (shifted-family) enumeration
 # ---------------------------------------------------------------------------
 
+def walk_downsets(
+    n: int,
+    k: int,
+    limit: int = DOWNSET_LIMIT_DEFAULT,
+    refuse: Callable[[int, int], bool] | None = None,
+) -> Iterator[int]:
+    """Yield the downsets of (C([n],k), shift order) as rank bitsets, by reverse search.
+
+    Colex rank is a linear extension of the shift order, so dropping the
+    highest-rank member of a nonempty downset leaves a downset, its unique
+    parent.  The children of D are D | 1<<r for each rank r above D's top
+    whose lower covers lie in D; a depth-first walk of this tree from the
+    empty downset reaches every downset exactly once, in no particular
+    order.  When given, refuse(D, r) may reject the child D | 1<<r, and its
+    whole subtree is skipped.  Raises DownsetLimitError on visiting more
+    than `limit` downsets.
+    """
+    preds = _poset_preds(n, k)
+    succs = [0] * len(preds)
+    for r, pb in enumerate(preds):
+        for q in iter_bits(pb):
+            succs[q] |= 1 << r
+    # each entry: a downset and the ranks above its top that may join it
+    stack = [(0, sum(1 << r for r, pb in enumerate(preds) if not pb))]
+    visited = 0
+    while stack:
+        d, addable = stack.pop()
+        visited += 1
+        if visited > limit:
+            raise DownsetLimitError(
+                f"more than {limit} downsets for (n={n}, k={k}); raise the limit to enumerate"
+            )
+        yield d
+        while addable:
+            low = addable & -addable
+            addable ^= low
+            r = low.bit_length() - 1
+            if refuse is not None and refuse(d, r):
+                continue
+            child = d | low
+            outside = ~child
+            grown = 0
+            for q in iter_bits(succs[r]):
+                if not preds[q] & outside:
+                    grown |= 1 << q
+            # addable now holds only ranks above r, as does succs[r]
+            stack.append((child, addable | grown))
+
+
 def downset_bitsets(n: int, k: int, limit: int = DOWNSET_LIMIT_DEFAULT) -> list[int]:
     """All downsets of (C([n],k), shift order) as rank bitsets.
 
     Ordered by nondecreasing cardinality, ties by ascending bitset value.
     """
-    preds = _poset_preds(n, k)
-    capacity = binom(n, k)
-    out: list[int] = []
-    level = [0]
-    count = 0
-    while level:
-        count += len(level)
-        if count > limit:
-            raise DownsetLimitError(
-                f"more than {limit} downsets for (n={n}, k={k}); raise the limit to enumerate"
-            )
-        out.extend(level)
-        nxt = set()
-        for d in level:
-            for r in range(capacity):
-                bit = 1 << r
-                if not (d & bit) and not (preds[r] & ~d):
-                    nxt.add(d | bit)
-        level = sorted(nxt)
-    return out
+    return sorted(walk_downsets(n, k, limit), key=lambda d: (d.bit_count(), d))
 
 
 def enumerate_shifted_families(

@@ -34,7 +34,9 @@ from .family import (
     construction_chain,
     cover_family,
     downset_bitsets,
+    is_shifted,
     reduce_to_weighted,
+    walk_downsets,
 )
 from .matching import has_matching_of_size, is_overlapping
 
@@ -546,14 +548,17 @@ def _default_conj1_cells() -> Iterable[tuple[int, int, int, int]]:
 
 
 def _default_conj2_cells() -> Iterable[tuple[int, int, int]]:
-    for s in (1, 2):
-        for n in range(s + 1, 13):
-            yield n, 1, s
-        for n in range(2 * (s + 1), 11):
+    for s in (1, 2, 3):
+        if s < 3:
+            for n in range(s + 1, 13):
+                yield n, 1, s
+        for n in range(2 * (s + 1), 17):
             yield n, 2, s
-    for n in range(6, 9):
+    for n in range(6, 11):
         yield n, 3, 1
     yield 9, 3, 2
+    yield 10, 3, 2
+    yield 9, 4, 1
 
 
 def max_min_overlapping(n: int, k: int, s: int, limit_downsets: int = 10**7) -> tuple[int, Family]:
@@ -562,18 +567,38 @@ def max_min_overlapping(n: int, k: int, s: int, limit_downsets: int = 10**7) -> 
     For nested chains min_i |B_i| = |B_0|, and enlarging any family only
     tightens the rainbow constraint, so B_1 = ... = B_s = B_0 is the
     optimal completion: the hunt reduces to the largest shifted family
-    whose matching number is at most s.
+    whose matching number is at most s.  Ties go to the least bitset.
+
+    The downset walk refuses a child D | r exactly when it holds s+1
+    pairwise disjoint members.  Its parent D holds none, so such a matching
+    uses r, and its other s members lie in D & disj[r].  A matching stays in
+    every superset, so a refused subtree holds no feasible downset, and the
+    walk visits exactly the feasible ones; limit_downsets bounds their count.
     """
+    disj = _disjointness(n, k)
+
+    def holds_disjoint(avail: int, need: int) -> bool:
+        # `need` pairwise disjoint members among the ranks in avail
+        if not need:
+            return True
+        while avail.bit_count() >= need:
+            low = avail & -avail
+            avail ^= low
+            if holds_disjoint(avail & disj[low.bit_length() - 1], need - 1):
+                return True
+        return False
+
     best_size = -1
     best_bits = 0
-    for bits in downset_bitsets(n, k, limit_downsets):
+    for bits in walk_downsets(n, k, limit_downsets, lambda d, r: holds_disjoint(d & disj[r], s)):
         size = bits.bit_count()
-        if size <= best_size:
-            continue
-        fam = Family(n, k, bits)
-        if not has_matching_of_size(fam, s + 1):
+        if size > best_size or (size == best_size and bits < best_bits):
             best_size, best_bits = size, bits
-    return best_size, Family(n, k, best_bits)
+    fam = Family(n, k, best_bits)
+    # recheck through the independent matching code, not the pruning above
+    if not is_shifted(fam) or has_matching_of_size(fam, s + 1):
+        raise AssertionError("conj2 witness is not a shifted family without an (s+1)-matching")
+    return best_size, fam
 
 
 def hunt_conjectures(name: str, grid: dict | None = None, *, limit_nodes: int | None = None) -> dict:

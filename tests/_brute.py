@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from overlap_lab.combinatorics import ksets, shift_leq
-from overlap_lab.family import Family
+from overlap_lab.family import Family, downset_bitsets
 from overlap_lab.matching import BipartiteGraph
 
 
@@ -24,7 +24,9 @@ def pairwise_disjoint(masks) -> bool:
 
 def brute_matching_number(fam: Family) -> int:
     members = list(fam.members())
-    for size in range(len(members), 0, -1):
+    # pairwise disjoint k-sets of [n] number at most n // k
+    top = min(len(members), fam.n // fam.k) if fam.k else len(members)
+    for size in range(top, 0, -1):
         for combo in combinations(members, size):
             if pairwise_disjoint(combo):
                 return size
@@ -111,3 +113,13 @@ def brute_chain_optimum(n: int, k: int, s: int, weights) -> Fraction:
             value = sum((Fraction(w) * len(f) for w, f in zip(weights, fams)), Fraction(0))
             best = max(best, value)
     return best
+
+
+def brute_max_min_overlapping(n: int, k: int, s: int) -> tuple[int, int]:
+    """First largest downset, in downset_bitsets order, with matching number at most s."""
+    best_size, best_bits = -1, 0
+    for bits in downset_bitsets(n, k):
+        size = bits.bit_count()
+        if size > best_size and brute_matching_number(Family(n, k, bits)) <= s:
+            best_size, best_bits = size, bits
+    return best_size, best_bits

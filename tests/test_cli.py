@@ -206,6 +206,36 @@ def test_matching_subcommand(tmp_path, capsys):
     assert main(["matching"]) == 2
 
 
+_BOUNDS_ARGV = ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["matching", "--family", "{path}"], "[[1, 2], [3, 4]]"),
+        (["matching", "--family", "{path}"], None),
+        (["matching", "--family", "{path}"], '{"n": 6, "k": 2, "sets": [[1, "2"]]}'),
+        ([*_BOUNDS_ARGV, "--resume", "{path}"], '{"rows": 5}'),
+        ([*_BOUNDS_ARGV, "--resume", "{path}"], '{"rows": [{"cell": [1, 2]}]}'),
+        (["matching", "--chain", "{path}"], '{"n": 6, "k": 2, "families": 3}'),
+    ],
+    ids=[
+        "family-list",
+        "family-missing",
+        "family-string-element",
+        "resume-rows-int",
+        "resume-cell-list",
+        "chain-families-int",
+    ],
+)
+def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    assert main([a.replace("{path}", str(path)) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_limit_validation():
     assert main(["search", "--n", "4", "--k", "2", "--weights", "1,1", "--jobs", "0"]) == 2
     assert main(["verify", "--suite", "bde", "--trials", "-3"]) == 2

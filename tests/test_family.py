@@ -189,8 +189,7 @@ def test_downset_counts_against_brute(n, k, count):
     bitsets = downset_bitsets(n, k)
     assert len(bitsets) == count == brute_downset_count(n, k)
     assert len(set(bitsets)) == len(bitsets)
-    sizes = [b.bit_count() for b in bitsets]
-    assert sizes == sorted(sizes)
+    assert bitsets == sorted(bitsets, key=lambda b: (b.bit_count(), b))
     for b in bitsets:
         assert is_downset_direct(b, n, k)
 
@@ -231,6 +230,10 @@ def test_downset_count_at_capacity_twenty():
 def test_downset_limit():
     with pytest.raises(DownsetLimitError):
         downset_bitsets(8, 3, limit=100)
+    # the limit caps the count itself: (6,3) has 66 downsets
+    assert len(downset_bitsets(6, 3, limit=66)) == 66
+    with pytest.raises(DownsetLimitError):
+        downset_bitsets(6, 3, limit=65)
 
 
 @pytest.mark.parametrize("corruption", ["half", "list"])

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _brute import brute_max_min_overlapping
 from overlap_lab.bounds import conj2_bound, thm2_value, thm3_value, thm4_value
 from overlap_lab.combinatorics import binom
-from overlap_lab.family import reduce_to_weighted
+from overlap_lab.family import DownsetLimitError, reduce_to_weighted
 from overlap_lab.matching import is_overlapping, matching_number
 from overlap_lab.search import (
     InstanceTooLargeError,
@@ -244,6 +245,37 @@ def test_max_min_overlapping_is_emc_value():
     # two blocks of C([4],2) can miss only one pair
     value, fam = max_min_overlapping(4, 2, 1)
     assert value == 3 == conj2_bound(4, 2, 1)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for k in range(4) for n in range(max(k, 1), 10)])
+def test_max_min_overlapping_against_brute(n, k):
+    # value and witness equal the first largest feasible downset in
+    # downset_bitsets order; (9,3) at s <= 2 is too slow for the brute force
+    for s in range(4):
+        if (n, k) == (9, 3) and s < 3:
+            continue
+        value, fam = max_min_overlapping(n, k, s)
+        assert (value, fam.bits) == brute_max_min_overlapping(n, k, s)
+
+
+def test_max_min_overlapping_visits_only_feasible_downsets():
+    # (14,2,1): the walk stops at the 15 intersecting downsets of 8192
+    assert max_min_overlapping(14, 2, 1, limit_downsets=15)[0] == 13
+    with pytest.raises(DownsetLimitError):
+        max_min_overlapping(14, 2, 1, limit_downsets=14)
+    with pytest.raises(DownsetLimitError):
+        max_min_overlapping(8, 2, 2, limit_downsets=3)
+
+
+@pytest.mark.parametrize("planted", [0b111111, 0b100000], ids=["matching", "not-shifted"])
+def test_max_min_overlapping_rechecks_witness(monkeypatch, planted):
+    # a walk that yields a family with a 2-matching, or one that is not a
+    # downset, must not slip through as the (4,2,1) witness
+    import overlap_lab.search as search_mod
+
+    monkeypatch.setattr(search_mod, "walk_downsets", lambda n, k, limit, refuse: iter([0, planted]))
+    with pytest.raises(AssertionError):
+        max_min_overlapping(4, 2, 1)
 
 
 def test_hunt_conjectures_subgrids():
