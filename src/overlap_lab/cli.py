@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -255,6 +254,9 @@ def _csv_cell(value):
 def _run_cells(cells, worker, jobs: int):
     """Map worker over cells, preserving order; optional process pool."""
     if jobs > 1:
+        # imported here, so that runs without a pool skip its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(worker, cells)
     else:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .combinatorics import binom, mask_from_elements
 from .family import Chain, Family
-from .matching import BipartiteGraph, is_overlapping, min_vertex_cover
+from .matching import BipartiteGraph, is_overlapping, min_vertex_cover, rainbow
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,13 @@ class ArcFamily:
 
     def family(self) -> Family:
         return Family.from_masks(self.sigma.n, self.k, set(self.masks))
+
+    @cached_property
+    def head_disjointness(self) -> tuple[int, ...]:
+        """Entry i: the bitset of heads whose arcs miss arc i."""
+        return tuple(
+            sum(1 << j for j, other in enumerate(self.masks) if not mask & other) for mask in self.masks
+        )
 
 
 def arcs(sigma: CyclicOrder, k: int) -> ArcFamily:
@@ -176,9 +184,12 @@ def random_overlapping_arc_chain(
 
     Each arc independently joins the chain at a random level (or never)
     with a per-trial random density, so sparse and near-critical instances
-    both appear; non-overlapping draws are rejected and redrawn.
+    both appear; non-overlapping draws are rejected and redrawn.  Each draw
+    is tested on the head bitsets directly, so a rejected one builds no
+    Family.
     """
-    n, k = arc.sigma.n, arc.k
+    n = arc.sigma.n
+    head_disj = arc.head_disjointness
     while True:
         density = rng.random()
         arc_sets = [0] * (s + 1)
@@ -187,8 +198,7 @@ def random_overlapping_arc_chain(
                 level = rng.randrange(s + 1)
                 for j in range(level, s + 1):
                     arc_sets[j] |= 1 << i
-        chain = arc_chain_families(arc, arc_sets)
-        if is_overlapping(chain):
+        if not rainbow(arc_sets, head_disj):
             return tuple(arc_sets)
 
 

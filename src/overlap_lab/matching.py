@@ -1,59 +1,107 @@
 """Exact matching computations.
 
-matching_number finds the largest set of pairwise disjoint members of one
-family; rainbow_matching_number finds the largest set of distinct family
-indices admitting pairwise disjoint representatives.  Both are bitmask
-backtracking with memoization, exact at desk scale.  The bipartite solver
-is plain augmenting paths with the alternating-reachability minimum cover.
+Every matching question here is one rainbow question, answered by one
+kernel: given a sequence of candidate bitsets over colex ranks, pick one
+member from each so that the picks are pairwise disjoint.  A disjointness
+table (for each rank, the bitset of ranks whose k-sets miss it) turns that
+into plain integer backtracking.  The Family functions are thin wrappers:
+a matching of size t in one family is a rainbow matching of t copies of
+it, and they build the table over their members only, so their memory
+follows the families rather than C(n, k)^2 bits.  The bipartite solver is
+plain augmenting paths with the alternating-reachability minimum cover.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from itertools import combinations
+from typing import Mapping, Sequence
 
-from .combinatorics import iter_bits
+from .combinatorics import binom, iter_bits, ksets
 from .family import Chain, Family
+
+
+def _disjoint_within(n: int, k: int, within: int) -> dict[int, int]:
+    """For each rank r in `within`, the bitset of ranks in `within` whose k-sets miss rank r's."""
+    table = ksets(n, k)
+    meets = [0] * n  # meets[e]: ranks in `within` whose k-set holds element e
+    for r in iter_bits(within):
+        for e in iter_bits(table[r]):
+            meets[e] |= 1 << r
+    out = {}
+    for r in iter_bits(within):
+        hit = 0
+        for e in iter_bits(table[r]):
+            hit |= meets[e]
+        out[r] = within & ~hit
+    return out
+
+
+@lru_cache(maxsize=None)
+def disjointness(n: int, k: int) -> tuple[int, ...]:
+    """Entry r: the bitset of colex ranks whose k-subsets of [n] miss the k-set of rank r.
+
+    At k = 0 the only k-set is the empty set, which misses itself.
+    """
+    return tuple(_disjoint_within(n, k, (1 << binom(n, k)) - 1).values())
+
+
+def rainbow(
+    cands: Sequence[int],
+    disj: Sequence[int] | Mapping[int, int],
+    avail: int = -1,
+    start: int = 0,
+    floor: int = -1,
+) -> bool:
+    """True iff one member of each bitset cands[i] can be chosen in avail, pairwise disjoint.
+
+    An empty cands is vacuously true.  disj[r] is the bitset of ranks
+    disjoint from rank r.  Equal neighbours
+    may swap their picks, so the later one takes a rank no smaller than the
+    earlier one's (not strictly larger: at k = 0 the empty set is disjoint
+    from itself).  start and floor carry the recursion: the index being
+    placed and the ranks it may take.
+    """
+    last = len(cands) - 1
+    if start >= last:
+        return start > last or cands[start] & avail & floor != 0
+    cand = cands[start] & avail & floor
+    same = cands[start + 1] == cands[start]
+    while cand:
+        low = cand & -cand
+        if rainbow(cands, disj, avail & disj[low.bit_length() - 1], start + 1, -low if same else -1):
+            return True
+        cand ^= low
+    return False
+
+
+def _member_disjointness(fams: Sequence[Family]) -> dict[int, int]:
+    """The disjointness table restricted to the members of the families (which share (n, k))."""
+    union = 0
+    for f in fams:
+        union |= f.bits
+    return _disjoint_within(fams[0].n, fams[0].k, union)
 
 
 def matching_number(fam: Family) -> int:
     """Largest number of pairwise disjoint members of the family."""
-    return _max_disjoint(list(fam.members()), fam.n, fam.k, stop_at=None)
+    size = 0
+    while has_matching_of_size(fam, size + 1):
+        size += 1
+    return size
 
 
 def has_matching_of_size(fam: Family, size: int) -> bool:
     """True iff the family contains `size` pairwise disjoint members."""
     if size <= 0:
         return True
-    return _max_disjoint(list(fam.members()), fam.n, fam.k, stop_at=size) >= size
-
-
-def _max_disjoint(masks: list[int], n: int, k: int, stop_at: int | None) -> int:
-    best = 0
-    count = len(masks)
-    cap = n // k if k else 0
-
-    def rec(i: int, used: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if stop_at is not None and best >= stop_at:
-            return
-        if i == count:
-            return
-        free_cap = (n - used.bit_count()) // k if k else 0
-        if size + min(count - i, free_cap) <= best:
-            return
-        for j in range(i, count):
-            if not masks[j] & used:
-                rec(j + 1, used | masks[j], size + 1)
-                if stop_at is not None and best >= stop_at:
-                    return
-
-    if k == 0:
-        return min(count, 1)
-    rec(0, 0, 0)
-    return min(best, cap) if cap else best
+    if fam.k == 0:
+        # the empty set misses itself but is a single member
+        return size <= len(fam)
+    if size > fam.n // fam.k:
+        return False
+    return rainbow((fam.bits,) * size, _member_disjointness((fam,)))
 
 
 def _common_params(fams: Sequence[Family]) -> tuple[int, int]:
@@ -68,38 +116,10 @@ def _common_params(fams: Sequence[Family]) -> tuple[int, int]:
 
 def rainbow_matching_number(fams: Sequence[Family]) -> int:
     """Largest r such that r distinct indices admit pairwise disjoint representatives."""
-    n, k = _common_params(fams)
-    m = len(fams)
-    # smallest families first: their representatives are the scarcest
-    order = sorted(range(m), key=lambda i: (len(fams[i]), i))
-    lists = [list(fams[i].members()) for i in order]
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(pos: int, used: int) -> int:
-        if pos == m:
-            return 0
-        key = (pos, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cap = m - pos
-        if k:
-            cap = min(cap, (n - used.bit_count()) // k)
-        best = 0
-        if cap:
-            for mask in lists[pos]:
-                if not mask & used:
-                    got = 1 + rec(pos + 1, used | mask)
-                    if got > best:
-                        best = got
-                        if best == cap:
-                            break
-            if best < cap:
-                best = max(best, rec(pos + 1, used))
-        memo[key] = best
-        return best
-
-    return rec(0, 0)
+    size = 0
+    while has_rainbow_matching(fams, size + 1):
+        size += 1
+    return size
 
 
 def has_rainbow_matching(fams: Sequence[Family], size: int) -> bool:
@@ -107,69 +127,42 @@ def has_rainbow_matching(fams: Sequence[Family], size: int) -> bool:
     if size <= 0:
         return True
     n, k = _common_params(fams)
-    m = len(fams)
-    if size > m or (k and size > n // k):
+    if size > len(fams) or (k and size > n // k):
         return False
-    order = sorted(range(m), key=lambda i: (len(fams[i]), i))
-    lists = [list(fams[i].members()) for i in order]
-
-    def rec(pos: int, used: int, got: int) -> bool:
-        if got == size:
-            return True
-        if m - pos < size - got:
-            return False
-        if k and (n - used.bit_count()) // k < size - got:
-            return False
-        for mask in lists[pos]:
-            if not mask & used and rec(pos + 1, used | mask, got + 1):
-                return True
-        return rec(pos + 1, used, got)
-
-    return rec(0, 0, 0)
+    disj = _member_disjointness(fams)
+    # smallest families first: their representatives are the scarcest;
+    # sorting also makes equal families neighbours
+    bits = sorted((f.bits for f in fams), key=lambda b: (b.bit_count(), b))
+    return any(rainbow(pick, disj) for pick in combinations(bits, size))
 
 
 def rainbow_matching_witness(fams: Sequence[Family]) -> list[tuple[int, int]]:
     """A maximum rainbow matching as (family index, member mask) pairs.
 
     Among maximum matchings, returns the one whose (index, colex rank)
-    pair sequence is lexicographically least, so results are reproducible.
+    pair sequence is lexicographically least, so results are reproducible:
+    index by index, it takes the least member that leaves the rest
+    completable.
     """
     n, k = _common_params(fams)
-    m = len(fams)
-    lists = [list(f.members()) for f in fams]
-    memo: dict[tuple[int, int], int] = {}
-
-    def value(pos: int, used: int) -> int:
-        if pos == m:
-            return 0
-        key = (pos, used)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = value(pos + 1, used)
-        for mask in lists[pos]:
-            if not mask & used:
-                best = max(best, 1 + value(pos + 1, used | mask))
-        memo[key] = best
-        return best
-
-    total = value(0, 0)
+    need = rainbow_matching_number(fams)
+    disj = _member_disjointness(fams)
+    table = ksets(n, k)
+    bits = [f.bits for f in fams]
     witness: list[tuple[int, int]] = []
-    used = 0
-    need = total
-    for pos in range(m):
-        if need == 0:
+    avail = -1
+    for pos, b in enumerate(bits):
+        if not need:
             break
-        taken = False
-        for mask in lists[pos]:  # colex order: least-rank representative first
-            if not mask & used and 1 + value(pos + 1, used | mask) == need:
-                witness.append((pos, mask))
-                used |= mask
+        rest = bits[pos + 1 :]
+        for r in iter_bits(b & avail):
+            left = avail & disj[r]
+            if any(rainbow(pick, disj, left) for pick in combinations(rest, need - 1)):
+                witness.append((pos, table[r]))
+                avail = left
                 need -= 1
-                taken = True
                 break
-        if not taken:
-            assert value(pos + 1, used) == need
+    assert not need, "greedy witness fell short of the rainbow matching number"
     return witness
 
 

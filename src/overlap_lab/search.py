@@ -11,10 +11,11 @@ Two independent routes compute the same optimum:
   (B_s over all downsets of the shift order, each lower family over
   sub-downsets of its parent).
 
-Agreement of the two on every co-runnable instance is a tested invariant,
-not an assumption.  Witness tie-breaking is deterministic: smallest total
-cardinality first, then the lexicographically least entry-level sequence
-read in colex order.
+Both ask the rainbow question through matching.rainbow over the cached
+matching.disjointness table, and share nothing else.  Agreement of the two
+on every co-runnable instance is a tested invariant, not an assumption.
+Witness tie-breaking is deterministic: smallest total cardinality first,
+then the lexicographically least entry-level sequence read in colex order.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import bounds as _bounds
-from .combinatorics import binom, ksets
+from .combinatorics import binom
 from .family import (
     CONSTRUCTION_KINDS,
     Chain,
@@ -38,7 +39,7 @@ from .family import (
     reduce_to_weighted,
     walk_downsets,
 )
-from .matching import has_matching_of_size, is_overlapping
+from .matching import disjointness, has_matching_of_size, is_overlapping, rainbow
 
 ORACLE_CANDIDATE_LIMIT = 1 << 36
 
@@ -124,20 +125,6 @@ def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fracti
     return best_val, best_kind
 
 
-def _disjointness(n: int, k: int) -> list[int]:
-    table = ksets(n, k)
-    count = len(table)
-    out = [0] * count
-    for i in range(count):
-        mi = table[i]
-        acc = 0
-        for j in range(count):
-            if not mi & table[j]:
-                acc |= 1 << j
-        out[i] = acc
-    return out
-
-
 def _validated_record(record: ExtremalRecord) -> ExtremalRecord:
     chain = record.witness
     if not is_overlapping(chain):
@@ -176,7 +163,7 @@ def oracle_f(
         raise InstanceTooLargeError(
             f"oracle space (s+2)^C(n,k) = {raw} exceeds guard {limit_candidates}"
         )
-    disj = _disjointness(n, k)
+    disj = disjointness(n, k)
     iw, scale = _integer_weights(ws)
     sum_w = sum(iw)
     contrib = [sum(iw[lvl:]) for lvl in range(s + 1)]
@@ -195,28 +182,6 @@ def oracle_f(
         assert warm.denominator == 1, "warm-start value is not a multiple of 1/L"
         best_val = warm.numerator
     nodes = 0
-
-    def completes_rainbow(rank: int, level: int) -> bool:
-        # does adding this set at `level` create disjoint representatives
-        # for all s+1 indices, with the new set standing at some index >= level?
-        def rep_search(idx: int, avail: int, standing: int) -> bool:
-            if idx == s + 1:
-                return True
-            if idx == standing:
-                return rep_search(idx + 1, avail, standing)
-            cand = fam_bits[idx] & avail
-            while cand:
-                low = cand & -cand
-                r = low.bit_length() - 1
-                if rep_search(idx + 1, avail & disj[r], standing):
-                    return True
-                cand ^= low
-            return False
-
-        for standing in range(level, s + 1):
-            if rep_search(0, disj[rank], standing):
-                return True
-        return False
 
     def explore(pos: int, val: int, card: int) -> None:
         nonlocal best_val, best_card, best_chain, nodes
@@ -237,7 +202,11 @@ def oracle_f(
             return
         bit = 1 << pos
         for level in range(lead0, s + 1):
-            if not completes_rainbow(pos, level):
+            # adding the set at `level` must not complete a rainbow matching of
+            # all s+1 indices.  The set need only stand at index `level`: in a
+            # matching where it stands at t > level, it can trade places with
+            # the member at `level`, which lies in B_level, a subset of B_t.
+            if not rainbow(fam_bits[:level] + fam_bits[level + 1 :], disj, disj[pos]):
                 for i in range(level, s + 1):
                     fam_bits[i] |= bit
                 explore(pos + 1, val + contrib[level], card + (s + 1 - level))
@@ -298,7 +267,7 @@ def exact_f_shifted(
     capacity = binom(n, k)
     downs = downset_bitsets(n, k, limit_downsets)
     by_size = sorted(downs, key=lambda d: (-d.bit_count(), d))
-    disj = _disjointness(n, k)
+    disj = disjointness(n, k)
     lead0 = 0
     while lead0 <= s and ws[lead0] == 0:
         lead0 += 1
@@ -331,22 +300,6 @@ def exact_f_shifted(
         best_val, best_card, best_chain = val, card, tuple(chain_bits)
         best_key = key if key is not None else _level_key(chain_bits, capacity, s)
 
-    def suffix_has_full_rainbow(first: int) -> bool:
-        # disjoint representatives for every index in chain_bits[first..s]
-        def rep_search(idx: int, avail: int) -> bool:
-            if idx > s:
-                return True
-            cand = chain_bits[idx] & avail
-            while cand:
-                low = cand & -cand
-                r = low.bit_length() - 1
-                if rep_search(idx + 1, avail & disj[r]):
-                    return True
-                cand ^= low
-            return False
-
-        return rep_search(first, (1 << capacity) - 1)
-
     def descend(j: int, val: int, card: int) -> None:
         nonlocal nodes
         parent = chain_bits[j + 1] if j < s else None
@@ -357,7 +310,7 @@ def exact_f_shifted(
                 chain_bits[i] = 0
             offer(val, card)
             return
-        if j == 0 and not suffix_has_full_rainbow(1):
+        if j == 0 and not rainbow(chain_bits[1:], disj):
             # no rainbow matching uses indices 1..s fully, so any B_0 works;
             # B_0 = B_1 maximizes the head term (its weight is positive here)
             chain_bits[0] = chain_bits[1]
@@ -385,7 +338,7 @@ def exact_f_shifted(
                 continue
             chain_bits[j] = d
             if j == 0:
-                if not suffix_has_full_rainbow(0):
+                if not rainbow(chain_bits, disj):
                     offer(val2, card2)
             else:
                 descend(j - 1, val2, card2)
@@ -575,27 +528,15 @@ def max_min_overlapping(n: int, k: int, s: int, limit_downsets: int = 10**7) -> 
     every superset, so a refused subtree holds no feasible downset, and the
     walk visits exactly the feasible ones; limit_downsets bounds their count.
     """
-    disj = _disjointness(n, k)
-
-    def holds_disjoint(avail: int, need: int) -> bool:
-        # `need` pairwise disjoint members among the ranks in avail
-        if not need:
-            return True
-        while avail.bit_count() >= need:
-            low = avail & -avail
-            avail ^= low
-            if holds_disjoint(avail & disj[low.bit_length() - 1], need - 1):
-                return True
-        return False
-
+    disj = disjointness(n, k)
     best_size = -1
     best_bits = 0
-    for bits in walk_downsets(n, k, limit_downsets, lambda d, r: holds_disjoint(d & disj[r], s)):
+    for bits in walk_downsets(n, k, limit_downsets, lambda d, r: rainbow((d,) * s, disj, disj[r])):
         size = bits.bit_count()
         if size > best_size or (size == best_size and bits < best_bits):
             best_size, best_bits = size, bits
     fam = Family(n, k, best_bits)
-    # recheck through the independent matching code, not the pruning above
+    # recheck the finished family as a whole, not through the per-child prune above
     if not is_shifted(fam) or has_matching_of_size(fam, s + 1):
         raise AssertionError("conj2 witness is not a shifted family without an (s+1)-matching")
     return best_size, fam

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _brute import (
     brute_all_max_rainbow,
@@ -9,11 +11,12 @@ from _brute import (
     brute_min_cover_size,
     brute_rainbow_number,
 )
-from overlap_lab.combinatorics import binom, colex_rank
+from overlap_lab.combinatorics import binom, colex_rank, ksets
 from overlap_lab.family import Chain, Family, construction_chain, cover_family
 from overlap_lab.matching import (
     BipartiteGraph,
     cover_is_valid,
+    disjointness,
     has_matching_of_size,
     has_rainbow_matching,
     is_overlapping,
@@ -137,6 +140,53 @@ def test_rainbow_witness_is_lex_least_maximum():
         if all_max:
             key = lambda w: tuple((i, colex_rank(m)) for i, m in w)
             assert key(witness) == min(key(w) for w in all_max)
+
+
+@st.composite
+def family_sequences(draw):
+    """1-4 families of k-subsets of [n], n <= 6, k <= 3, drawn from a pool of at most
+    three so that equal families, and equal neighbours, occur."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(3, n)))
+    cap = binom(n, k)
+    pool = draw(st.lists(st.integers(0, (1 << cap) - 1), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+    return [Family(n, k, pool[i]) for i in picks]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(family_sequences())
+def test_rainbow_kernel_against_brute(seq):
+    value = brute_rainbow_number(seq)
+    for t in range(len(seq) + 2):
+        assert has_rainbow_matching(seq, t) == (value >= t)
+    key = lambda w: tuple((i, colex_rank(m)) for i, m in w)
+    assert key(rainbow_matching_witness(seq)) == min(map(key, brute_all_max_rainbow(seq)))
+
+
+@pytest.mark.parametrize(
+    "x, pair_number, pair_overlapping, triple_rainbow",
+    [(Family(3, 0, 1), 2, False, True), (Family.full(3, 3), 1, True, False)],
+    ids=["empty-set", "full-3-3"],
+)
+def test_single_member_families(x, pair_number, pair_overlapping, triple_rainbow):
+    # the empty set misses itself: one member of one family, but it can
+    # represent two families at once
+    assert matching_number(x) == 1
+    assert not has_matching_of_size(x, 2)
+    assert rainbow_matching_number([x, x]) == pair_number
+    assert is_overlapping(Chain((x, x))) == pair_overlapping
+    assert has_rainbow_matching([x, x, x], 3) == triple_rainbow
+
+
+def test_disjointness_table():
+    for n in range(1, 8):
+        for k in range(0, min(n, 3) + 1):
+            table = ksets(n, k)
+            expected = tuple(
+                sum(1 << j for j, b in enumerate(table) if not a & b) for a in table
+            )
+            assert disjointness(n, k) == expected
 
 
 # ---------------------------------------------------------------------------
