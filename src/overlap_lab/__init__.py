@@ -53,7 +53,6 @@ from .search import (
     exact_f_shifted,
     hunt_conjectures,
     oracle_f,
-    verify_theorem,
 )
 from .cyclic import (
     ArcFamily,
@@ -64,5 +63,6 @@ from .cyclic import (
     verify_partition_bound,
     verify_random_matching_bound,
 )
+from .suites import SUITES, Suite, run_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

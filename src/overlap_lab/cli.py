@@ -5,7 +5,8 @@ Reports are deterministic: the same configuration (including seed) yields
 byte-identical output files.  While a sweep runs, finished rows stream to
 the output path as JSON lines; on completion the path is rewritten as a
 single JSON document {tool_version, config, rows, summary} (or kept as CSV
-with a fixed header).  --resume <file> skips rows already present.
+with a fixed header).  --resume <file> skips rows already present; for
+verify a row is one suite of suites.SUITES.
 """
 from __future__ import annotations
 
@@ -20,36 +21,14 @@ from fractions import Fraction
 
 from . import __version__
 from . import bounds as _bounds
-from . import cyclic as _cyclic
 from . import search as _search
-from .family import DownsetLimitError, construction_chain, reduce_to_weighted
+from .family import DownsetLimitError, reduce_to_weighted
+from .suites import SUITES, run_suite
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-VERIFY_SUITES = (
-    "hilton",
-    "thm1",
-    "thm2-k1",
-    "thm3",
-    "thm4",
-    "bde",
-    "cyclic",
-    "partition",
-    "random-matching",
-    "conj1",
-    "conj2",
-    "all",
-)
-
-RANDOMIZED_SUITES = {"cyclic", "partition", "random-matching"}
-
-CYCLIC_CELLS = tuple(
-    (n, k, s, p) for (n, k, s) in ((9, 2, 2), (8, 2, 1), (12, 3, 1)) for p in (1, 2, 3)
-)
-
 
 # ---------------------------------------------------------------------------
 # argument parsing
@@ -109,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="evaluate a named formula over a grid")
     add_report(p_bounds)
-    p_bounds.add_argument("--name", required=True, help=f"one of {sorted(_bounds.FORMULAS)}")
+    p_bounds.add_argument("--name", required=True, choices=sorted(_bounds.FORMULAS))
     for flag in ("--n", "--k", "--m", "--p", "--s", "--i", "--l"):
         p_bounds.add_argument(flag, type=_range_arg)
     p_bounds.add_argument("--weights", type=_weights_arg)
@@ -129,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     add_report(p_verify)
-    p_verify.add_argument("--suite", required=True, choices=VERIFY_SUITES)
+    p_verify.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p_verify.add_argument("--seed", type=int, default=None, help="RNG seed for randomized suites")
     p_verify.add_argument("--ci", action="store_true", help="require an explicit --seed for randomized suites")
     p_verify.add_argument("--limit-nodes", type=int, default=None)
@@ -284,9 +263,6 @@ def _bounds_cells(args) -> list[dict]:
 
 
 def cmd_bounds(args) -> int:
-    if args.name not in _bounds.FORMULAS:
-        print(f"unknown formula {args.name!r}; known: {sorted(_bounds.FORMULAS)}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cells = _bounds_cells(args)
     except ValueError as exc:
@@ -402,88 +378,9 @@ def cmd_search(args) -> int:
 # verify subcommand
 # ---------------------------------------------------------------------------
 
-def _verify_bde() -> dict:
-    rows = []
-    failures = 0
-    for m in range(2, 31):
-        for s in range(1, m):
-            for l in range(0, m - s):
-                first, second = _bounds.bde_check(m, s, l)
-                if not (first and second):
-                    failures += 1
-                    rows.append({"m": m, "s": s, "l": l, "status": "VIOLATION"})
-    rows.append({"grid": "m<=30, 1<=s<m, 0<=l<m-s", "status": "ok" if failures == 0 else "fail"})
-    return {
-        "suite": "bde",
-        "rows": rows,
-        "summary": {"violations": failures, "status": "pass" if failures == 0 else "fail"},
-    }
-
-
-def _verify_partition(trials: int, seed: int) -> dict:
-    rows = []
-    failures = 0
-    cases = [
-        ((2, 1, 1), (1, 1)),
-        ((3, 1, 2), (2, 1, 1)),
-        ((4, 2, 1), (1, 1)),
-        ((4, 2, 1), (3, 1)),
-        ((6, 2, 2), (2, 1, 1)),
-    ]
-    for idx, ((n, k, s), ws) in enumerate(cases):
-        chain = construction_chain("clique", n, k, s)
-        rep = _cyclic.verify_partition_bound(chain, ws, trials, seed * 1_000_003 + idx)
-        ok = rep["status"] == "pass"
-        failures += 0 if ok else 1
-        rows.append({"n": n, "k": k, "s": s, "weights": list(ws), **rep})
-    return {
-        "suite": "partition",
-        "rows": rows,
-        "summary": {"violations": failures, "status": "pass" if failures == 0 else "fail"},
-    }
-
-
-def _verify_random_matching(trials: int, seed: int) -> dict:
-    rows = []
-    failures = 0
-    cases = [
-        ((8, 2, 1), (1, 1), "cover"),
-        ((8, 2, 1), (2, 1), "empty-then-full"),
-        ((9, 2, 2), (1, 1, 1), "cover"),
-        ((12, 3, 1), (2, 1), "cover"),
-    ]
-    for idx, ((n, k, s), ws, kind) in enumerate(cases):
-        chain = construction_chain(kind, n, k, s)
-        rep = _cyclic.verify_random_matching_bound(chain, ws, trials, seed * 1_000_003 + idx)
-        ok = rep["status"] == "pass"
-        failures += 0 if ok else 1
-        rows.append({"n": n, "k": k, "s": s, "weights": list(ws), "construction": kind, **rep})
-    return {
-        "suite": "random-matching",
-        "rows": rows,
-        "summary": {"violations": failures, "status": "pass" if failures == 0 else "fail"},
-    }
-
-
-def run_suite(suite: str, trials: int | None, seed: int, limit_nodes: int | None = None) -> dict:
-    if suite in _search.THEOREM_SUITES:
-        return _search.verify_theorem(suite, limit_nodes=limit_nodes)
-    if suite in ("conj1", "conj2"):
-        return _search.hunt_conjectures(suite, limit_nodes=limit_nodes)
-    if suite == "bde":
-        return _verify_bde()
-    if suite == "cyclic":
-        return _cyclic.run_cyclic_suite(CYCLIC_CELLS, trials or 100_000, seed)
-    if suite == "partition":
-        return _verify_partition(trials or 20_000, seed)
-    if suite == "random-matching":
-        return _verify_random_matching(trials or 20_000, seed)
-    raise KeyError(suite)
-
-
 def cmd_verify(args) -> int:
-    suites = list(VERIFY_SUITES[:-1]) if args.suite == "all" else [args.suite]
-    needs_seed = any(s in RANDOMIZED_SUITES for s in suites)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    needs_seed = any(SUITES[name].trials is not None for name in names)
     if args.ci and needs_seed and args.seed is None:
         print("--ci requires an explicit --seed for randomized suites", file=sys.stderr)
         return EXIT_USAGE
@@ -496,22 +393,25 @@ def cmd_verify(args) -> int:
     }
     writer = ReportWriter(args.format, args.out, config, args.resume)
     total_viol = 0
-    for suite in suites:
-        report = run_suite(suite, args.trials, seed, args.limit_nodes)
-        summary = report["summary"]
-        total_viol += summary.get("violations", 0)
-        row = {
-            "cell": _canon({"suite": suite}),
-            "suite": suite,
-            "summary": summary,
-            "status": summary["status"],
-        }
-        if summary["status"] != "pass" or args.suite != "all":
-            row["rows"] = report["rows"]
+    for name in names:
+        key = _canon({"suite": name})
+        row = writer.lookup(key)
+        if row is None:
+            report = run_suite(name, trials=args.trials, seed=seed, limit_nodes=args.limit_nodes)
+            summary = report["summary"]
+            row = {"cell": key, "suite": name, "summary": summary, "status": summary["status"]}
+            if summary["status"] != "pass" or args.suite != "all":
+                row["rows"] = report["rows"]
+        else:
+            summary = row.get("summary")
+            valid = isinstance(summary, dict) and "status" in summary and _is_int(summary.get("violations", 0))
+            if not valid:
+                raise ValueError(f"resumed row of suite {name!r} has no summary with a status")
         writer.emit(row)
-        print(f"[verify] {suite}: {summary['status']} ({_canon(summary)})", file=sys.stderr)
+        total_viol += summary.get("violations", 0)
+        print(f"[verify] {name}: {summary['status']} ({_canon(summary)})", file=sys.stderr)
     status = "pass" if total_viol == 0 else "fail"
-    writer.finalize({"suites": len(suites), "violations": total_viol, "status": status})
+    writer.finalize({"suites": len(names), "violations": total_viol, "status": status})
     return EXIT_PASS if status == "pass" else EXIT_VIOLATION
 
 

@@ -23,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import bounds as _bounds
 from .combinatorics import binom
@@ -36,7 +36,6 @@ from .family import (
     cover_family,
     downset_bitsets,
     is_shifted,
-    reduce_to_weighted,
     walk_downsets,
 )
 from .matching import disjointness, has_matching_of_size, is_overlapping, rainbow
@@ -359,160 +358,9 @@ def exact_f_shifted(
     return _validated_record(record)
 
 
-SOLVERS = {"oracle": oracle_f, "shifted": exact_f_shifted}
-
-
-# ---------------------------------------------------------------------------
-# theorem verification sweeps
-# ---------------------------------------------------------------------------
-
-THEOREM_SUITES = ("hilton", "thm1", "thm2-k1", "thm3", "thm4")
-
-_THM34_VECTORS = ((1, 1), (2, 1), (3, 1), (1, 1, 1), (4, 2, 1))
-
-
-def _f_str(v: Fraction) -> int | str:
-    v = Fraction(v)
-    return int(v) if v.denominator == 1 else str(v)
-
-
-def verify_theorem(
-    name: str,
-    grid: dict | None = None,
-    *,
-    limit_nodes: int | None = None,
-) -> dict:
-    """Compare solver optima against a named closed form over a grid.
-
-    Returns {"suite", "rows", "summary"}; each row records the parameters,
-    both values, the expected relation, and ok/violation status.
-    Violations are data, not errors.
-    """
-    grid = dict(grid or {})
-    rows: list[dict] = []
-
-    def emit(params: dict, solver_value: Fraction, formula_value, relation: str) -> None:
-        solver_value = Fraction(solver_value)
-        formula_value = Fraction(formula_value)
-        ok = solver_value == formula_value if relation == "equal" else solver_value <= formula_value
-        rows.append(
-            {
-                **params,
-                "solver_value": _f_str(solver_value),
-                "formula_value": _f_str(formula_value),
-                "relation": relation,
-                "status": "ok" if ok else "VIOLATION",
-            }
-        )
-
-    if name == "hilton":
-        for n in grid.get("n", range(4, 8)):
-            for k in grid.get("k", (2,)):
-                for mm in grid.get("m", range(1, 5)):
-                    w = reduce_to_weighted(mm, 1)
-                    rec = oracle_f(n, k, 1, w, limit_nodes=limit_nodes, m=mm)
-                    emit(
-                        {"n": n, "k": k, "m": mm, "weights": list(w)},
-                        rec.optimum,
-                        _bounds.hilton_bound(n, k, mm),
-                        "equal",
-                    )
-    elif name == "thm1":
-        for k in grid.get("k", (1, 2)):
-            for s in grid.get("s", (1, 2)):
-                for n in grid.get("n", range(2, 9)):
-                    if n < (s + 1) * k:
-                        continue
-                    for p in grid.get("p", (1, 2, 3)):
-                        w = (p,) + (1,) * s
-                        rec = exact_f_shifted(n, k, s, w, limit_nodes=limit_nodes)
-                        emit(
-                            {"n": n, "k": k, "s": s, "p": p},
-                            rec.optimum,
-                            _bounds.thm1_bound(n, k, p, s),
-                            "le",
-                        )
-    elif name == "thm2-k1":
-        for s in grid.get("s", (1, 2)):
-            for n in grid.get("n", range(2, 13)):
-                if n < 4 * s:
-                    continue
-                for p in grid.get("p", range(1, 13)):
-                    w = (p,) + (1,) * s
-                    rec = exact_f_shifted(n, 1, s, w, limit_nodes=limit_nodes)
-                    emit(
-                        {"n": n, "k": 1, "s": s, "p": p},
-                        rec.optimum,
-                        _bounds.thm2_value(n, 1, p, s),
-                        "equal",
-                    )
-    elif name == "thm3":
-        for k, s in grid.get("ks", ((1, 1), (1, 2), (2, 1))):
-            for w in grid.get("weights", _THM34_VECTORS):
-                if len(w) != s + 1:
-                    continue
-                n = (s + 1) * k
-                rec = exact_f_shifted(n, k, s, w, limit_nodes=limit_nodes)
-                emit(
-                    {"n": n, "k": k, "s": s, "weights": list(w)},
-                    rec.optimum,
-                    _bounds.thm3_value(k, s, w),
-                    "equal",
-                )
-    elif name == "thm4":
-        caps = grid.get("caps", {1: 12, 2: 6})
-        for k in grid.get("k", (1, 2)):
-            for w in grid.get("weights", _THM34_VECTORS):
-                s = len(w) - 1
-                lo = _bounds.thm4_threshold(k, w)
-                hi = caps.get(k, 0)
-                for n in range(lo, hi + 1):
-                    rec = exact_f_shifted(n, k, s, w, limit_nodes=limit_nodes)
-                    emit(
-                        {"n": n, "k": k, "s": s, "weights": list(w)},
-                        rec.optimum,
-                        _bounds.thm4_value(n, k, w),
-                        "equal",
-                    )
-    else:
-        raise KeyError(f"unknown theorem suite {name!r}; known: {THEOREM_SUITES}")
-
-    bad = sum(r["status"] != "ok" for r in rows)
-    return {
-        "suite": name,
-        "rows": rows,
-        "summary": {"rows": len(rows), "violations": bad, "status": "pass" if bad == 0 else "fail"},
-    }
-
-
 # ---------------------------------------------------------------------------
 # conjecture hunts
 # ---------------------------------------------------------------------------
-
-def _default_conj1_cells() -> Iterable[tuple[int, int, int, int]]:
-    for p in (1, 2, 3):
-        for s in (1, 2):
-            for n in range(s + 1, 13):
-                yield n, 1, s, p
-        for n in range(4, 9):
-            yield n, 2, 1, p
-        for n in range(6, 9):
-            yield n, 2, 2, p
-
-
-def _default_conj2_cells() -> Iterable[tuple[int, int, int]]:
-    for s in (1, 2, 3):
-        if s < 3:
-            for n in range(s + 1, 13):
-                yield n, 1, s
-        for n in range(2 * (s + 1), 17):
-            yield n, 2, s
-    for n in range(6, 11):
-        yield n, 3, 1
-    yield 9, 3, 2
-    yield 10, 3, 2
-    yield 9, 4, 1
-
 
 def max_min_overlapping(n: int, k: int, s: int, limit_downsets: int = 10**7) -> tuple[int, Family]:
     """Maximum of min_i |B_i| over overlapping nested chains, with witness family.
@@ -548,12 +396,17 @@ def hunt_conjectures(name: str, grid: dict | None = None, *, limit_nodes: int | 
     conj1 compares the solver optimum for weights (p,1,...,1) against the
     three-term candidate maximum; conj2 maximizes min_i |B_i| over
     overlapping chains and compares against its conjectured cap.  Any
-    counterexample row carries the witness chain verbatim.
+    counterexample row carries the witness chain verbatim.  The cells are
+    grid["cells"], or the suite's own in suites.SUITES.
     """
-    grid = dict(grid or {})
+    cells = (grid or {}).get("cells")
+    if cells is None:
+        from .suites import SUITES  # imported here: the suites module imports this one
+
+        cells = SUITES[name].cells
     rows: list[dict] = []
     if name == "conj1":
-        for n, k, s, p in grid.get("cells", _default_conj1_cells()):
+        for n, k, s, p in cells:
             w = (p,) + (1,) * s
             rec = exact_f_shifted(n, k, s, w, limit_nodes=limit_nodes)
             expected = Fraction(_bounds.conj1_value(n, k, p, s))
@@ -568,15 +421,15 @@ def hunt_conjectures(name: str, grid: dict | None = None, *, limit_nodes: int | 
                 "k": k,
                 "s": s,
                 "p": p,
-                "solver_value": _f_str(rec.optimum),
-                "conjectured": _f_str(expected),
+                "solver_value": _bounds._json_safe(rec.optimum),
+                "conjectured": _bounds._json_safe(expected),
                 "status": status,
             }
             if status != "ok":
                 row["witness"] = chain_to_dict(rec.witness)
             rows.append(row)
     elif name == "conj2":
-        for n, k, s in grid.get("cells", _default_conj2_cells()):
+        for n, k, s in cells:
             value, fam = max_min_overlapping(n, k, s)
             cap = _bounds.conj2_bound(n, k, s)
             status = "ok" if value <= cap else "COUNTEREXAMPLE"

@@ -29,6 +29,7 @@ from overlap_lab.matching import (
     rainbow_matching_number,
 )
 from overlap_lab.search import exact_f_shifted, hunt_conjectures, oracle_f
+from overlap_lab.suites import SUITES
 
 SEED = 20240
 
@@ -40,98 +41,81 @@ def report(num, name, ok, elapsed, budget, details=""):
     assert elapsed < budget, f"criterion {num} ({name}) blew the budget: {elapsed:.1f}s"
 
 
+def suite_cells(name, count):
+    """The suite's cells from the registry; the pinned count keeps a grid from shrinking."""
+    cells = SUITES[name].cells
+    assert len(cells) == count, f"suite {name!r} has {len(cells)} cells, expected {count}"
+    return cells
+
+
 def test_01_hilton_equality():
     t0 = time.perf_counter()
     bad = []
-    for n in (4, 5, 6, 7):
-        for m in (1, 2, 3, 4):
-            rec = oracle_f(n, 2, 1, reduce_to_weighted(m, 1), m=m)
-            if rec.optimum != hilton_bound(n, 2, m):
-                bad.append((n, m, rec.optimum))
+    for n, k, m in suite_cells("hilton", 16):
+        rec = oracle_f(n, k, 1, reduce_to_weighted(m, 1), m=m)
+        if rec.optimum != hilton_bound(n, k, m):
+            bad.append((n, k, m, rec.optimum))
     report(1, "pair-bound equality", not bad, time.perf_counter() - t0, 60, f"bad={bad}")
 
 
 def test_02_head_weight_upper_bound():
     t0 = time.perf_counter()
     bad = []
-    cells = 0
-    for k in (1, 2):
-        for s in (1, 2):
-            for n in range((s + 1) * k, 9):
-                for p in (1, 2, 3):
-                    rec = exact_f_shifted(n, k, s, (p,) + (1,) * s)
-                    cells += 1
-                    if rec.optimum > thm1_bound(n, k, p, s):
-                        bad.append((n, k, s, p, rec.optimum))
-    report(2, "weighted sum upper bound", not bad, time.perf_counter() - t0, 600, f"{cells} cells, bad={bad}")
+    cells = suite_cells("thm1", 63)
+    for n, k, s, p in cells:
+        rec = exact_f_shifted(n, k, s, (p,) + (1,) * s)
+        if n < (s + 1) * k or rec.optimum > thm1_bound(n, k, p, s):
+            bad.append((n, k, s, p, rec.optimum))
+    report(2, "weighted sum upper bound", not bad, time.perf_counter() - t0, 600, f"{len(cells)} cells, bad={bad}")
 
 
 def test_03_exact_value_k1():
     t0 = time.perf_counter()
     bad = []
-    cells = 0
-    for s in (1, 2):
-        for n in range(4 * s, 13):
-            for p in range(1, 13):
-                rec = exact_f_shifted(n, 1, s, (p,) + (1,) * s)
-                cells += 1
-                if rec.optimum != thm2_value(n, 1, p, s):
-                    bad.append((n, s, p, rec.optimum))
-    report(3, "exact value at k=1", not bad, time.perf_counter() - t0, 300, f"{cells} cells, bad={bad}")
+    cells = suite_cells("thm2-k1", 168)
+    for n, k, s, p in cells:
+        rec = exact_f_shifted(n, k, s, (p,) + (1,) * s)
+        if k != 1 or n < 4 * s or rec.optimum != thm2_value(n, k, p, s):
+            bad.append((n, s, p, rec.optimum))
+    report(3, "exact value at k=1", not bad, time.perf_counter() - t0, 300, f"{len(cells)} cells, bad={bad}")
 
 
 def test_04_tight_ground_set_equality():
     t0 = time.perf_counter()
-    vectors = ((1, 1), (2, 1), (3, 1), (1, 1, 1), (4, 2, 1))
     bad = []
-    cells = 0
-    for k, s in ((1, 1), (1, 2), (2, 1)):
-        for w in vectors:
-            if len(w) != s + 1:
-                continue
-            rec = exact_f_shifted((s + 1) * k, k, s, w)
-            cells += 1
-            if rec.optimum != thm3_value(k, s, w):
-                bad.append((k, s, w, rec.optimum))
-    report(4, "tight ground set equality", not bad, time.perf_counter() - t0, 600, f"{cells} cells, bad={bad}")
+    cells = suite_cells("thm3", 8)
+    for n, k, s, w in cells:
+        rec = exact_f_shifted(n, k, s, w)
+        if n != (s + 1) * k or rec.optimum != thm3_value(k, s, w):
+            bad.append((k, s, w, rec.optimum))
+    report(4, "tight ground set equality", not bad, time.perf_counter() - t0, 600, f"{len(cells)} cells, bad={bad}")
 
 
 def test_05_tail_weight_equality():
     t0 = time.perf_counter()
-    vectors = ((1, 1), (2, 1), (3, 1), (1, 1, 1), (4, 2, 1))
-    caps = {1: 12, 2: 6}
     bad = []
-    cells = 0
-    for k, cap in caps.items():
-        for w in vectors:
-            s = len(w) - 1
-            if k == 2 and s != 1:
-                continue
-            for n in range(thm4_threshold(k, w), cap + 1):
-                rec = exact_f_shifted(n, k, s, w)
-                cells += 1
-                if rec.optimum != thm4_value(n, k, w):
-                    bad.append((n, k, w, rec.optimum))
-    report(5, "tail weight equality", not bad, time.perf_counter() - t0, 600, f"{cells} cells, bad={bad}")
+    cells = suite_cells("thm4", 53)
+    for n, k, s, w in cells:
+        rec = exact_f_shifted(n, k, s, w)
+        if n < thm4_threshold(k, w) or rec.optimum != thm4_value(n, k, w):
+            bad.append((n, k, w, rec.optimum))
+    report(5, "tail weight equality", not bad, time.perf_counter() - t0, 600, f"{len(cells)} cells, bad={bad}")
 
 
 def test_06_binomial_difference_inequalities():
     t0 = time.perf_counter()
     bad = []
-    cells = 0
-    for m in range(2, 31):
-        for s in range(1, m):
-            for l in range(0, m - s):
-                cells += 1
-                if bde_check(m, s, l) != (True, True):
-                    bad.append((m, s, l))
-    report(6, "binomial difference chains", not bad, time.perf_counter() - t0, 60, f"{cells} triples, bad={bad}")
+    cells = suite_cells("bde", 4495)
+    for m, s, l in cells:
+        if bde_check(m, s, l) != (True, True):
+            bad.append((m, s, l))
+    report(6, "binomial difference chains", not bad, time.perf_counter() - t0, 60, f"{len(cells)} triples, bad={bad}")
 
 
 def test_07_arc_chain_harness():
     t0 = time.perf_counter()
-    cells = tuple((n, k, s, p) for (n, k, s) in ((9, 2, 2), (8, 2, 1), (12, 3, 1)) for p in (1, 2, 3))
-    rep = run_cyclic_suite(cells, trials=100_000, seed=SEED)
+    assert SUITES["cyclic"].trials == 100_000
+    rep = run_cyclic_suite(suite_cells("cyclic", 9), trials=100_000, seed=SEED)
     ok = (
         rep["summary"]["violations"] == 0
         and rep["summary"]["identity_failures"] == 0
@@ -242,8 +226,8 @@ def test_10_mixed_construction_endpoint():
 
 def test_11_conjecture_hunts():
     t0 = time.perf_counter()
-    rep1 = hunt_conjectures("conj1")
-    rep2 = hunt_conjectures("conj2")
+    rep1 = hunt_conjectures("conj1", {"cells": suite_cells("conj1", 87)})
+    rep2 = hunt_conjectures("conj2", {"cells": suite_cells("conj2", 62)})
     ok = rep1["summary"]["violations"] == 0 and rep2["summary"]["violations"] == 0
     details = f"conj1 {rep1['summary']} conj2 {rep2['summary']}"
     report(11, "conjecture hunts", ok, time.perf_counter() - t0, 1800, details)

@@ -218,6 +218,7 @@ _BOUNDS_ARGV = ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"
         ([*_BOUNDS_ARGV, "--resume", "{path}"], '{"rows": 5}'),
         ([*_BOUNDS_ARGV, "--resume", "{path}"], '{"rows": [{"cell": [1, 2]}]}'),
         (["matching", "--chain", "{path}"], '{"n": 6, "k": 2, "families": 3}'),
+        (["verify", "--suite", "thm3", "--resume", "{path}"], '{"rows": [{"cell": "{\\"suite\\":\\"thm3\\"}"}]}'),
     ],
     ids=[
         "family-list",
@@ -226,6 +227,7 @@ _BOUNDS_ARGV = ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"
         "resume-rows-int",
         "resume-cell-list",
         "chain-families-int",
+        "resume-verify-no-summary",
     ],
 )
 def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, content):
@@ -275,19 +277,46 @@ def test_unhonoured_flags_are_usage_errors(command, extra, capsys):
 
 
 def test_verify_violation_exit_code(monkeypatch, tmp_path):
-    import overlap_lab.cli as cli_mod
+    import dataclasses
 
-    def fake_suite(suite, trials, seed, limit_nodes=None):
+    from overlap_lab.suites import SUITES
+
+    def fake_report(name, cells, trials, seed, limit_nodes):
         return {
-            "suite": suite,
+            "suite": name,
             "rows": [{"status": "VIOLATION"}],
             "summary": {"rows": 1, "violations": 1, "status": "fail"},
         }
 
-    monkeypatch.setattr(cli_mod, "run_suite", fake_suite)
+    monkeypatch.setitem(SUITES, "thm3", dataclasses.replace(SUITES["thm3"], report=fake_report))
     out = tmp_path / "v.json"
     assert main(["verify", "--suite", "thm3", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["summary"]["status"] == "fail"
+
+
+def test_verify_resume_reuses_suite_rows(monkeypatch, tmp_path):
+    import dataclasses
+
+    from overlap_lab.suites import SUITES
+
+    def not_called(*args):
+        raise AssertionError("a resumed suite ran again")
+
+    monkeypatch.setitem(SUITES, "thm3", dataclasses.replace(SUITES["thm3"], report=not_called))
+    planted = {
+        "cell": '{"suite":"thm3"}',
+        "suite": "thm3",
+        "summary": {"rows": 8, "violations": 2, "status": "fail"},
+        "status": "fail",
+        "planted": [1, "x"],
+    }
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"tool_version": "x", "config": {}}) + "\n" + json.dumps(planted) + "\n")
+    out = tmp_path / "v.json"
+    assert main(["verify", "--suite", "thm3", "--resume", str(partial), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["rows"] == [planted]
+    assert doc["summary"] == {"suites": 1, "violations": 2, "status": "fail"}
 
 
 def _declared_console_scripts():
@@ -334,6 +363,6 @@ def test_verify_all_smoke(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["summary"]["status"] == "pass"
-    assert len(doc["rows"]) == len(
-        ["hilton", "thm1", "thm2-k1", "thm3", "thm4", "bde", "cyclic", "partition", "random-matching", "conj1", "conj2"]
-    )
+    assert [row["suite"] for row in doc["rows"]] == [
+        "hilton", "thm1", "thm2-k1", "thm3", "thm4", "bde", "cyclic", "partition", "random-matching", "conj1", "conj2"
+    ]

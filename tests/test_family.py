@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _brute import brute_downset_count, brute_rainbow_number, is_downset_direct
 from overlap_lab.combinatorics import binom
@@ -150,6 +152,23 @@ def test_shift_closure_rainbow_non_increasing():
         shifted = [shift_closure(f) for f in seq]
         assert all(len(a) == len(b) for a, b in zip(seq, shifted))
         assert rainbow_matching_number(shifted) <= rainbow_matching_number(seq)
+
+
+@st.composite
+def family_sequences(draw):
+    """2-4 families of k-subsets of [n], n <= 7, 1 <= k <= 3, equal neighbours allowed."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, min(3, n)))
+    masks = st.integers(0, (1 << binom(n, k)) - 1)
+    return [Family(n, k, bits) for bits in draw(st.lists(masks, min_size=2, max_size=4))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(family_sequences())
+def test_reductions_never_raise_rainbow_number(seq):
+    before = rainbow_matching_number(seq)
+    assert rainbow_matching_number(nestify(seq)) <= before
+    assert rainbow_matching_number([shift_closure(f) for f in seq]) <= before
 
 
 def test_is_shifted_examples():

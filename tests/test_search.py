@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_max_min_overlapping
+from _brute import brute_max_min_overlapping, brute_rainbow_number
 from overlap_lab.bounds import conj2_bound, thm2_value, thm3_value, thm4_value
 from overlap_lab.combinatorics import binom
 from overlap_lab.family import DownsetLimitError, reduce_to_weighted
@@ -17,8 +17,8 @@ from overlap_lab.search import (
     hunt_conjectures,
     max_min_overlapping,
     oracle_f,
-    verify_theorem,
 )
+from overlap_lab.suites import run_suite
 
 
 def check_record(rec):
@@ -126,6 +126,31 @@ def test_integer_objective_agrees_across_solvers(instance):
         assert rec.optimum == rec.witness.weighted_value(ws)
 
 
+@st.composite
+def small_instances(draw):
+    """(n, k, s, weights) with C(n, k) <= 10: a zero prefix, then nonincreasing positive integers."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 6).filter(lambda n: binom(n, k) <= 10))
+    s = draw(st.integers(0, 2))
+    zeros = draw(st.integers(0, s))
+    positive = draw(st.lists(st.integers(1, 9), min_size=s + 1 - zeros, max_size=s + 1 - zeros))
+    return n, k, s, (0,) * zeros + tuple(sorted(positive, reverse=True))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(small_instances())
+def test_witnesses_are_nested_overlapping_and_optimal(instance):
+    n, k, s, ws = instance
+    for solver in (oracle_f, exact_f_shifted):
+        rec = solver(n, k, s, ws)
+        fams = rec.witness.families
+        assert len(fams) == s + 1
+        assert all(a.issubset(b) for a, b in zip(fams, fams[1:]))
+        # overlapping: no rainbow matching uses all s+1 families (brute force, not the kernel)
+        assert brute_rainbow_number(fams) <= s
+        assert sum(w * len(f) for w, f in zip(ws, fams)) == rec.optimum
+
+
 def test_rational_weights():
     a = oracle_f(5, 2, 1, (Fraction(5, 2), Fraction(1, 2)))
     b = exact_f_shifted(5, 2, 1, (Fraction(5, 2), Fraction(1, 2)))
@@ -222,19 +247,21 @@ def test_weight_validation_errors():
 # ---------------------------------------------------------------------------
 
 def test_verify_hilton_subgrid():
-    report = verify_theorem("hilton", {"n": [4, 5], "k": [2], "m": [1, 2, 3]})
+    cells = [(4, 2, 1), (4, 2, 2), (4, 2, 3), (5, 2, 1), (5, 2, 2), (5, 2, 3)]
+    report = run_suite("hilton", cells=cells)
     assert report["summary"] == {"rows": 6, "violations": 0, "status": "pass"}
     assert all(r["relation"] == "equal" for r in report["rows"])
 
 
 def test_verify_thm1_subgrid():
-    report = verify_theorem("thm1", {"k": [2], "s": [1], "n": range(4, 7), "p": [1, 2]})
+    cells = [(4, 2, 1, 1), (4, 2, 1, 2), (5, 2, 1, 1), (5, 2, 1, 2), (6, 2, 1, 1), (6, 2, 1, 2)]
+    report = run_suite("thm1", cells=cells)
     assert report["summary"]["violations"] == 0
 
 
 def test_verify_unknown_suite():
     with pytest.raises(KeyError):
-        verify_theorem("bogus")
+        run_suite("bogus")
 
 
 def test_max_min_overlapping_is_emc_value():
