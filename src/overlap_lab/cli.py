@@ -6,7 +6,9 @@ byte-identical output files.  While a sweep runs, finished rows stream to
 the output path as JSON lines; on completion the path is rewritten as a
 single JSON document {tool_version, config, rows, summary} (or kept as CSV
 with a fixed header).  --resume <file> skips rows already present; for
-verify a row is one suite of suites.SUITES.
+verify a row is one suite of suites.SUITES.  A resume file written under
+another configuration is a usage error; only its grid (bounds and search
+cells, the verify suite) may differ.
 """
 from __future__ import annotations
 
@@ -151,6 +153,7 @@ class ReportWriter:
             return
         text = _read_text(path, "resume")
         rows: list = []
+        config = {}
         try:
             doc = json.loads(text)
         except json.JSONDecodeError:
@@ -164,10 +167,20 @@ class ReportWriter:
                     continue  # truncated tail line
                 if isinstance(obj, dict) and "cell" in obj:
                     rows.append(obj)
+                elif isinstance(obj, dict) and "config" in obj:
+                    config = obj["config"]
         else:
             rows = doc.get("rows", []) if isinstance(doc, dict) else None
             if not isinstance(rows, list):
                 raise ValueError(f"resume file {path!r} is not a report with a list of rows")
+            config = doc.get("config", {})
+        if not isinstance(config, dict):
+            raise ValueError(f"resume file {path!r} holds a config that is not an object")
+        # the grid may differ (its rows are looked up by cell); every other setting must match
+        for key in sorted(config.keys() & self.config.keys() - {"cells", "suite"}):
+            theirs, mine = config[key], self.config[key]
+            if theirs != mine:
+                raise ValueError(f"resume file {path!r} was written with {key} = {theirs!r}, not {mine!r}")
         for row in rows:
             if not isinstance(row, dict):
                 raise ValueError(f"resume file {path!r} holds a row that is not an object")
@@ -500,6 +513,17 @@ def _validate_limits(args) -> str | None:
     return None
 
 
+def _unhonoured_verify_flag(args) -> str | None:
+    """The first of --trials, --seed, --limit-nodes that no selected suite reads."""
+    suites = list(SUITES.values()) if args.suite == "all" else [SUITES[args.suite]]
+    randomized = any(suite.trials is not None for suite in suites)
+    solves = any(suite.runs_solver for suite in suites)
+    for flag, read in (("trials", randomized), ("seed", randomized), ("limit_nodes", solves)):
+        if getattr(args, flag) is not None and not read:
+            return f"--{flag.replace('_', '-')} is not read by suite {args.suite!r}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -509,6 +533,10 @@ def main(argv: list[str] | None = None) -> int:
     if problem:
         print(problem, file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "verify":
+        problem = _unhonoured_verify_flag(args)
+        if problem:
+            parser.error(problem)
     try:
         if args.command == "bounds":
             return cmd_bounds(args)

@@ -314,11 +314,14 @@ def _graph_weight(g: BipartiteGraph) -> Fraction:
     return total
 
 
-def random_partition(n: int, k: int, rng: random.Random) -> list[int]:
-    """Uniform random ordered partition of [n] into n/k blocks of size k."""
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    return [mask_from_elements(perm[i * k : (i + 1) * k]) for i in range(n // k)]
+def _mean_z_score(
+    total: Fraction, total_sq: Fraction, trials: int, expectation: Fraction
+) -> tuple[Fraction, float]:
+    """Mean of `trials` samples with sum `total` and sum of squares `total_sq`, and its z-score."""
+    mean = total / trials if trials else Fraction(0)
+    var = total_sq / trials - mean * mean if trials else Fraction(0)
+    sigma_mean = float(var) ** 0.5 / trials**0.5 if trials else 0.0
+    return mean, float(mean - expectation) / sigma_mean if sigma_mean else 0.0
 
 
 def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: int) -> dict:
@@ -352,7 +355,7 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
     total_sq = Fraction(0)
     max_observed = Fraction(0)
     for trial in range(trials):
-        blocks = random_partition(n, k, rng)
+        blocks = random_matching(n, k, rng)  # at n = (s+1)k, a partition of [n]
         g = _chain_weighted_graph(blocks, chain, ws)
         w_total = _graph_weight(g)
         lefts, rights = min_vertex_cover(g)
@@ -364,10 +367,7 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
         total_sq += w_total * w_total
         max_observed = max(max_observed, w_total)
 
-    mean = total / trials if trials else Fraction(0)
-    var = total_sq / trials - mean * mean if trials else Fraction(0)
-    sigma_mean = float(var) ** 0.5 / trials**0.5 if trials else 0.0
-    z = float(mean - expectation) / sigma_mean if sigma_mean else 0.0
+    mean, z = _mean_z_score(total, total_sq, trials, expectation)
     return {
         "seed": seed,
         "trials": trials,
@@ -387,7 +387,10 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
 # ---------------------------------------------------------------------------
 
 def random_matching(n: int, k: int, rng: random.Random) -> list[int]:
-    """t = floor(n/k) disjoint k-sets by sequential uniform choice from the leftovers."""
+    """t = floor(n/k) disjoint k-sets: consecutive blocks of k of a shuffled [n].
+
+    When k divides n the blocks are a uniform random ordered partition of [n].
+    """
     pool = list(range(1, n + 1))
     rng.shuffle(pool)
     t = n // k
@@ -459,10 +462,7 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
             }
         )
     freq_ok = all(abs(row["z_score"]) <= 3 for row in freq_rows)
-    mean = total / trials if trials else Fraction(0)
-    var = total_sq / trials - mean * mean if trials else Fraction(0)
-    sigma_mean = float(var) ** 0.5 / trials**0.5 if trials else 0.0
-    mean_z = float(mean - expectation) / sigma_mean if sigma_mean else 0.0
+    mean, mean_z = _mean_z_score(total, total_sq, trials, expectation)
     return {
         "seed": seed,
         "trials": trials,

@@ -8,8 +8,8 @@ Two independent routes compute the same optimum:
   check per assignment.
 
 * exact_f_shifted enumerates nested chains of shifted families top-down
-  (B_s over all downsets of the shift order, each lower family over
-  sub-downsets of its parent).
+  (B_s over all downsets of the shift order, each of B_{s-1}..B_1 over
+  sub-downsets of its parent) and takes B_0 in closed form.
 
 Both ask the rainbow question through matching.rainbow over the cached
 matching.disjointness table, and share nothing else.  Agreement of the two
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bounds as _bounds
-from .combinatorics import binom
+from .combinatorics import binom, iter_bits
 from .family import (
     CONSTRUCTION_KINDS,
     Chain,
@@ -255,11 +255,16 @@ def exact_f_shifted(
 ) -> ExtremalRecord:
     """Exact maximum of sum w_i |B_i| over nested chains of shifted families.
 
-    B_s ranges over all downsets of the shift order, then each lower family
-    over sub-downsets of its parent, largest first, with value-bound
-    pruning.  Equals oracle_f whenever both run (the compression and
-    shifting reductions preserve the optimum); that equality is enforced
-    by tests rather than assumed here.
+    B_s ranges over all downsets of the shift order, then each of
+    B_{s-1}..B_1 over sub-downsets of its parent, largest first, with
+    value-bound pruning; nodes_explored counts these levels.  B_0 is then
+    forced: a full rainbow matching uses exactly one member of B_0, so a
+    member A of B_1 may join B_0 exactly when no rainbow matching of
+    B_1..B_s misses A.  With w_0 > 0 the best B_0 holds every such A, and
+    it is shifted whenever B_1..B_s are (Frankl, "The shifting technique in
+    extremal set theory", 1987).  Equals oracle_f whenever both run (the
+    compression and shifting reductions preserve the optimum); that
+    equality is enforced by tests rather than assumed here.
     """
     t0 = time.perf_counter()
     ws = _normalize_weights(s, weights)
@@ -309,11 +314,13 @@ def exact_f_shifted(
                 chain_bits[i] = 0
             offer(val, card)
             return
-        if j == 0 and not rainbow(chain_bits[1:], disj):
-            # no rainbow matching uses indices 1..s fully, so any B_0 works;
-            # B_0 = B_1 maximizes the head term (its weight is positive here)
-            chain_bits[0] = chain_bits[1]
-            sz = chain_bits[0].bit_count()
+        if j == 0:
+            # the closed-form B_0: each member of B_1 that no rainbow matching
+            # of B_1..B_s misses (at s = 0 a lone family must be empty)
+            rest = chain_bits[1:]
+            head = sum(1 << r for r in iter_bits(rest[0] if s else 0) if not rainbow(rest, disj, disj[r]))
+            chain_bits[0] = head
+            sz = head.bit_count()
             offer(val + iw[0] * sz, card + sz)
             return
         candidates = by_size if parent is None else [d for d in by_size if not d & ~parent]
@@ -324,7 +331,7 @@ def exact_f_shifted(
             size = d.bit_count()
             val2 = val + iw[j] * size
             card2 = card + size
-            potential = val2 + (prefix_w[j - 1] * size if j else 0)
+            potential = val2 + prefix_w[j - 1] * size
             if potential < best_val:
                 continue
             if (
@@ -336,19 +343,10 @@ def exact_f_shifted(
                 # copies of d and every zero-weight level with the empty family
                 continue
             chain_bits[j] = d
-            if j == 0:
-                if not rainbow(chain_bits, disj):
-                    offer(val2, card2)
-            else:
-                descend(j - 1, val2, card2)
+            descend(j - 1, val2, card2)
         chain_bits[j] = 0
 
-    if s == 0:
-        # a single family: overlapping means no rainbow 1-matching, i.e. B_0 empty
-        chain_bits[0] = 0
-        offer(0, 0)
-    else:
-        descend(s, 0, 0)
+    descend(s, 0, 0)
     if best_chain is None:
         raise AssertionError("search completed without a witness")
     witness = Chain(tuple(Family(n, k, b) for b in best_chain))

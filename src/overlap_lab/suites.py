@@ -27,15 +27,18 @@ Report = Callable[..., dict]
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite's cells, the builder of its report, and its default trial count.
+    """A suite's cells, the builder of its report, its default trial count, and whether it solves.
 
     trials is None for a deterministic suite; a randomized suite draws from
-    a seed and runs `trials` samples unless told otherwise.
+    a seed and runs `trials` samples unless told otherwise.  runs_solver
+    marks a suite whose rows come from an exact solver, the only kind that
+    a node budget limits.
     """
 
     cells: tuple[tuple, ...]
     report: Report
     trials: int | None = None
+    runs_solver: bool = False
 
 
 def run_suite(name: str, *, cells=None, trials=None, seed=0, limit_nodes=None) -> dict:
@@ -157,15 +160,18 @@ SUITES: dict[str, Suite] = {
     "hilton": Suite(
         tuple((n, 2, m) for n in range(4, 8) for m in range(1, 5)),
         _theorem(_pair, "oracle_f", "hilton", "equal"),
+        runs_solver=True,
     ),
     # (n, k, s, p)
     "thm1": Suite(
         tuple((n, k, s, p) for k in (1, 2) for s in (1, 2) for n in range((s + 1) * k, 9) for p in (1, 2, 3)),
         _theorem(_head, "exact_f_shifted", "thm1", "le"),
+        runs_solver=True,
     ),
     "thm2-k1": Suite(
         tuple((n, 1, s, p) for s in (1, 2) for n in range(4 * s, 13) for p in range(1, 13)),
         _theorem(_head, "exact_f_shifted", "thm2", "equal"),
+        runs_solver=True,
     ),
     # (n, k, s, weights)
     "thm3": Suite(
@@ -176,6 +182,7 @@ SUITES: dict[str, Suite] = {
             if len(w) == s + 1
         ),
         _theorem(_weighted, "exact_f_shifted", "thm3", "equal"),
+        runs_solver=True,
     ),
     "thm4": Suite(
         tuple(
@@ -185,6 +192,7 @@ SUITES: dict[str, Suite] = {
             for n in range(_bounds.thm4_threshold(k, w), last + 1)
         ),
         _theorem(_weighted, "exact_f_shifted", "thm4", "equal"),
+        runs_solver=True,
     ),
     # (m, s, l)
     "bde": Suite(
@@ -228,6 +236,7 @@ SUITES: dict[str, Suite] = {
             for n in range(first, last + 1)
         ),
         _hunt,
+        runs_solver=True,
     ),
     # (n, k, s)
     "conj2": Suite(

@@ -247,6 +247,8 @@ _BASE_ARGV = {
     "bounds": ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"],
     "search": ["search", "--n", "4", "--k", "2", "--weights", "2,1"],
     "verify": ["verify", "--suite", "thm3"],
+    "verify-conj2": ["verify", "--suite", "conj2"],
+    "verify-bde": ["verify", "--suite", "bde"],
 }
 
 
@@ -267,6 +269,11 @@ _BASE_ARGV = {
         ("bounds", "--format csv --resume r.json"),
         ("search", "--format csv --resume r.json"),
         ("verify", "--format csv --resume r.json"),
+        ("verify", "--trials 5"),
+        ("verify", "--seed 3"),
+        ("verify-bde", "--trials 5 --seed 3"),
+        ("verify-conj2", "--limit-nodes 1"),
+        ("verify-bde", "--limit-nodes 1"),
     ],
 )
 def test_unhonoured_flags_are_usage_errors(command, extra, capsys):
@@ -274,6 +281,45 @@ def test_unhonoured_flags_are_usage_errors(command, extra, capsys):
         main([*_BASE_ARGV[command], *extra.split()])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_all_takes_every_suite_flag(monkeypatch, tmp_path):
+    import dataclasses
+
+    from overlap_lab.suites import SUITES
+
+    def passing(name, cells, trials, seed, limit_nodes):
+        return {"suite": name, "rows": [], "summary": {"rows": 0, "violations": 0, "status": "pass"}}
+
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, dataclasses.replace(SUITES[name], report=passing))
+    argv = ["verify", "--suite", "all", "--seed", "1", "--trials", "5", "--limit-nodes", "5"]
+    assert main([*argv, "--out", str(tmp_path / "all.json")]) == 0
+    assert main(["verify", "--suite", "conj1", "--limit-nodes", "5", "--out", str(tmp_path / "c.json")]) == 0
+
+
+def test_resume_from_another_config_is_usage_error(tmp_path, capsys):
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    cyclic = ["verify", "--suite", "cyclic", "--trials"]
+    assert main([*cyclic, "36", "--seed", "1", "--out", str(r1)]) == 0
+    capsys.readouterr()
+    assert main([*cyclic, "72", "--seed", "2", "--resume", str(r1), "--out", str(r2)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not r2.exists()
+    # a stream cut after its header (with a torn row line) carries the config too
+    header = json.loads(r1.read_text())["config"]
+    r1.write_text(json.dumps({"tool_version": "x", "config": dict(header, seed=2)}) + '\n{"trunc')
+    assert main([*cyclic, "36", "--seed", "1", "--resume", str(r1), "--out", str(r2)]) == 2
+    # the grid may differ: search cells and the verify suite are looked up row by row
+    s1, s2, fresh = tmp_path / "s1.json", tmp_path / "s2.json", tmp_path / "fresh.json"
+    search = ["search", "--k", "2", "--weights", "2,1"]
+    assert main([*search, "--n", "4..5", "--out", str(s1)]) == 0
+    assert main([*search, "--n", "4..6", "--resume", str(s1), "--out", str(s2)]) == 0
+    assert main([*search, "--n", "4..6", "--out", str(fresh)]) == 0
+    assert s2.read_bytes() == fresh.read_bytes()
+    capsys.readouterr()
+    assert main([*search, "--n", "4..6", "--solver", "oracle", "--resume", str(s1), "--out", str(s2)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_violation_exit_code(monkeypatch, tmp_path):

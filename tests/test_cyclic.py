@@ -13,7 +13,6 @@ from overlap_lab.cyclic import (
     case2_replay,
     random_matching,
     random_overlapping_arc_chain,
-    random_partition,
     run_cyclic_suite,
     verify_cyclic_lemma,
     verify_partition_bound,
@@ -167,7 +166,7 @@ def test_case2_replay_structure():
 def test_random_partition_covers_ground_set():
     rng = random.Random(31)
     for _ in range(100):
-        blocks = random_partition(6, 2, rng)
+        blocks = random_matching(6, 2, rng)
         assert len(blocks) == 3
         union = 0
         for b in blocks:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import brute_max_min_overlapping, brute_rainbow_number
-from overlap_lab.bounds import conj2_bound, thm2_value, thm3_value, thm4_value
+from overlap_lab.bounds import conj1_value, conj2_bound, thm2_value, thm3_value, thm4_value
 from overlap_lab.combinatorics import binom
 from overlap_lab.family import DownsetLimitError, reduce_to_weighted
 from overlap_lab.matching import is_overlapping, matching_number
@@ -223,6 +223,16 @@ def test_node_limits():
         oracle_f(6, 2, 1, (2, 1), limit_nodes=10)
     with pytest.raises(NodeLimitError):
         exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=5)
+
+
+@pytest.mark.parametrize(
+    "n,k,s,p,value",
+    [(12, 2, 1, 1, 66), (8, 3, 1, 1, 56), (9, 3, 1, 1, 84), (10, 2, 2, 1, 90), (13, 2, 1, 3, 78)],
+)
+def test_shifted_frontier_within_small_budget(n, k, s, p, value):
+    # B_0 comes in closed form, so each of these cells closes in at most 42 518 nodes
+    rec = check_record(exact_f_shifted(n, k, s, (p,) + (1,) * s, limit_nodes=50_000))
+    assert rec.optimum == value == conj1_value(n, k, p, s)
 
 
 def test_record_serialization():
