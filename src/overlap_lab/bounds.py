@@ -31,6 +31,16 @@ def weight_vector(entries: Sequence[Fraction | int | str]) -> Weights:
     return ws
 
 
+def integer_weights(ws: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Weights scaled to integers, and the scale L = lcm of their denominators.
+
+    Every weighted count is then an integer multiple of 1/L, so the solvers
+    and the sampled harnesses work in ints and divide by L once, at the end.
+    """
+    scale = math.lcm(*(w.denominator for w in ws))
+    return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
+
+
 def solver_weights(entries: Sequence[Fraction | int | str]) -> Weights:
     """Weight vector for the solvers: a zero prefix is allowed.
 

@@ -13,9 +13,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Sequence
 
-from .combinatorics import binom, mask_from_elements
+from .bounds import integer_weights, thm4_threshold, weight_vector
+from .combinatorics import binom, colex_rank, iter_bits, mask_from_elements, validate_kset
 from .family import Chain, Family
 from .matching import BipartiteGraph, is_overlapping, min_vertex_cover, rainbow
 
@@ -55,6 +58,11 @@ class ArcFamily:
         return Family.from_masks(self.sigma.n, self.k, set(self.masks))
 
     @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Entry i: the colex rank of arc i among the k-subsets of [n]."""
+        return tuple(colex_rank(validate_kset(mask, self.sigma.n, self.k)) for mask in self.masks)
+
+    @cached_property
     def head_disjointness(self) -> tuple[int, ...]:
         """Entry i: the bitset of heads whose arcs miss arc i."""
         return tuple(
@@ -89,11 +97,13 @@ def block_matching(sigma: CyclicOrder, k: int, head: int) -> list[int]:
 
 def arc_chain_families(arc: ArcFamily, arc_sets: Sequence[int]) -> Chain:
     """Build a Chain from bitsets over arc head positions (nested, ascending)."""
-    n, k = arc.sigma.n, arc.k
+    ranks = arc.ranks
     fams = []
-    for bits in arc_sets:
-        masks = {arc.masks[i] for i in range(n) if bits >> i & 1}
-        fams.append(Family.from_masks(n, k, masks))
+    for heads in arc_sets:
+        bits = 0
+        for i in iter_bits(heads):
+            bits |= 1 << ranks[i]
+        fams.append(Family(arc.sigma.n, arc.k, bits))
     return Chain(tuple(fams))
 
 
@@ -148,15 +158,16 @@ def verify_cyclic_lemma(
     e_xy = sum(deg)
     t = n // k
 
-    def block_weight(head: int) -> int:
-        return sum(deg[(head + j * k) % n] for j in range(t))
-
-    per_head = [block_weight(h) for h in range(n)]
+    # the block matching at head h takes the arcs h, h+k, ..., h+(t-1)k (mod n)
+    around = deg + deg
+    per_head = [sum(around[h : h + t * k : k]) for h in range(n)]
     exact_average = Fraction(sum(per_head), n)
     expected = Fraction(t * e_xy, n)
 
-    rng = random.Random(seed)
-    sampled = [block_weight(rng.randrange(n)) for _ in range(trials)]
+    sampled = []
+    if trials > 0:
+        rng = random.Random(seed)
+        sampled = [per_head[rng.randrange(n)] for _ in range(trials)]
     return {
         "seed": seed,
         "trials": trials,
@@ -190,16 +201,16 @@ def random_overlapping_arc_chain(
     """
     n = arc.sigma.n
     head_disj = arc.head_disjointness
+    draw, pick = rng.random, rng.randrange
     while True:
-        density = rng.random()
-        arc_sets = [0] * (s + 1)
+        density = draw()
+        entering = [0] * (s + 1)  # the arcs whose entry level is j
         for i in range(n):
-            if rng.random() < density:
-                level = rng.randrange(s + 1)
-                for j in range(level, s + 1):
-                    arc_sets[j] |= 1 << i
+            if draw() < density:
+                entering[pick(s + 1)] |= 1 << i
+        arc_sets = tuple(accumulate(entering, or_))
         if not rainbow(arc_sets, head_disj):
-            return tuple(arc_sets)
+            return arc_sets
 
 
 def run_cyclic_suite(
@@ -287,31 +298,21 @@ def case2_replay(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> dict:
 # random partitions at n = (s+1)k
 # ---------------------------------------------------------------------------
 
-def _chain_weighted_graph(
-    blocks: Sequence[int], chain: Chain, weights: Sequence[Fraction]
-) -> BipartiteGraph:
-    adj = []
-    for mask in blocks:
-        row = 0
-        for j, fam in enumerate(chain.families):
-            if mask in fam:
-                row |= 1 << j
-        adj.append(row)
-    return BipartiteGraph(
-        tuple(blocks),
-        tuple(range(len(chain.families))),
-        tuple(adj),
-        tuple(Fraction(w) for w in weights),
-    )
+def _entry_levels(chain: Chain, ws: Sequence[Fraction]) -> tuple[dict[int, int], list[int], int]:
+    """Each member's entry level, the integer tail sums of the weights, and their scale L.
 
-
-def _graph_weight(g: BipartiteGraph) -> Fraction:
-    total = Fraction(0)
-    for row in g.adj:
-        for j in range(len(g.right)):
-            if row >> j & 1:
-                total += g.right_weights[j]
-    return total
+    The chain is nested, so a k-set lies in B_j exactly when j is at least
+    its entry level.  With the weights scaled to integers iw by L,
+    tail[j] = iw[j] + ... + iw[s] is L times the weight of a set entering
+    at level j; tail[s+1] = 0 is that of a non-member.
+    """
+    level: dict[int, int] = {}
+    for j, fam in enumerate(chain.families):
+        for mask in fam.members():
+            level.setdefault(mask, j)
+    iw, scale = integer_weights(ws)
+    tail = list(accumulate(reversed(iw)))[::-1] + [0]
+    return level, tail, scale
 
 
 def _mean_z_score(
@@ -332,8 +333,6 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
     The sampled mean is compared against the exact expectation
     sum_j w_j |B_j| (s+1) / C(n,k) and reported with a z-score.
     """
-    from .bounds import weight_vector
-
     ws = weight_vector(weights)
     n, k, s = chain.n, chain.k, chain.s
     if len(ws) != s + 1:
@@ -348,26 +347,35 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
         (w * len(f) for w, f in zip(ws, chain.families)), Fraction(0)
     ) * Fraction(s + 1, binom(n, k))
 
+    # in integers: every weight below is L times the true one
+    level, tail, scale = _entry_levels(chain, ws)
+    absent = s + 1
+    full = (1 << (s + 1)) - 1
     rng = random.Random(seed)
     violations = []
     cover_violations = 0
-    total = Fraction(0)
-    total_sq = Fraction(0)
-    max_observed = Fraction(0)
+    cover_sizes: dict[tuple[int, ...], int] = {}
+    total = total_sq = max_weight = 0
     for trial in range(trials):
         blocks = random_matching(n, k, rng)  # at n = (s+1)k, a partition of [n]
-        g = _chain_weighted_graph(blocks, chain, ws)
-        w_total = _graph_weight(g)
-        lefts, rights = min_vertex_cover(g)
-        if len(lefts) + len(rights) > s:
+        levels = tuple(level.get(mask, absent) for mask in blocks)
+        weight = sum(tail[j] for j in levels)
+        # block i meets exactly the families from its entry level up, so the
+        # incidence graph, and hence its cover, depends on the levels alone
+        cover = cover_sizes.get(levels)
+        if cover is None:
+            adj = tuple(full >> j << j for j in levels)
+            lefts, rights = min_vertex_cover(BipartiteGraph(tuple(blocks), tuple(range(s + 1)), adj))
+            cover = cover_sizes[levels] = len(lefts) + len(rights)
+        if cover > s:
             cover_violations += 1
-        if w_total > cap:
-            violations.append({"trial": trial, "weight": str(w_total)})
-        total += w_total
-        total_sq += w_total * w_total
-        max_observed = max(max_observed, w_total)
+        if weight > s * tail[0]:
+            violations.append({"trial": trial, "weight": str(Fraction(weight, scale))})
+        total += weight
+        total_sq += weight * weight
+        max_weight = max(max_weight, weight)
 
-    mean, z = _mean_z_score(total, total_sq, trials, expectation)
+    mean, z = _mean_z_score(Fraction(total, scale), Fraction(total_sq, scale * scale), trials, expectation)
     return {
         "seed": seed,
         "trials": trials,
@@ -377,7 +385,7 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
         "mean": str(mean),
         "exact_expectation": str(expectation),
         "z_score": z,
-        "max_observed": str(max_observed),
+        "max_observed": str(Fraction(max_weight, scale)),
         "status": "pass" if not violations and not cover_violations and abs(z) <= 3 else "fail",
     }
 
@@ -405,8 +413,6 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
     frequency of the first block landing in each family is compared with
     |B_j| / C(n,k), with z-scores.
     """
-    from .bounds import thm4_threshold, weight_vector
-
     ws = weight_vector(weights)
     n, k, s = chain.n, chain.k, chain.s
     if len(ws) != s + 1:
@@ -425,26 +431,23 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
         Fraction(0),
     )
 
+    # in integers: every weight below is L times the true one
+    level, tail, scale = _entry_levels(chain, ws)
+    absent = s + 1
     rng = random.Random(seed)
     violations = []
-    hits = [0] * (s + 1)
-    total = Fraction(0)
-    total_sq = Fraction(0)
-    max_observed = Fraction(0)
+    first_entries = [0] * (s + 2)  # trials whose first block enters at level j
+    total = total_sq = max_weight = 0
     for trial in range(trials):
         blocks = random_matching(n, k, rng)
-        w_total = Fraction(0)
-        for j, fam in enumerate(chain.families):
-            for mask in blocks:
-                if mask in fam:
-                    w_total += ws[j]
-            if blocks[0] in fam:
-                hits[j] += 1
-        if bound_applies and w_total > cap:
-            violations.append({"trial": trial, "weight": str(w_total)})
-        total += w_total
-        total_sq += w_total * w_total
-        max_observed = max(max_observed, w_total)
+        weight = sum(tail[level.get(mask, absent)] for mask in blocks)
+        first_entries[level.get(blocks[0], absent)] += 1
+        if bound_applies and weight > t * tail[1]:
+            violations.append({"trial": trial, "weight": str(Fraction(weight, scale))})
+        total += weight
+        total_sq += weight * weight
+        max_weight = max(max_weight, weight)
+    hits = list(accumulate(first_entries[:absent]))
 
     freq_rows = []
     for j, fam in enumerate(chain.families):
@@ -462,7 +465,7 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
             }
         )
     freq_ok = all(abs(row["z_score"]) <= 3 for row in freq_rows)
-    mean, mean_z = _mean_z_score(total, total_sq, trials, expectation)
+    mean, mean_z = _mean_z_score(Fraction(total, scale), Fraction(total_sq, scale * scale), trials, expectation)
     return {
         "seed": seed,
         "trials": trials,
@@ -473,7 +476,7 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
         "mean": str(mean),
         "exact_expectation": str(expectation),
         "mean_z_score": mean_z,
-        "max_observed": str(max_observed),
+        "max_observed": str(Fraction(max_weight, scale)),
         "membership": freq_rows,
         "status": "pass" if not violations and freq_ok and abs(mean_z) <= 3 else "fail",
     }

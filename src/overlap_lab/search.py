@@ -19,7 +19,6 @@ then the lexicographically least entry-level sequence read in colex order.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,16 +94,6 @@ def _normalize_weights(s: int, weights: Sequence) -> tuple[Fraction, ...]:
     return ws
 
 
-def _integer_weights(ws: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Weights scaled to integers, and the scale L = lcm of their denominators.
-
-    Every objective value is then an integer multiple of 1/L, so the solvers
-    search in ints and divide by L once, when they build the record.
-    """
-    scale = math.lcm(*(w.denominator for w in ws))
-    return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
-
-
 def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fraction, str]:
     """Largest construction value among the named chains; used as a warm start."""
     ws = _normalize_weights(s, weights)
@@ -163,7 +152,7 @@ def oracle_f(
             f"oracle space (s+2)^C(n,k) = {raw} exceeds guard {limit_candidates}"
         )
     disj = disjointness(n, k)
-    iw, scale = _integer_weights(ws)
+    iw, scale = _bounds.integer_weights(ws)
     sum_w = sum(iw)
     contrib = [sum(iw[lvl:]) for lvl in range(s + 1)]
     lead0 = 0
@@ -275,7 +264,7 @@ def exact_f_shifted(
     lead0 = 0
     while lead0 <= s and ws[lead0] == 0:
         lead0 += 1
-    iw, scale = _integer_weights(ws)
+    iw, scale = _bounds.integer_weights(ws)
     prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]
 
     best_val = -1

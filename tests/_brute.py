@@ -2,13 +2,18 @@
 
 Everything here is deliberately naive: plain enumeration over subsets,
 products, and index combinations, sharing no search code with the package.
+The sampled-harness replays draw through cyclic.random_matching, so that
+they see the same seeded samples as the code they check.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from overlap_lab.combinatorics import ksets, shift_leq
+from overlap_lab.bounds import thm4_threshold
+from overlap_lab.combinatorics import binom, ksets, shift_leq
+from overlap_lab.cyclic import random_matching
 from overlap_lab.family import Family, downset_bitsets
 from overlap_lab.matching import BipartiteGraph
 
@@ -123,3 +128,105 @@ def brute_max_min_overlapping(n: int, k: int, s: int) -> tuple[int, int]:
         if size > best_size and brute_matching_number(Family(n, k, bits)) <= s:
             best_size, best_bits = size, bits
     return best_size, best_bits
+
+
+# ---------------------------------------------------------------------------
+# the sampled harnesses, replayed trial by trial in Fractions
+# ---------------------------------------------------------------------------
+
+def _brute_mean_z(samples, expectation) -> tuple[Fraction, float]:
+    """Sample mean and its z-score against expectation, by the formula the reports state."""
+    trials = len(samples)
+    if not trials:
+        return Fraction(0), 0.0
+    mean = sum(samples, Fraction(0)) / trials
+    var = sum((x * x for x in samples), Fraction(0)) / trials - mean * mean
+    sigma_mean = float(var) ** 0.5 / trials**0.5
+    return mean, float(mean - expectation) / sigma_mean if sigma_mean else 0.0
+
+
+def brute_partition_report(chain, weights, trials: int, seed: int) -> dict:
+    """verify_partition_bound's report, from Fraction weights and `mask in fam` tests per trial.
+
+    Draws the same seeded partitions through cyclic.random_matching and
+    takes each trial's minimum cover by left-subset enumeration.
+    """
+    ws = [Fraction(w) for w in weights]
+    n, k, s = chain.n, chain.k, chain.s
+    cap = s * sum(ws)
+    expectation = sum((w * len(f) for w, f in zip(ws, chain.families)), Fraction(0)) * Fraction(s + 1, binom(n, k))
+    rng = random.Random(seed)
+    samples, violations, cover_violations = [], [], 0
+    for trial in range(trials):
+        blocks = random_matching(n, k, rng)
+        adj = tuple(sum(1 << j for j, fam in enumerate(chain.families) if mask in fam) for mask in blocks)
+        weight = sum((ws[j] for mask in blocks for j, fam in enumerate(chain.families) if mask in fam), Fraction(0))
+        if brute_min_cover_size(BipartiteGraph(tuple(blocks), tuple(range(s + 1)), adj)) > s:
+            cover_violations += 1
+        if weight > cap:
+            violations.append({"trial": trial, "weight": str(weight)})
+        samples.append(weight)
+    mean, z = _brute_mean_z(samples, expectation)
+    return {
+        "seed": seed,
+        "trials": trials,
+        "violations": violations,
+        "cover_size_violations": cover_violations,
+        "per_partition_cap": str(cap),
+        "mean": str(mean),
+        "exact_expectation": str(expectation),
+        "z_score": z,
+        "max_observed": str(max(samples, default=Fraction(0))),
+        "status": "pass" if not violations and not cover_violations and abs(z) <= 3 else "fail",
+    }
+
+
+def brute_random_matching_report(chain, weights, trials: int, seed: int) -> dict:
+    """verify_random_matching_bound's report, from Fraction weights and `mask in fam` tests per trial."""
+    ws = [Fraction(w) for w in weights]
+    n, k, s = chain.n, chain.k, chain.s
+    t = n // k
+    threshold = thm4_threshold(k, ws)
+    cap = t * sum(ws[1:], Fraction(0))
+    total_sets = binom(n, k)
+    expectation = sum((t * w * Fraction(len(f), total_sets) for w, f in zip(ws, chain.families)), Fraction(0))
+    rng = random.Random(seed)
+    samples, violations, hits = [], [], [0] * (s + 1)
+    for trial in range(trials):
+        blocks = random_matching(n, k, rng)
+        weight = sum((ws[j] for j, fam in enumerate(chain.families) for mask in blocks if mask in fam), Fraction(0))
+        for j, fam in enumerate(chain.families):
+            hits[j] += blocks[0] in fam
+        if n >= threshold and weight > cap:
+            violations.append({"trial": trial, "weight": str(weight)})
+        samples.append(weight)
+    rows = []
+    for j, fam in enumerate(chain.families):
+        expected = Fraction(len(fam), total_sets)
+        observed = Fraction(hits[j], trials) if trials else Fraction(0)
+        p = float(expected)
+        sigma = (p * (1 - p) / trials) ** 0.5 if trials and 0 < p < 1 else 0.0
+        rows.append(
+            {
+                "family": j,
+                "expected": str(expected),
+                "observed": str(observed),
+                "z_score": float(observed - expected) / sigma if sigma else 0.0,
+            }
+        )
+    mean, mean_z = _brute_mean_z(samples, expectation)
+    ok = not violations and all(abs(row["z_score"]) <= 3 for row in rows) and abs(mean_z) <= 3
+    return {
+        "seed": seed,
+        "trials": trials,
+        "bound_applies": n >= threshold,
+        "threshold_n": threshold,
+        "cap": str(cap),
+        "violations": violations,
+        "mean": str(mean),
+        "exact_expectation": str(expectation),
+        "mean_z_score": mean_z,
+        "max_observed": str(max(samples, default=Fraction(0))),
+        "membership": rows,
+        "status": "pass" if ok else "fail",
+    }

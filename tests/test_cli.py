@@ -120,6 +120,26 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of `verify --suite S --seed 42 --trials 300` reports: any change to
+# a sampler's draws, its arithmetic or the report writer shows up here
+PINNED_REPORTS = {
+    ("cyclic", "json"): "61905108d08cbb7be966e6d768c7778e291bd35f3288481afa93edd1c8f152a3",
+    ("partition", "json"): "4aad00e989d112e6351cefb479927cd7408e5bb986916992f457a5d6131cc1fc",
+    ("random-matching", "json"): "bffe7bafb128800e6751429cf1335b1c4a804543349912c0a7fe20f69a9c114a",
+    ("random-matching", "csv"): "768f9df35137676ea8a688be274fd26e54cf27016e2b2a08eeda0d10a0949a45",
+}
+
+
+@pytest.mark.parametrize("suite, fmt", sorted(PINNED_REPORTS))
+def test_sampled_reports_are_pinned(tmp_path, suite, fmt):
+    import hashlib
+
+    out = tmp_path / f"report.{fmt}"
+    args = ["verify", "--suite", suite, "--seed", "42", "--trials", "300", "--format", fmt, "--out", str(out)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[suite, fmt]
+
+
 def test_csv_json_value_agreement(tmp_path):
     import csv as csv_mod
 

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _brute import pairwise_disjoint
+from _brute import brute_partition_report, brute_random_matching_report, pairwise_disjoint
+from overlap_lab import cyclic
 from overlap_lab.combinatorics import binom, elements_of, mask_from_elements
 from overlap_lab.cyclic import (
     CyclicOrder,
@@ -120,6 +123,45 @@ def test_cyclic_lemma_identity_exact_random():
             assert rep["identity_holds"], (n, k, s, p, arc_sets)
             assert rep["inequality_holds"], (n, k, s, p, arc_sets)
             assert Fraction(rep["head_average"]) == Fraction(rep["exact_expectation"])
+
+
+@st.composite
+def nested_arc_chains(draw):
+    """(arc family, nested head bitsets, p): each arc enters at a drawn level or never; k need not divide n."""
+    n = draw(st.integers(2, 13))
+    k = draw(st.integers(1, n - 1))
+    s = draw(st.integers(0, 3))
+    # level s + 1 is "never"; weighting it keeps a share of the chains overlapping
+    entry = draw(st.lists(st.sampled_from(range(s + 2)) | st.just(s + 1), min_size=n, max_size=n))
+    arc_sets = tuple(sum(1 << i for i in range(n) if entry[i] <= j) for j in range(s + 1))
+    return arcs(CyclicOrder.identity(n), k), arc_sets, draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(nested_arc_chains(), st.integers(0, 20), st.integers(0, 2**32))
+def test_arc_chains_against_naive_construction(drawn, trials, seed):
+    arc, arc_sets, p = drawn
+    n, k, s = arc.sigma.n, arc.k, len(arc_sets) - 1
+    chain = arc_chain_families(arc, arc_sets)
+    assert chain == Chain(
+        tuple(Family.from_masks(n, k, {arc.masks[i] for i in range(n) if bits >> i & 1}) for bits in arc_sets)
+    )
+    if not is_overlapping(chain) or n < (k + 1) * s:
+        with pytest.raises(ValueError):
+            verify_cyclic_lemma(arc, arc_sets, p, trials, seed)
+        return
+    deg = [p * (arc_sets[0] >> i & 1) + sum(bits >> i & 1 for bits in arc_sets[1:]) for i in range(n)]
+
+    def block_weight(head):
+        return sum(deg[(head + j * k) % n] for j in range(n // k))
+
+    rep = verify_cyclic_lemma(arc, arc_sets, p, trials, seed)
+    assert rep["head_average"] == str(Fraction(sum(block_weight(h) for h in range(n)), n))
+    rng = random.Random(seed)
+    sampled = [block_weight(rng.randrange(n)) for _ in range(trials)]
+    assert rep["max_observed"] == max(sampled or [block_weight(h) for h in range(n)])
+    if sampled:
+        assert rep["mean"] == str(Fraction(sum(sampled), trials))
 
 
 def test_random_chain_sampler_output_contract():
@@ -254,3 +296,68 @@ def test_random_matching_reports_reproducible():
     a = verify_random_matching_bound(chain, (2, 1, 1), trials=400, seed=99)
     b = verify_random_matching_bound(chain, (2, 1, 1), trials=400, seed=99)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# rational weights against a Fraction replay of each trial
+# ---------------------------------------------------------------------------
+
+W2 = (Fraction(5, 2), Fraction(1, 3))
+W3 = (Fraction(7, 3), Fraction(3, 2), Fraction(1, 5))
+
+
+def assert_same_report(got, want):
+    assert list(got) == list(want)
+    for field in want:
+        assert got[field] == want[field], field
+
+
+@pytest.mark.parametrize(
+    "kind, n, k, s, ws",
+    [
+        ("clique", 4, 2, 1, W2),
+        ("clique", 6, 2, 2, W3),
+        ("clique", 3, 1, 2, W3),
+        ("cover", 4, 2, 1, W2),
+        ("cover", 6, 2, 2, W3),
+        ("empty-then-full", 6, 2, 2, W3),
+    ],
+)
+def test_partition_bound_matches_fraction_replay(kind, n, k, s, ws):
+    chain = construction_chain(kind, n, k, s)
+    for seed in (0, 17):
+        assert_same_report(verify_partition_bound(chain, ws, 300, seed), brute_partition_report(chain, ws, 300, seed))
+
+
+@pytest.mark.parametrize(
+    "kind, n, k, s, ws",
+    [
+        ("cover", 8, 2, 1, W2),
+        ("empty-then-full", 8, 2, 1, W2),
+        ("cover", 9, 2, 2, W3),
+        ("clique", 7, 2, 2, W3),
+        ("empty-then-full", 18, 2, 1, W2),  # n above the threshold: the cap applies
+    ],
+)
+def test_random_matching_bound_matches_fraction_replay(kind, n, k, s, ws):
+    chain = construction_chain(kind, n, k, s)
+    for seed in (0, 17):
+        assert_same_report(
+            verify_random_matching_bound(chain, ws, 300, seed), brute_random_matching_report(chain, ws, 300, seed)
+        )
+
+
+def test_violations_match_fraction_replay(monkeypatch):
+    # No overlapping chain breaks either per-sample cap, so these chains are
+    # not overlapping and the harnesses are told they are: the violation and
+    # cover-size paths then run, and must agree with the replay.
+    monkeypatch.setattr(cyclic, "is_overlapping", lambda chain: True)
+    small = Chain((Family.from_sets(4, 2, [(1, 2)]), Family.from_sets(4, 2, [(1, 2), (3, 4), (1, 3)])))
+    rep = verify_partition_bound(small, W2, 300, 5)
+    assert rep["violations"] and rep["cover_size_violations"]
+    assert_same_report(rep, brute_partition_report(small, W2, 300, 5))
+    sets = [(a, b) for a in range(1, 19) for b in range(a + 1, 19) if a <= 3]
+    wide = Chain((Family.from_sets(18, 2, [(1, 2)]), Family.from_sets(18, 2, sets)))
+    rep = verify_random_matching_bound(wide, W2, 300, 5)
+    assert rep["bound_applies"] and rep["violations"]
+    assert_same_report(rep, brute_random_matching_report(wide, W2, 300, 5))

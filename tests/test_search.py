@@ -269,6 +269,15 @@ def test_verify_thm1_subgrid():
     assert report["summary"]["violations"] == 0
 
 
+def test_verify_bde_grid_row_names_the_cells():
+    assert run_suite("bde", cells=[(10, 3, 2)])["rows"] == [{"grid": "cells: 1", "status": "ok"}]
+    assert run_suite("bde", cells=[(2, 1, 0)])["rows"] == [{"grid": "m<=2, 1<=s<m, 0<=l<m-s", "status": "ok"}]
+    triangle = [(3, 1, 1), (3, 2, 0), (2, 1, 0), (3, 1, 0)]
+    assert run_suite("bde", cells=triangle)["rows"][-1]["grid"] == "m<=3, 1<=s<m, 0<=l<m-s"
+    assert run_suite("bde", cells=triangle[:-1])["rows"][-1]["grid"] == "cells: 3"
+    assert run_suite("bde")["rows"] == [{"grid": "m<=30, 1<=s<m, 0<=l<m-s", "status": "ok"}]
+
+
 def test_verify_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("bogus")
