@@ -19,11 +19,32 @@ from .combinatorics import binom
 Weights = tuple[Fraction, ...]
 
 
-def weight_vector(entries: Sequence[Fraction | int | str]) -> Weights:
-    """Validated weight vector: nonincreasing, strictly positive rationals."""
-    ws = tuple(Fraction(w) for w in entries)
+def parse_weight(v: Fraction | int | float | str) -> Fraction:
+    """One weight as an exact rational: a Fraction, an int, a finite float or an "a/b" string.
+
+    Every weight read from the command line, a chain file or a caller
+    passes through here; anything else raises ValueError.
+    """
+    if isinstance(v, bool) or not isinstance(v, (Fraction, int, float, str)):
+        raise ValueError(f"weight {v!r} is not a number or an \"a/b\" string")
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"weight {v!r} is not a finite rational") from exc
+
+
+def _parsed(entries: Sequence, length: int | None) -> Weights:
+    ws = tuple(map(parse_weight, entries))
     if not ws:
         raise ValueError("weight vector must be nonempty")
+    if length is not None and len(ws) != length:
+        raise ValueError(f"need {length} weights, got {len(ws)}")
+    return ws
+
+
+def weight_vector(entries: Sequence, length: int | None = None) -> Weights:
+    """Validated weight vector: nonincreasing, strictly positive rationals (`length` of them, if given)."""
+    ws = _parsed(entries, length)
     if any(w <= 0 for w in ws):
         raise ValueError(f"weights must be positive, got {ws}")
     if any(a < b for a, b in zip(ws, ws[1:])):
@@ -41,16 +62,15 @@ def integer_weights(ws: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
 
 
-def solver_weights(entries: Sequence[Fraction | int | str]) -> Weights:
+def solver_weights(entries: Sequence, length: int | None = None) -> Weights:
     """Weight vector for the solvers: a zero prefix is allowed.
 
     Zero-weight leading families contribute nothing to the objective but
     still participate in the rainbow constraint; this is how the m = s
-    degenerate reduction is represented.
+    degenerate reduction is represented.  After the first positive weight
+    the vector only has to be nonincreasing, so trailing zeros pass too.
     """
-    ws = tuple(Fraction(w) for w in entries)
-    if not ws:
-        raise ValueError("weight vector must be nonempty")
+    ws = _parsed(entries, length)
     if any(w < 0 for w in ws):
         raise ValueError(f"weights must be nonnegative, got {ws}")
     lead = 0
@@ -75,19 +95,17 @@ class BoundReport:
     attained_by: str | None = None
 
     def to_row(self) -> dict:
-        value = self.value
-        if isinstance(value, Fraction) and value.denominator == 1:
-            value = int(value)
         return {
             "name": self.name,
             "params": {p: _json_safe(v) for p, v in self.params.items()},
-            "value": value if isinstance(value, int) else f"{value.numerator}/{value.denominator}",
+            "value": _json_safe(self.value),
             "flags": list(self.flags),
             "attained_by": self.attained_by,
         }
 
 
 def _json_safe(v):
+    """A Fraction as an int when whole, else "a/b"; sequences item by item; anything else as is."""
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, (tuple, list)):
@@ -185,10 +203,7 @@ def thm2_value(n: int, k: int, p, s: int):
 
 def thm3_value(k: int, s: int, weights: Sequence) -> Fraction:
     """(p_0 + ... + p_s) * C((s+1)k - 1, k): the exact optimum at n = (s+1)k."""
-    ws = weight_vector(weights)
-    if len(ws) != s + 1:
-        raise ValueError(f"need s+1 = {s + 1} weights, got {len(ws)}")
-    return sum(ws) * binom((s + 1) * k - 1, k)
+    return sum(weight_vector(weights, s + 1)) * binom((s + 1) * k - 1, k)
 
 
 def d_vec(weights: Sequence) -> Fraction:

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -56,7 +55,7 @@ def parse_range(spec: str) -> list[int]:
 
 def parse_weights(spec: str) -> tuple[Fraction, ...]:
     """Comma-separated integers or a/b rationals."""
-    ws = tuple(Fraction(part.strip()) for part in spec.split(",") if part.strip())
+    ws = tuple(_bounds.parse_weight(part) for part in spec.split(",") if part.strip())
     if not ws:
         raise ValueError(f"empty weight spec {spec!r}")
     return ws
@@ -72,7 +71,7 @@ def _range_arg(spec: str) -> list[int]:
 def _weights_arg(spec: str) -> tuple[Fraction, ...]:
     try:
         return parse_weights(spec)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -289,7 +288,7 @@ def cmd_bounds(args) -> int:
         if row is None:
             params = dict(cell)
             if "weights" in params:
-                params["weights"] = tuple(Fraction(w) for w in params["weights"])
+                params["weights"] = args.weights
             report = _bounds.evaluate_bound(args.name, **params)
             row = {"cell": key, **report.to_row()}
         writer.emit(row)
@@ -303,15 +302,14 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _search_one(cell: dict) -> dict:
-    n, k, s = cell["n"], cell["k"], cell["s"]
-    weights = tuple(Fraction(w) for w in cell["weights"])
+    n, k, s, weights = cell["n"], cell["k"], cell["s"], cell["weights"]
     kwargs = {"limit_nodes": cell["limit_nodes"], "warm_start": cell["warm_start"]}
-    out = {"cell": cell["key"], "n": n, "k": k, "s": s, "weights": [str(w) for w in weights]}
+    out = {"cell": cell["key"], "n": n, "k": k, "s": s, "weights": weights}
     if cell.get("m") is not None:
         out["m"] = cell["m"]
     try:
         if cell["solver"] in ("oracle", "both"):
-            rec_o = _search.oracle_f(n, k, s, weights, limit_candidates=cell["limit_candidates"], **kwargs)
+            rec_o = _search.oracle_f(n, k, s, weights, **kwargs)
             out["oracle"] = rec_o.to_dict()
         if cell["solver"] in ("shifted", "both"):
             rec_s = _search.exact_f_shifted(n, k, s, weights, limit_downsets=cell["limit_downsets"], **kwargs)
@@ -360,7 +358,6 @@ def cmd_search(args) -> int:
         cell["solver"] = args.solver
         cell["limit_nodes"] = args.limit_nodes
         cell["limit_downsets"] = args.limit_downsets
-        cell["limit_candidates"] = _search.ORACLE_CANDIDATE_LIMIT
         cell["warm_start"] = args.warm_start == "on"
     config = {
         "command": "search",
@@ -460,12 +457,12 @@ def _load_input(path: str, what: str) -> dict:
     if ok and what == "family":
         ok = _is_sets(doc.get("sets"))
     elif ok:
-        families, weights = doc.get("families"), doc.get("weights") or []
+        families, weights = doc.get("families"), doc.get("weights")
+        # the weights themselves are checked by bounds.parse_weight as the chain is built
         ok = (
             isinstance(families, list)
             and all(map(_is_sets, families))
-            and isinstance(weights, list)
-            and all(isinstance(w, (int, str)) or isinstance(w, float) and math.isfinite(w) for w in weights)
+            and (weights is None or isinstance(weights, list))
         )
     if not ok:
         raise ValueError(f"{what} file {path!r} is not of the form {_FILE_SHAPES[what]}")

@@ -54,9 +54,6 @@ class ArcFamily:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def family(self) -> Family:
-        return Family.from_masks(self.sigma.n, self.k, set(self.masks))
-
     @cached_property
     def ranks(self) -> tuple[int, ...]:
         """Entry i: the colex rank of arc i among the k-subsets of [n]."""
@@ -333,10 +330,8 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
     The sampled mean is compared against the exact expectation
     sum_j w_j |B_j| (s+1) / C(n,k) and reported with a z-score.
     """
-    ws = weight_vector(weights)
     n, k, s = chain.n, chain.k, chain.s
-    if len(ws) != s + 1:
-        raise ValueError("weight vector length must be s+1")
+    ws = weight_vector(weights, s + 1)
     if n != (s + 1) * k:
         raise ValueError(f"partition bound needs n = (s+1)k, got n={n}")
     if not is_overlapping(chain):
@@ -413,10 +408,8 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
     frequency of the first block landing in each family is compared with
     |B_j| / C(n,k), with z-scores.
     """
-    ws = weight_vector(weights)
     n, k, s = chain.n, chain.k, chain.s
-    if len(ws) != s + 1:
-        raise ValueError("weight vector length must be s+1")
+    ws = weight_vector(weights, s + 1)
     if not is_overlapping(chain):
         raise ValueError("chain is not overlapping")
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .bounds import _json_safe, solver_weights, weight_vector
 from .combinatorics import (
     MAX_GROUND_SET,
     binom,
@@ -107,7 +108,7 @@ class Family:
 class Chain:
     """Nested families B_0 <= B_1 <= ... <= B_s, optionally with a weight vector.
 
-    When weights are supplied they must be nonincreasing and positive.
+    Supplied weights must pass bounds.weight_vector, one per family.
     """
 
     families: tuple[Family, ...]
@@ -122,14 +123,7 @@ class Chain:
             if not a.issubset(b):
                 raise ValueError("chain families are not nested")
         if self.weights is not None:
-            if len(self.weights) != len(self.families):
-                raise ValueError("weight vector length must match number of families")
-            ws = tuple(Fraction(w) for w in self.weights)
-            if any(w <= 0 for w in ws):
-                raise ValueError("chain weights must be positive")
-            if any(a < b for a, b in zip(ws, ws[1:])):
-                raise ValueError("chain weights must be nonincreasing")
-            object.__setattr__(self, "weights", ws)
+            object.__setattr__(self, "weights", weight_vector(self.weights, len(self.families)))
 
     @property
     def n(self) -> int:
@@ -144,12 +138,10 @@ class Chain:
         return len(self.families) - 1
 
     def weighted_value(self, weights: Sequence[Fraction | int] | None = None) -> Fraction:
-        """Sum of w_i * |B_i| under the given (or stored) weights."""
-        ws = self.weights if weights is None else tuple(Fraction(w) for w in weights)
+        """Sum of w_i * |B_i| under the given solver weights (or the stored ones)."""
+        ws = self.weights if weights is None else solver_weights(weights, len(self.families))
         if ws is None:
             raise ValueError("no weights supplied")
-        if len(ws) != len(self.families):
-            raise ValueError("weight vector length must match number of families")
         return sum((w * len(f) for w, f in zip(ws, self.families)), Fraction(0))
 
     def total_cardinality(self) -> int:
@@ -397,23 +389,12 @@ def construction_chain(
         fams = (_clique_family(n, k, (s + 1) * k - 1),) * (s + 1)
     else:
         raise ValueError(f"unknown construction kind {kind!r}; expected one of {CONSTRUCTION_KINDS}")
-    ws = None if weights is None else tuple(Fraction(w) for w in weights)
-    return Chain(fams, ws)
+    return Chain(fams, weights)
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
-
-def _weight_to_json(w: Fraction) -> int | str:
-    return int(w) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-
-
-def weight_from_json(v: int | float | str) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    return Fraction(v)
-
 
 def family_to_dict(fam: Family) -> dict:
     return {"n": fam.n, "k": fam.k, "sets": [list(t) for t in fam.sets()]}
@@ -430,14 +411,11 @@ def chain_to_dict(chain: Chain) -> dict:
         "families": [[list(t) for t in f.sets()] for f in chain.families],
     }
     if chain.weights is not None:
-        out["weights"] = [_weight_to_json(w) for w in chain.weights]
+        out["weights"] = _json_safe(chain.weights)
     return out
 
 
 def chain_from_dict(data: dict) -> Chain:
     n, k = data["n"], data["k"]
     fams = tuple(Family.from_sets(n, k, sets) for sets in data["families"])
-    ws = data.get("weights")
-    if ws is not None:
-        ws = tuple(weight_from_json(w) for w in ws)
-    return Chain(fams, ws)
+    return Chain(fams, data.get("weights"))

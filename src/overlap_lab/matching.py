@@ -194,9 +194,6 @@ class BipartiteGraph:
         if self.right_weights is not None and len(self.right_weights) != nr:
             raise ValueError("right_weights length must match right side")
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj)
-
 
 def max_bipartite_matching(g: BipartiteGraph) -> tuple[tuple[int, int], ...]:
     """Maximum matching as (left index, right index) pairs, via augmenting paths."""

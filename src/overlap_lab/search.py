@@ -74,8 +74,8 @@ class ExtremalRecord:
             "n": self.n,
             "k": self.k,
             "s": self.s,
-            "weights": [str(w) if w.denominator != 1 else int(w) for w in self.weights],
-            "optimum": int(self.optimum) if self.optimum.denominator == 1 else str(self.optimum),
+            "weights": _bounds._json_safe(self.weights),
+            "optimum": _bounds._json_safe(self.optimum),
             "witness": chain_to_dict(self.witness),
             "solver": self.solver,
             "nodes_explored": self.nodes_explored,
@@ -87,16 +87,9 @@ class ExtremalRecord:
         return out
 
 
-def _normalize_weights(s: int, weights: Sequence) -> tuple[Fraction, ...]:
-    ws = _bounds.solver_weights(weights)
-    if len(ws) != s + 1:
-        raise ValueError(f"need s+1 = {s + 1} weights, got {len(ws)}")
-    return ws
-
-
 def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fraction, str]:
     """Largest construction value among the named chains; used as a warm start."""
-    ws = _normalize_weights(s, weights)
+    ws = _bounds.solver_weights(weights, s + 1)
     best_val = Fraction(-1)
     best_kind = ""
     for kind in CONSTRUCTION_KINDS:
@@ -144,7 +137,7 @@ def oracle_f(
     candidate count (s+2)^C(n,k) must stay within limit_candidates.
     """
     t0 = time.perf_counter()
-    ws = _normalize_weights(s, weights)
+    ws = _bounds.solver_weights(weights, s + 1)
     capacity = binom(n, k)
     raw = (s + 2) ** capacity
     if raw > limit_candidates:
@@ -256,7 +249,7 @@ def exact_f_shifted(
     equality is enforced by tests rather than assumed here.
     """
     t0 = time.perf_counter()
-    ws = _normalize_weights(s, weights)
+    ws = _bounds.solver_weights(weights, s + 1)
     capacity = binom(n, k)
     downs = downset_bitsets(n, k, limit_downsets)
     by_size = sorted(downs, key=lambda d: (-d.bit_count(), d))

@@ -37,6 +37,12 @@ def test_weight_vector_validation():
         weight_vector([1, 0])
     with pytest.raises(ValueError):
         weight_vector([])
+    for bad in ("1/0", True, float("inf")):
+        with pytest.raises(ValueError):
+            weight_vector([bad, 1])
+    assert weight_vector([2, "1/2"], 2) == (Fraction(2), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        weight_vector([2, 1], 3)
 
 
 def test_solver_weights_zero_prefix():
@@ -47,6 +53,13 @@ def test_solver_weights_zero_prefix():
         solver_weights([1, 0, 1])  # zero after a positive entry
     with pytest.raises(ValueError):
         solver_weights([-1, 1])
+    for bad in ("1/0", True, float("inf")):
+        with pytest.raises(ValueError):
+            solver_weights([bad, 1])
+    assert solver_weights([1, 0]) == (1, 0)  # a trailing zero
+    assert solver_weights(["0", "7/2", 1], 3) == (0, Fraction(7, 2), 1)
+    with pytest.raises(ValueError):
+        solver_weights([0, 1], 3)
 
 
 def test_hilton_bound_values():

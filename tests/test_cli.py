@@ -227,6 +227,7 @@ def test_matching_subcommand(tmp_path, capsys):
 
 
 _BOUNDS_ARGV = ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"]
+_CHAIN = '{"n": 4, "k": 2, "families": [[[1, 2]], [[1, 2]]], "weights": %s}'
 
 
 @pytest.mark.parametrize(
@@ -239,6 +240,9 @@ _BOUNDS_ARGV = ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"
         ([*_BOUNDS_ARGV, "--resume", "{path}"], '{"rows": [{"cell": [1, 2]}]}'),
         (["matching", "--chain", "{path}"], '{"n": 6, "k": 2, "families": 3}'),
         (["verify", "--suite", "thm3", "--resume", "{path}"], '{"rows": [{"cell": "{\\"suite\\":\\"thm3\\"}"}]}'),
+        (["matching", "--chain", "{path}"], _CHAIN % '["1/0", 1]'),
+        (["matching", "--chain", "{path}"], _CHAIN % "[true, 1]"),
+        (["matching", "--chain", "{path}"], _CHAIN % "[Infinity, 1]"),
     ],
     ids=[
         "family-list",
@@ -248,6 +252,9 @@ _BOUNDS_ARGV = ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"
         "resume-cell-list",
         "chain-families-int",
         "resume-verify-no-summary",
+        "chain-weight-zero-denominator",
+        "chain-weight-bool",
+        "chain-weight-infinite",
     ],
 )
 def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, content):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,8 @@ def test_solvers_match_raw_enumeration():
         (3, 1, 2, (4, 2, 1)),
         (4, 2, 1, (0, 1)),
         (4, 1, 1, (5, 2)),
+        (4, 2, 1, (1, 0)),  # a trailing zero
+        (4, 1, 2, (2, 1, 0)),
     ]
     for n, k, s, ws in cases:
         raw = brute_chain_optimum(n, k, s, ws)
@@ -276,6 +279,16 @@ def test_verify_bde_grid_row_names_the_cells():
     assert run_suite("bde", cells=triangle)["rows"][-1]["grid"] == "m<=3, 1<=s<m, 0<=l<m-s"
     assert run_suite("bde", cells=triangle[:-1])["rows"][-1]["grid"] == "cells: 3"
     assert run_suite("bde")["rows"] == [{"grid": "m<=30, 1<=s<m, 0<=l<m-s", "status": "ok"}]
+
+
+def test_suite_rows_write_rational_weights_as_json():
+    ws = (Fraction(7, 2), Fraction(1, 3))
+    thm3 = run_suite("thm3", cells=[(2, 1, 1, ws)])
+    partition = run_suite("partition", cells=[(4, 2, 1, ws, "clique")], trials=20, seed=1)
+    for report in (thm3, partition):
+        (row,) = json.loads(json.dumps(report["rows"]))
+        assert row["weights"] == ["7/2", "1/3"]
+    assert thm3["rows"][0]["solver_value"] == "23/6"
 
 
 def test_verify_unknown_suite():
