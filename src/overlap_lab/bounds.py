@@ -42,13 +42,18 @@ def _parsed(entries: Sequence, length: int | None) -> Weights:
     return ws
 
 
+def _shown(ws: Weights) -> str:
+    """The weights as a user writes them, for error messages: (7/2, 1, 0)."""
+    return "(" + ", ".join(str(json_safe(w)) for w in ws) + ")"
+
+
 def weight_vector(entries: Sequence, length: int | None = None) -> Weights:
     """Validated weight vector: nonincreasing, strictly positive rationals (`length` of them, if given)."""
     ws = _parsed(entries, length)
     if any(w <= 0 for w in ws):
-        raise ValueError(f"weights must be positive, got {ws}")
+        raise ValueError(f"weights must be positive, got {_shown(ws)}")
     if any(a < b for a, b in zip(ws, ws[1:])):
-        raise ValueError(f"weights must be nonincreasing, got {ws}")
+        raise ValueError(f"weights must be nonincreasing, got {_shown(ws)}")
     return ws
 
 
@@ -72,7 +77,7 @@ def solver_weights(entries: Sequence, length: int | None = None) -> Weights:
     """
     ws = _parsed(entries, length)
     if any(w < 0 for w in ws):
-        raise ValueError(f"weights must be nonnegative, got {ws}")
+        raise ValueError(f"weights must be nonnegative, got {_shown(ws)}")
     lead = 0
     while lead < len(ws) and ws[lead] == 0:
         lead += 1
@@ -80,7 +85,7 @@ def solver_weights(entries: Sequence, length: int | None = None) -> Weights:
         raise ValueError("at least one weight must be positive")
     tail = ws[lead:]
     if any(a < b for a, b in zip(tail, tail[1:])):
-        raise ValueError(f"positive weights must be nonincreasing, got {ws}")
+        raise ValueError(f"positive weights must be nonincreasing, got {_shown(ws)}")
     return ws
 
 
@@ -97,19 +102,19 @@ class BoundReport:
     def to_row(self) -> dict:
         return {
             "name": self.name,
-            "params": {p: _json_safe(v) for p, v in self.params.items()},
-            "value": _json_safe(self.value),
+            "params": {p: json_safe(v) for p, v in self.params.items()},
+            "value": json_safe(self.value),
             "flags": list(self.flags),
             "attained_by": self.attained_by,
         }
 
 
-def _json_safe(v):
+def json_safe(v):
     """A Fraction as an int when whole, else "a/b"; sequences item by item; anything else as is."""
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, (tuple, list)):
-        return [_json_safe(x) for x in v]
+        return [json_safe(x) for x in v]
     return v
 
 

@@ -443,7 +443,10 @@ def _is_sets(sets) -> bool:
 
 _FILE_SHAPES = {
     "family": '{"n": int, "k": int, "sets": [[int, ...], ...]}',
-    "chain": '{"n": int, "k": int, "families": [sets, ...], "weights": [int | "a/b", ...] (optional)}',
+    "chain": (
+        '{"n": int, "k": int, "families": [sets, ...], '
+        '"weights": [int | float | "a/b", ...] (optional)}'
+    ),
 }
 
 

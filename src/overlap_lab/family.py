@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bounds import _json_safe, solver_weights, weight_vector
+from .bounds import json_safe, solver_weights, weight_vector
 from .combinatorics import (
     MAX_GROUND_SET,
     binom,
@@ -411,7 +411,7 @@ def chain_to_dict(chain: Chain) -> dict:
         "families": [[list(t) for t in f.sets()] for f in chain.families],
     }
     if chain.weights is not None:
-        out["weights"] = _json_safe(chain.weights)
+        out["weights"] = json_safe(chain.weights)
     return out
 
 

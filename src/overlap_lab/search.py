@@ -4,8 +4,12 @@ Two independent routes compute the same optimum:
 
 * oracle_f enumerates entry-level maps (each k-set gets the first chain
   index containing it, or none), which is a bijection onto nested chains,
-  with branch-and-bound pruning and an incremental rainbow-feasibility
-  check per assignment.
+  with branch-and-bound pruning.  It forward-checks: each unassigned k-set
+  keeps the lowest entry level at which it can still join, rechecked only
+  when a disjoint set is placed, so a node tries its feasible levels with
+  no rainbow call and bounds the value by every later set's own best level
+  (5 129 nodes on the 23 cells of perfbench's oracle workload, against
+  183 795 when only the warm start pruned).
 
 * exact_f_shifted enumerates nested chains of shifted families top-down
   (B_s over all downsets of the shift order, each of B_{s-1}..B_1 over
@@ -74,8 +78,8 @@ class ExtremalRecord:
             "n": self.n,
             "k": self.k,
             "s": self.s,
-            "weights": _bounds._json_safe(self.weights),
-            "optimum": _bounds._json_safe(self.optimum),
+            "weights": _bounds.json_safe(self.weights),
+            "optimum": _bounds.json_safe(self.optimum),
             "witness": chain_to_dict(self.witness),
             "solver": self.solver,
             "nodes_explored": self.nodes_explored,
@@ -104,6 +108,13 @@ def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fracti
         if val > best_val:
             best_val, best_kind = val, kind
     return best_val, best_kind
+
+
+def _check_k(k: int) -> None:
+    # at k = 0 the empty set misses itself, so one set can fill every
+    # index of a rainbow matching and the solvers' arguments fail
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
 
 
 def _validated_record(record: ExtremalRecord) -> ExtremalRecord:
@@ -135,8 +146,23 @@ def oracle_f(
     Enumerates, with sound pruning, every map assigning each k-set the
     first index at which it enters the chain (or never).  The raw
     candidate count (s+2)^C(n,k) must stay within limit_candidates.
+
+    The search forward-checks (Haralick and Elliott, "Increasing tree
+    search efficiency for constraint satisfaction problems", 1980): cap[r]
+    is the lowest entry level at which the unassigned k-set r can still
+    join the chain (s+1 for never).  Entering later gives a pointwise
+    subchain, so the feasible levels of r are exactly cap[r]..s, and a node
+    tries them without a rainbow call.  Families only grow along a path, so
+    caps only rise; after a placement only the later ranks disjoint from
+    it are rechecked, since any new rainbow matching uses the new member.
+    The value bound is val + sum of contrib[cap[r]] over the unassigned r,
+    and a value tie is bounded by the least cardinality worth each cap.
+    Warm-started, it closes (7,2,1,(3,1)) in 435 nodes and (6,3,1,(1,1)) in
+    88 583 (about 0.4 s); with the warm start as the only prune they took
+    453 974 and 12.1 M nodes (0.75 and 22 s on a 2-core host, Python 3.11).
     """
     t0 = time.perf_counter()
+    _check_k(k)
     ws = _bounds.solver_weights(weights, s + 1)
     capacity = binom(n, k)
     raw = (s + 2) ** capacity
@@ -146,13 +172,19 @@ def oracle_f(
         )
     disj = disjointness(n, k)
     iw, scale = _bounds.integer_weights(ws)
-    sum_w = sum(iw)
-    contrib = [sum(iw[lvl:]) for lvl in range(s + 1)]
+    # contrib[lvl]: value of a set entering at lvl; s+1 is never
+    contrib = [sum(iw[lvl:]) for lvl in range(s + 2)]
+    # tie_card[lvl]: least cardinality of an entry level worth contrib[lvl]
+    tie_card = [
+        s + 1 - max(t for t in range(lvl, s + 2) if contrib[t] == contrib[lvl]) for lvl in range(s + 2)
+    ]
     lead0 = 0
     while lead0 <= s and ws[lead0] == 0:
         lead0 += 1
-    # entry levels below lead0 add cardinality but no value: dominated, skip
-    min_cards = s + 1 - lead0
+    # entry levels below lead0 add cardinality but no value: dominated, skip;
+    # at s = 0 the other indices match vacuously, so a lone family stays empty
+    first = lead0 if s else s + 1
+    cap = [first] * capacity
 
     fam_bits = [0] * (s + 1)
     best_val = -1
@@ -164,7 +196,8 @@ def oracle_f(
         best_val = warm.numerator
     nodes = 0
 
-    def explore(pos: int, val: int, card: int) -> None:
+    def explore(pos: int, val: int, card: int, rest_val: int, rest_card: int) -> None:
+        # rest_val, rest_card: sums of contrib[cap[r]] and tie_card[cap[r]] over r >= pos
         nonlocal best_val, best_card, best_chain, nodes
         nodes += 1
         if limit_nodes is not None and nodes > limit_nodes:
@@ -173,29 +206,58 @@ def oracle_f(
             if val > best_val or (val == best_val and (best_card is None or card < best_card)):
                 best_val, best_card, best_chain = val, card, tuple(fam_bits)
             return
-        rem = capacity - pos
-        potential = val + rem * sum_w
+        potential = val + rest_val
         if potential < best_val:
             return
-        if potential == best_val and best_card is not None and card + rem * min_cards >= best_card:
-            # a value tie forces full-contribution levels for the rest, so the
-            # cardinality cannot beat the incumbent; first-found ties are key-least
+        if potential == best_val and best_card is not None and card + rest_card >= best_card:
+            # a value tie gives every later set its cap's contribution at the
+            # least cardinality, and cannot beat the incumbent; first-found
+            # ties are key-least
             return
+        low = cap[pos]
+        rest_val -= contrib[low]
+        rest_card -= tie_card[low]
         bit = 1 << pos
-        for level in range(lead0, s + 1):
-            # adding the set at `level` must not complete a rainbow matching of
-            # all s+1 indices.  The set need only stand at index `level`: in a
-            # matching where it stands at t > level, it can trade places with
-            # the member at `level`, which lies in B_level, a subset of B_t.
-            if not rainbow(fam_bits[:level] + fam_bits[level + 1 :], disj, disj[pos]):
-                for i in range(level, s + 1):
-                    fam_bits[i] |= bit
-                explore(pos + 1, val + contrib[level], card + (s + 1 - level))
-                for i in range(level, s + 1):
-                    fam_bits[i] &= ~bit
-        explore(pos + 1, val, card)
+        later = disj[pos] >> (pos + 1) << (pos + 1)
+        for level in range(low, s + 1):
+            for i in range(level, s + 1):
+                fam_bits[i] |= bit
+            # Recheck the later sets disjoint from pos.  A set r may enter at
+            # lvl while the indices other than lvl have no rainbow matching
+            # that misses r: r need only stand at lvl, since where it stands
+            # at t > lvl it can trade places with the member at lvl, which
+            # lies in B_lvl, inside B_t.  No such matching existed before this
+            # placement, so a new one uses pos, and by the same trade pos
+            # stands at `level`, or at level + 1 when lvl is `level`.
+            rivals = {}  # lvl -> the other families that match with pos, or None
+            raised = []
+            lost_val = lost_card = 0
+            for r in iter_bits(later):
+                old = lvl = cap[r]
+                while lvl <= s:
+                    if lvl not in rivals:
+                        stand = level + (lvl == level)
+                        others = [b for i, b in enumerate(fam_bits) if i != lvl and i != stand]
+                        rivals[lvl] = others if stand <= s and rainbow(others, disj, disj[pos]) else None
+                    others = rivals[lvl]
+                    if others is None or not rainbow(others, disj, disj[pos] & disj[r]):
+                        break
+                    lvl += 1
+                if lvl != old:
+                    cap[r] = lvl
+                    raised.append((r, old))
+                    lost_val += contrib[old] - contrib[lvl]
+                    lost_card += tie_card[old] - tie_card[lvl]
+            explore(
+                pos + 1, val + contrib[level], card + (s + 1 - level), rest_val - lost_val, rest_card - lost_card
+            )
+            for r, old in raised:
+                cap[r] = old
+            for i in range(level, s + 1):
+                fam_bits[i] &= ~bit
+        explore(pos + 1, val, card, rest_val, rest_card)
 
-    explore(0, 0, 0)
+    explore(0, 0, 0, capacity * contrib[first], capacity * tie_card[first])
     if best_chain is None:
         # warm value was optimal but ties were never completed; cannot happen
         # because the warm value comes from a feasible chain in the search space
@@ -249,6 +311,7 @@ def exact_f_shifted(
     equality is enforced by tests rather than assumed here.
     """
     t0 = time.perf_counter()
+    _check_k(k)
     ws = _bounds.solver_weights(weights, s + 1)
     capacity = binom(n, k)
     downs = downset_bitsets(n, k, limit_downsets)
@@ -401,8 +464,8 @@ def hunt_conjectures(name: str, grid: dict | None = None, *, limit_nodes: int | 
                 "k": k,
                 "s": s,
                 "p": p,
-                "solver_value": _bounds._json_safe(rec.optimum),
-                "conjectured": _bounds._json_safe(expected),
+                "solver_value": _bounds.json_safe(rec.optimum),
+                "conjectured": _bounds.json_safe(expected),
                 "status": status,
             }
             if status != "ok":

@@ -74,7 +74,7 @@ def _head(n: int, k: int, s: int, p: int) -> tuple[dict, int, tuple]:
 
 def _weighted(n: int, k: int, s: int, w: tuple) -> tuple[dict, int, tuple]:
     """An explicit weight vector of length s+1."""
-    return {"n": n, "k": k, "s": s, "weights": _bounds._json_safe(w)}, s, w
+    return {"n": n, "k": k, "s": s, "weights": _bounds.json_safe(w)}, s, w
 
 
 def _theorem(instance: Callable, solver: str, formula: str, relation: str) -> Report:
@@ -96,8 +96,8 @@ def _theorem(instance: Callable, solver: str, formula: str, relation: str) -> Re
             rows.append(
                 {
                     **params,
-                    "solver_value": _bounds._json_safe(rec.optimum),
-                    "formula_value": _bounds._json_safe(value),
+                    "solver_value": _bounds.json_safe(rec.optimum),
+                    "formula_value": _bounds.json_safe(value),
                     "relation": relation,
                     "status": "ok" if ok else "VIOLATION",
                 }
@@ -147,7 +147,7 @@ def _sampled(sampler: str, show_construction: bool) -> Report:
             rep = getattr(_cyclic, sampler)(chain, ws, trials, seed * 1_000_003 + idx)
             failures += rep["status"] != "pass"
             label = {"construction": kind} if show_construction else {}
-            rows.append({"n": n, "k": k, "s": s, "weights": _bounds._json_safe(ws), **label, **rep})
+            rows.append({"n": n, "k": k, "s": s, "weights": _bounds.json_safe(ws), **label, **rep})
         return _report(name, rows, failures)
 
     return report

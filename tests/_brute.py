@@ -95,15 +95,17 @@ def brute_downset_count(n: int, k: int) -> int:
     return sum(is_downset_direct(bits, n, k) for bits in range(1 << capacity))
 
 
-def brute_chain_optimum(n: int, k: int, s: int, weights) -> Fraction:
-    """Raw maximum of sum w_i |B_i| over nested chains with no rainbow (s+1)-matching.
+def brute_chain_optimum(n: int, k: int, s: int, weights) -> tuple[Fraction, tuple[Family, ...]]:
+    """Raw maximum of sum w_i |B_i| over nested chains with no rainbow (s+1)-matching, and its canonical witness.
 
     Enumerates every map from k-sets to entry levels {0..s, never} with no
     pruning at all and evaluates the rainbow constraint by brute force.
+    The witness is the optimal chain of least total cardinality, and among
+    those the least entry-level sequence read in colex order (never last).
     """
     table = ksets(n, k)
     capacity = len(table)
-    best = Fraction(-1)
+    best = None
     for code in range((s + 2) ** capacity):
         levels = []
         rest = code
@@ -116,8 +118,10 @@ def brute_chain_optimum(n: int, k: int, s: int, weights) -> Fraction:
             fams.append(Family.from_masks(n, k, masks))
         if brute_rainbow_number(fams) <= s:
             value = sum((Fraction(w) * len(f) for w, f in zip(weights, fams)), Fraction(0))
-            best = max(best, value)
-    return best
+            key = (-value, sum(map(len, fams)), levels)
+            if best is None or key < best[0]:
+                best = (key, tuple(fams))
+    return -best[0][0], best[1]
 
 
 def brute_max_min_overlapping(n: int, k: int, s: int) -> tuple[int, int]:

@@ -62,6 +62,20 @@ def test_solver_weights_zero_prefix():
         solver_weights([0, 1], 3)
 
 
+def test_weight_messages_show_weights_as_written():
+    cases = [
+        (weight_vector, [Fraction(7, 2), 0], "(7/2, 0)"),
+        (weight_vector, ["1/3", 1], "(1/3, 1)"),
+        (solver_weights, [-1, "5/2"], "(-1, 5/2)"),
+        (solver_weights, [1, 0, "1/2"], "(1, 0, 1/2)"),
+    ]
+    for validate, ws, shown in cases:
+        with pytest.raises(ValueError) as exc:
+            validate(ws)
+        assert "Fraction(" not in str(exc.value)
+        assert str(exc.value).endswith(f"got {shown}")
+
+
 def test_hilton_bound_values():
     assert hilton_bound(4, 2, 3) == 9
     assert hilton_bound(4, 2, 1) == 6

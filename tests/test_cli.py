@@ -265,6 +265,30 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys, argv, content)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_chain_file_shape_names_every_weight_form(tmp_path):
+    from overlap_lab.cli import _FILE_SHAPES
+
+    path = tmp_path / "chain.json"
+    for weights, form in (("[2, 1]", "int"), ("[2, 1.5]", "float"), ('["7/2", "1/3"]', '"a/b"')):
+        assert form in _FILE_SHAPES["chain"]
+        path.write_text(_CHAIN % weights)
+        assert main(["matching", "--chain", str(path)]) == 0
+
+
+def test_weight_errors_print_weights_as_written(capsys):
+    assert main(["bounds", "--name", "thm3", "--k", "1", "--s", "1", "--weights", "1,0"]) == 2
+    err = capsys.readouterr().err
+    assert "Fraction(" not in err
+    assert err == "error: weights must be positive, got (1, 0)\n"
+
+
+@pytest.mark.parametrize("solver", ["oracle", "shifted", "both"])
+def test_search_rejects_k_zero(solver, tmp_path, capsys):
+    argv = ["search", "--n", "3", "--k", "0", "--s", "1", "--weights", "1,1", "--solver", solver]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == "error: k must be at least 1, got 0\n"
+
+
 def test_limit_validation():
     assert main(["search", "--n", "4", "--k", "2", "--weights", "1,1", "--jobs", "0"]) == 2
     assert main(["verify", "--suite", "bde", "--trials", "-3"]) == 2

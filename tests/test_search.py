@@ -61,8 +61,17 @@ def test_single_family_chain():
         assert len(rec.witness.families[0]) == 0
 
 
+def test_solvers_reject_k_zero():
+    # at k = 0 the empty set misses itself, which both solvers' arguments exclude
+    for solver in (oracle_f, exact_f_shifted):
+        for warm_start in (True, False):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                solver(3, 0, 1, (3, 1), warm_start=warm_start)
+
+
 def test_solvers_match_raw_enumeration():
-    # third route: no-pruning enumeration of every level map, brute rainbow check
+    # third route: no-pruning enumeration of every level map, brute rainbow check,
+    # which also picks the tie-broken witness the solvers must return
     from _brute import brute_chain_optimum
 
     cases = [
@@ -77,9 +86,11 @@ def test_solvers_match_raw_enumeration():
         (4, 1, 2, (2, 1, 0)),
     ]
     for n, k, s, ws in cases:
-        raw = brute_chain_optimum(n, k, s, ws)
-        assert oracle_f(n, k, s, ws).optimum == raw, (n, k, s, ws)
-        assert exact_f_shifted(n, k, s, ws).optimum == raw, (n, k, s, ws)
+        raw, witness = brute_chain_optimum(n, k, s, ws)
+        for solver in (oracle_f, exact_f_shifted):
+            rec = solver(n, k, s, ws)
+            # the canonical witness: least total cardinality, then least entry levels
+            assert (rec.optimum, rec.witness.families) == (raw, witness), (solver.__name__, n, k, s, ws)
 
 
 def test_solvers_agree_small_grid():
