@@ -22,7 +22,8 @@ from overlap_lab.cyclic import (
     verify_random_matching_bound,
 )
 from overlap_lab.family import Chain, Family, construction_chain
-from overlap_lab.matching import is_overlapping
+from overlap_lab.matching import is_overlapping, rainbow
+from overlap_lab.suites import SUITES
 
 
 def test_cyclic_order_validation():
@@ -111,6 +112,11 @@ def test_cyclic_lemma_rejects_bad_chains():
     full = (1 << 8) - 1
     with pytest.raises(ValueError):
         verify_cyclic_lemma(arc, (full, full), 1)  # rainbow pair exists
+    for arc_sets in [(1 << 8,), (-1,), (0, 1 << 9)]:  # a head outside 0..7
+        with pytest.raises(ValueError):
+            verify_cyclic_lemma(arc, arc_sets, 1)
+    with pytest.raises(ValueError, match="at least one level"):
+        verify_cyclic_lemma(arc, (), 1)
 
 
 def test_cyclic_lemma_identity_exact_random():
@@ -146,7 +152,10 @@ def test_arc_chains_against_naive_construction(drawn, trials, seed):
     assert chain == Chain(
         tuple(Family.from_masks(n, k, {arc.masks[i] for i in range(n) if bits >> i & 1}) for bits in arc_sets)
     )
-    if not is_overlapping(chain) or n < (k + 1) * s:
+    # the recheck runs the kernel on the arcs' colex ranks; each Family's bits are those ranks
+    overlapping = is_overlapping(chain)
+    assert overlapping == (not rainbow([fam.bits for fam in chain.families], arc.rank_disjointness))
+    if not overlapping or n < (k + 1) * s:
         with pytest.raises(ValueError):
             verify_cyclic_lemma(arc, arc_sets, p, trials, seed)
         return
@@ -154,6 +163,10 @@ def test_arc_chains_against_naive_construction(drawn, trials, seed):
 
     def block_weight(head):
         return sum(deg[(head + j * k) % n] for j in range(n // k))
+
+    for h, block in enumerate(arc.block_heads):
+        weight = p * (arc_sets[0] & block).bit_count() + sum((bits & block).bit_count() for bits in arc_sets[1:])
+        assert weight == block_weight(h)
 
     rep = verify_cyclic_lemma(arc, arc_sets, p, trials, seed)
     assert rep["head_average"] == str(Fraction(sum(block_weight(h) for h in range(n)), n))
@@ -183,6 +196,28 @@ def test_run_cyclic_suite_deterministic():
     assert one["summary"]["status"] == "pass"
     other = run_cyclic_suite(cells, 60, seed=10)
     assert other["summary"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+def test_run_cyclic_suite_matches_public_replay(seed):
+    cells = SUITES["cyclic"].cells
+    rep = run_cyclic_suite(cells, 300, seed)
+    per_cell = -(-300 // len(cells))
+    margins, violations, identity_failures = [], 0, 0
+    for idx, (n, k, s, p) in enumerate(cells):
+        arc = arcs(CyclicOrder.identity(n), k)
+        rng = random.Random(seed * 1_000_003 + idx)
+        worst = None
+        for _ in range(per_cell):
+            lemma = verify_cyclic_lemma(arc, random_overlapping_arc_chain(arc, s, rng), p)
+            violations += not lemma["inequality_holds"]
+            identity_failures += not lemma["identity_holds"]
+            margin = lemma["rhs"] - lemma["lhs"]
+            worst = margin if worst is None else min(worst, margin)
+        margins.append(worst)
+    assert [row["min_margin"] for row in rep["rows"]] == margins
+    assert rep["summary"]["violations"] == violations
+    assert rep["summary"]["identity_failures"] == identity_failures
 
 
 def test_case2_replay_structure():
