@@ -136,15 +136,15 @@ def _arc_degrees(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> list[int]:
 def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[int, int, list[int]]:
     """The arc-chain lemma on head bitsets, in ints: (lhs, rhs, block weight per head).
 
-    Raises ValueError unless p >= 1, the chain has a level, every head lies
-    in 0..n-1, the chain is nested, n >= (k+1)s and the chain is
-    overlapping; the cheap checks run before the overlap recheck, which is
-    the kernel on the arcs' colex ranks.
+    Raises ValueError unless p is an int >= 1 (a bool is not), the chain
+    has a level, every head lies in 0..n-1, the chain is nested,
+    n >= (k+1)s and the chain is overlapping; the cheap checks run before
+    the overlap recheck, which is the kernel on the arcs' colex ranks.
     The lhs p|B_0| + |B_1| + ... + |B_s| is also e(X, Y), the total degree.
     """
     n, k = arc.sigma.n, arc.k
     s = len(arc_sets) - 1
-    if p < 1:
+    if type(p) is not int or p < 1:
         raise ValueError(f"head multiplicity p must be a positive integer, got {p}")
     if s < 0:
         raise ValueError("arc chain needs at least one level")

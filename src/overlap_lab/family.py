@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bounds import json_safe, solver_weights, weight_vector
@@ -242,7 +243,9 @@ def is_shifted(fam: Family) -> bool:
     return True
 
 
-def _poset_preds_uncached(n: int, k: int) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _poset_preds(n: int, k: int) -> tuple[int, ...]:
+    """Per colex rank, the bitset of immediate lower covers (one element bumped down by 1)."""
     table = ksets(n, k)
     rank_of = {m: r for r, m in enumerate(table)}
     preds = []
@@ -258,15 +261,32 @@ def _poset_preds_uncached(n: int, k: int) -> tuple[int, ...]:
     return tuple(preds)
 
 
-_PREDS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
+@lru_cache(maxsize=None)
+def _poset_succs(n: int, k: int) -> tuple[int, ...]:
+    """Per colex rank, the bitset of immediate upper covers (one element bumped up by 1)."""
+    preds = _poset_preds(n, k)
+    succs = [0] * len(preds)
+    for r, pb in enumerate(preds):
+        for q in iter_bits(pb):
+            succs[q] |= 1 << r
+    return tuple(succs)
 
 
-def _poset_preds(n: int, k: int) -> tuple[int, ...]:
-    """Per colex rank, the bitset of immediate lower covers (one element bumped down by 1)."""
-    key = (n, k)
-    if key not in _PREDS_CACHE:
-        _PREDS_CACHE[key] = _poset_preds_uncached(n, k)
-    return _PREDS_CACHE[key]
+@lru_cache(maxsize=None)
+def poset_upsets(n: int, k: int) -> tuple[int, ...]:
+    """Per colex rank r, the bitset of ranks at or above r in the shift order.
+
+    Upper covers have higher colex ranks, so one pass from the top rank down
+    closes the cover relation.
+    """
+    succs = _poset_succs(n, k)
+    ups = [0] * len(succs)
+    for r in reversed(range(len(succs))):
+        up = 1 << r
+        for q in iter_bits(succs[r]):
+            up |= ups[q]
+        ups[r] = up
+    return tuple(ups)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +311,7 @@ def walk_downsets(
     than `limit` downsets.
     """
     preds = _poset_preds(n, k)
-    succs = [0] * len(preds)
-    for r, pb in enumerate(preds):
-        for q in iter_bits(pb):
-            succs[q] |= 1 << r
+    succs = _poset_succs(n, k)
     # each entry: a downset and the ranks above its top that may join it
     stack = [(0, sum(1 << r for r, pb in enumerate(preds) if not pb))]
     visited = 0

@@ -12,10 +12,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from overlap_lab.bounds import thm4_threshold
-from overlap_lab.combinatorics import binom, ksets, shift_leq
+from overlap_lab.combinatorics import binom, iter_bits, ksets, shift_leq
 from overlap_lab.cyclic import random_matching
-from overlap_lab.family import Family, downset_bitsets
-from overlap_lab.matching import BipartiteGraph
+from overlap_lab.family import Family, _poset_preds, downset_bitsets
+from overlap_lab.matching import BipartiteGraph, rainbow
 
 
 def pairwise_disjoint(masks) -> bool:
@@ -93,6 +93,26 @@ def is_downset_direct(bits: int, n: int, k: int) -> bool:
 def brute_downset_count(n: int, k: int) -> int:
     capacity = len(ksets(n, k))
     return sum(is_downset_direct(bits, n, k) for bits in range(1 << capacity))
+
+
+def brute_upsets(n: int, k: int) -> list[int]:
+    """Per rank, every rank reachable through upper covers: _poset_preds closed by iterating to a fixpoint."""
+    preds = _poset_preds(n, k)
+    ups = [1 << r for r in range(len(preds))]
+    changed = True
+    while changed:
+        changed = False
+        for q, pb in enumerate(preds):
+            for r in iter_bits(pb):
+                if ups[q] & ~ups[r]:
+                    ups[r] |= ups[q]
+                    changed = True
+    return ups
+
+
+def head_per_member(rest, disj) -> int:
+    """The closed-form B_0 by one kernel call per member of B_1 (rest = B_1..B_s; empty at s = 0)."""
+    return sum(1 << r for r in iter_bits(rest[0] if rest else 0) if not rainbow(rest, disj, disj[r]))
 
 
 def brute_chain_optimum(n: int, k: int, s: int, weights) -> tuple[Fraction, tuple[Family, ...]]:

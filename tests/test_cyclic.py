@@ -117,6 +117,9 @@ def test_cyclic_lemma_rejects_bad_chains():
             verify_cyclic_lemma(arc, arc_sets, 1)
     with pytest.raises(ValueError, match="at least one level"):
         verify_cyclic_lemma(arc, (), 1)
+    for p in (0, 1.5, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            verify_cyclic_lemma(arc, (0,), p)
 
 
 def test_cyclic_lemma_identity_exact_random():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_downset_count, brute_rainbow_number, is_downset_direct
+from _brute import brute_downset_count, brute_rainbow_number, brute_upsets, is_downset_direct
 from overlap_lab.combinatorics import binom
 from overlap_lab.family import (
     Chain,
@@ -23,6 +23,7 @@ from overlap_lab.family import (
     family_to_dict,
     is_shifted,
     nestify,
+    poset_upsets,
     reduce_to_weighted,
     shift_closure,
     shift_ij,
@@ -211,6 +212,11 @@ def test_downset_counts_against_brute(n, k, count):
     assert bitsets == sorted(bitsets, key=lambda b: (b.bit_count(), b))
     for b in bitsets:
         assert is_downset_direct(b, n, k)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (5, 2), (6, 3), (7, 2), (8, 4)])
+def test_poset_upsets_close_the_cover_relation(n, k):
+    assert list(poset_upsets(n, k)) == brute_upsets(n, k)
 
 
 def test_downset_count_larger_grid():

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_max_min_overlapping, brute_rainbow_number
+from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member
 from overlap_lab.bounds import conj1_value, conj2_bound, thm2_value, thm3_value, thm4_value
 from overlap_lab.combinatorics import binom
-from overlap_lab.family import DownsetLimitError, reduce_to_weighted
-from overlap_lab.matching import is_overlapping, matching_number
+from overlap_lab.family import DownsetLimitError, downset_bitsets, poset_upsets, reduce_to_weighted
+from overlap_lab.matching import disjointness, is_overlapping, matching_number
 from overlap_lab.search import (
     InstanceTooLargeError,
     NodeLimitError,
+    _closed_form_head,
     best_construction,
     exact_f_shifted,
     hunt_conjectures,
@@ -189,6 +190,18 @@ def test_shifted_witness_is_shifted():
     for n, k, s, ws in [(6, 2, 1, (2, 1)), (7, 2, 2, (1, 1, 1))]:
         rec = exact_f_shifted(n, k, s, ws)
         assert all(is_shifted(f) for f in rec.witness.families)
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (5, 1), (4, 2), (5, 2), (6, 2), (5, 3), (6, 3)])
+def test_closed_form_head_matches_per_member_rule(n, k):
+    # every chain B_1 <= ... <= B_s of downsets, s = 0..3
+    disj, ups = disjointness(n, k), poset_upsets(n, k)
+    downs = downset_bitsets(n, k)
+    chains = [()]
+    for s in range(4):
+        for rest in chains:
+            assert _closed_form_head(rest, disj, ups) == head_per_member(rest, disj), (n, k, rest)
+        chains = [(d,) + rest for rest in chains for d in downs if not rest or not d & ~rest[0]]
 
 
 def test_monotone_in_n_and_weights():
