@@ -174,15 +174,16 @@ def u_eval(x, n: int, k: int, p) -> Fraction:
 def u_zero(n: int, k: int, p, width: Fraction = Fraction(1, 2**20)) -> tuple[Fraction, Fraction]:
     """Bracket the unique zero of u on [-p, n-k] by bisection to the given width.
 
-    u(-p) = -1 exactly and u(n-k) > 0, so a sign change is guaranteed; u is
-    increasing on the interval, hence the zero is unique.
+    u(-p) = -1 exactly, and u is increasing on the interval, hence the zero
+    is unique when u(n-k) > 0.  Raises ValueError when there is no sign
+    change, as when the interval is a single point (n - k = -p).
     """
     p = Fraction(p)
     lo, hi = -p, Fraction(n - k)
     ulo = u_eval(lo, n, k, p)
     uhi = u_eval(hi, n, k, p)
     if not (ulo == -1 and ulo < 0 < uhi):
-        raise ArithmeticError(f"no sign change: u({lo})={ulo}, u({hi})={uhi}")
+        raise ValueError(f"no sign change: u({lo})={ulo}, u({hi})={uhi}")
     while hi - lo > width:
         mid = (lo + hi) / 2
         if u_eval(mid, n, k, p) < 0:

@@ -131,7 +131,11 @@ def _canon(obj):
 
 
 class ReportWriter:
-    """Streams rows; finalizes to a canonical JSON document or CSV table."""
+    """Streams rows; finalizes to a canonical JSON document or CSV table.
+
+    Use it in a with statement: a run that fails closes the stream and
+    leaves the rows written so far on disk for --resume.
+    """
 
     def __init__(self, fmt: str, out: str | None, config: dict, resume: str | None = None):
         self.fmt = fmt
@@ -146,6 +150,13 @@ class ReportWriter:
             self._stream = open(out, "w", encoding="utf-8")
             if fmt == "json":
                 self._stream.write(_canon({"tool_version": __version__, "config": config}) + "\n")
+
+    def __enter__(self) -> "ReportWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._stream:
+            self._stream.close()
 
     def _load_resume(self, path: str) -> None:
         if not os.path.exists(path):
@@ -281,19 +292,19 @@ def cmd_bounds(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     config = {"command": "bounds", "name": args.name, "cells": len(cells)}
-    writer = ReportWriter(args.format, args.out, config, args.resume)
-    for cell in cells:
-        key = _canon(cell)
-        row = writer.lookup(key)
-        if row is None:
-            params = dict(cell)
-            if "weights" in params:
-                params["weights"] = args.weights
-            report = _bounds.evaluate_bound(args.name, **params)
-            row = {"cell": key, **report.to_row()}
-        writer.emit(row)
-    summary = {"rows": len(writer.rows), "status": "pass"}
-    writer.finalize(summary)
+    with ReportWriter(args.format, args.out, config, args.resume) as writer:
+        for cell in cells:
+            key = _canon(cell)
+            row = writer.lookup(key)
+            if row is None:
+                params = dict(cell)
+                if "weights" in params:
+                    params["weights"] = args.weights
+                report = _bounds.evaluate_bound(args.name, **params)
+                row = {"cell": key, **report.to_row()}
+            writer.emit(row)
+        summary = {"rows": len(writer.rows), "status": "pass"}
+        writer.finalize(summary)
     return EXIT_PASS
 
 
@@ -366,21 +377,21 @@ def cmd_search(args) -> int:
         "limit_nodes": args.limit_nodes,
         "warm_start": args.warm_start,
     }
-    writer = ReportWriter(args.format, args.out, config, args.resume)
-    pending = [c for c in cells if writer.lookup(c["key"]) is None]
-    results = iter(_run_cells(pending, _search_one, args.jobs))
     exit_code = EXIT_PASS
-    for cell in cells:
-        row = writer.lookup(cell["key"])
-        if row is None:
-            row = next(results)
-        writer.emit(row)
-        if row["status"] == "VIOLATION":
-            exit_code = max(exit_code, EXIT_VIOLATION)
-        elif row["status"] == "incomplete":
-            exit_code = max(exit_code, EXIT_LIMIT)
-    bad = sum(r["status"] != "ok" for r in writer.rows)
-    writer.finalize({"rows": len(writer.rows), "violations": bad, "status": "pass" if bad == 0 else "fail"})
+    with ReportWriter(args.format, args.out, config, args.resume) as writer:
+        pending = [c for c in cells if writer.lookup(c["key"]) is None]
+        results = iter(_run_cells(pending, _search_one, args.jobs))
+        for cell in cells:
+            row = writer.lookup(cell["key"])
+            if row is None:
+                row = next(results)
+            writer.emit(row)
+            if row["status"] == "VIOLATION":
+                exit_code = max(exit_code, EXIT_VIOLATION)
+            elif row["status"] == "incomplete":
+                exit_code = max(exit_code, EXIT_LIMIT)
+        bad = sum(r["status"] != "ok" for r in writer.rows)
+        writer.finalize({"rows": len(writer.rows), "violations": bad, "status": "pass" if bad == 0 else "fail"})
     return exit_code
 
 
@@ -401,27 +412,27 @@ def cmd_verify(args) -> int:
         "seed": seed if needs_seed else None,
         "trials": args.trials,
     }
-    writer = ReportWriter(args.format, args.out, config, args.resume)
     total_viol = 0
-    for name in names:
-        key = _canon({"suite": name})
-        row = writer.lookup(key)
-        if row is None:
-            report = run_suite(name, trials=args.trials, seed=seed, limit_nodes=args.limit_nodes)
-            summary = report["summary"]
-            row = {"cell": key, "suite": name, "summary": summary, "status": summary["status"]}
-            if summary["status"] != "pass" or args.suite != "all":
-                row["rows"] = report["rows"]
-        else:
-            summary = row.get("summary")
-            valid = isinstance(summary, dict) and "status" in summary and _is_int(summary.get("violations", 0))
-            if not valid:
-                raise ValueError(f"resumed row of suite {name!r} has no summary with a status")
-        writer.emit(row)
-        total_viol += summary.get("violations", 0)
-        print(f"[verify] {name}: {summary['status']} ({_canon(summary)})", file=sys.stderr)
-    status = "pass" if total_viol == 0 else "fail"
-    writer.finalize({"suites": len(names), "violations": total_viol, "status": status})
+    with ReportWriter(args.format, args.out, config, args.resume) as writer:
+        for name in names:
+            key = _canon({"suite": name})
+            row = writer.lookup(key)
+            if row is None:
+                report = run_suite(name, trials=args.trials, seed=seed, limit_nodes=args.limit_nodes)
+                summary = report["summary"]
+                row = {"cell": key, "suite": name, "summary": summary, "status": summary["status"]}
+                if summary["status"] != "pass" or args.suite != "all":
+                    row["rows"] = report["rows"]
+            else:
+                summary = row.get("summary")
+                valid = isinstance(summary, dict) and "status" in summary
+                if not valid or not _is_int(summary.get("violations", 0)):
+                    raise ValueError(f"resumed row of suite {name!r} has no summary with a status")
+            writer.emit(row)
+            total_viol += summary.get("violations", 0)
+            print(f"[verify] {name}: {summary['status']} ({_canon(summary)})", file=sys.stderr)
+        status = "pass" if total_viol == 0 else "fail"
+        writer.finalize({"suites": len(names), "violations": total_viol, "status": status})
     return EXIT_PASS if status == "pass" else EXIT_VIOLATION
 
 

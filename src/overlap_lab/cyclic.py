@@ -14,13 +14,15 @@ chain builds no `Chain`, `Family` or `Fraction`.
 """
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import or_
-from typing import Sequence
+from operator import itemgetter, or_
+from typing import Callable, Sequence
 
 from .bounds import integer_weights, thm4_threshold, weight_vector
 from .combinatorics import binom, colex_rank, iter_bits, mask_from_elements, validate_kset
@@ -322,34 +324,69 @@ def case2_replay(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# random partitions at n = (s+1)k
+# sampled bounds on random matchings
 # ---------------------------------------------------------------------------
 
-def _entry_levels(chain: Chain, ws: Sequence[Fraction]) -> tuple[dict[int, int], list[int], int]:
-    """Each member's entry level, the integer tail sums of the weights, and their scale L.
+def random_matching(n: int, k: int, rng: random.Random) -> list[int]:
+    """t = floor(n/k) disjoint k-sets: consecutive blocks of k of a shuffled [n].
 
-    The chain is nested, so a k-set lies in B_j exactly when j is at least
-    its entry level.  With the weights scaled to integers iw by L,
-    tail[j] = iw[j] + ... + iw[s] is L times the weight of a set entering
-    at level j; tail[s+1] = 0 is that of a non-member.
+    When k divides n the blocks are a uniform random ordered partition of [n].
     """
+    pool = [1 << i for i in range(n)]  # element i + 1 as a one-bit mask
+    rng.shuffle(pool)  # its draws depend only on len(pool)
+    t = n // k
+    # the bits of a block are distinct, so their sum is their union
+    return [sum(pool[i * k : (i + 1) * k]) for i in range(t)]
+
+
+def _sample_matchings(
+    chain: Chain, ws: Sequence[Fraction], cap: Fraction | None, trials: int, seed: int, key: Callable
+) -> tuple[list[dict], str, str, float, str, Counter]:
+    """The trial loop of the sampled bounds: `trials` random matchings, drawn from `seed`.
+
+    The caller has rechecked that the chain is overlapping, each harness in
+    its own order of checks.  A trial weighs the sum over its t blocks of
+    the weights of the families holding them; trials above cap (None for no
+    cap) are listed as violations.  Each block is marginally uniform over
+    the k-sets, so the mean is compared, with a z-score, against
+    t * sum_j w_j |B_j| / C(n,k).  Returns the report's violations, mean,
+    exact expectation, z-score and max_observed, and the number of trials
+    per key(levels), levels being the blocks' entry levels (s+1 for none).
+    """
+    n, k, s = chain.n, chain.k, chain.s
+    expectation = Fraction(n // k * sum(w * len(f) for w, f in zip(ws, chain.families)), binom(n, k))
+
+    # in integers: every weight below is L times the true one.  The chain is
+    # nested, so a k-set lies in B_j exactly when j is at least its entry
+    # level; tail[j] = iw[j] + ... + iw[s] is the weight of a set entering at
+    # j, and tail[s+1] = 0 that of a non-member
     level: dict[int, int] = {}
     for j, fam in enumerate(chain.families):
         for mask in fam.members():
             level.setdefault(mask, j)
     iw, scale = integer_weights(ws)
     tail = list(accumulate(reversed(iw)))[::-1] + [0]
-    return level, tail, scale
+    limit = math.inf if cap is None else int(cap * scale)
+    absent = s + 1
+    rng = random.Random(seed)
+    violations = []
+    counts: Counter = Counter()
+    total = total_sq = max_weight = 0
+    for trial in range(trials):
+        levels = [level.get(mask, absent) for mask in random_matching(n, k, rng)]
+        weight = sum([tail[j] for j in levels])  # a list sums faster than a generator
+        if weight > limit:
+            violations.append({"trial": trial, "weight": str(Fraction(weight, scale))})
+        counts[key(levels)] += 1
+        total += weight
+        total_sq += weight * weight
+        max_weight = max(max_weight, weight)
 
-
-def _mean_z_score(
-    total: Fraction, total_sq: Fraction, trials: int, expectation: Fraction
-) -> tuple[Fraction, float]:
-    """Mean of `trials` samples with sum `total` and sum of squares `total_sq`, and its z-score."""
-    mean = total / trials if trials else Fraction(0)
-    var = total_sq / trials - mean * mean if trials else Fraction(0)
+    mean = Fraction(total, scale * trials) if trials else Fraction(0)
+    var = Fraction(total_sq, scale * scale * trials) - mean * mean if trials else Fraction(0)
     sigma_mean = float(var) ** 0.5 / trials**0.5 if trials else 0.0
-    return mean, float(mean - expectation) / sigma_mean if sigma_mean else 0.0
+    z = float(mean - expectation) / sigma_mean if sigma_mean else 0.0
+    return violations, str(mean), str(expectation), z, str(Fraction(max_weight, scale)), counts
 
 
 def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: int) -> dict:
@@ -366,69 +403,31 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
         raise ValueError(f"partition bound needs n = (s+1)k, got n={n}")
     if not is_overlapping(chain):
         raise ValueError("chain is not overlapping")
-
     cap = s * sum(ws)
-    expectation = sum(
-        (w * len(f) for w, f in zip(ws, chain.families)), Fraction(0)
-    ) * Fraction(s + 1, binom(n, k))
-
-    # in integers: every weight below is L times the true one
-    level, tail, scale = _entry_levels(chain, ws)
-    absent = s + 1
+    violations, mean, expectation, z, max_observed, patterns = _sample_matchings(
+        chain, ws, cap, trials, seed, tuple
+    )
+    # block i meets exactly the families from its entry level up, so the
+    # incidence graph, and hence its cover, depends on the levels alone
     full = (1 << (s + 1)) - 1
-    rng = random.Random(seed)
-    violations = []
     cover_violations = 0
-    cover_sizes: dict[tuple[int, ...], int] = {}
-    total = total_sq = max_weight = 0
-    for trial in range(trials):
-        blocks = random_matching(n, k, rng)  # at n = (s+1)k, a partition of [n]
-        levels = tuple(level.get(mask, absent) for mask in blocks)
-        weight = sum(tail[j] for j in levels)
-        # block i meets exactly the families from its entry level up, so the
-        # incidence graph, and hence its cover, depends on the levels alone
-        cover = cover_sizes.get(levels)
-        if cover is None:
-            adj = tuple(full >> j << j for j in levels)
-            lefts, rights = min_vertex_cover(BipartiteGraph(tuple(blocks), tuple(range(s + 1)), adj))
-            cover = cover_sizes[levels] = len(lefts) + len(rights)
-        if cover > s:
-            cover_violations += 1
-        if weight > s * tail[0]:
-            violations.append({"trial": trial, "weight": str(Fraction(weight, scale))})
-        total += weight
-        total_sq += weight * weight
-        max_weight = max(max_weight, weight)
-
-    mean, z = _mean_z_score(Fraction(total, scale), Fraction(total_sq, scale * scale), trials, expectation)
+    for levels, count in patterns.items():
+        adj = tuple(full >> j << j for j in levels)
+        lefts, rights = min_vertex_cover(BipartiteGraph(levels, tuple(range(s + 1)), adj))
+        if len(lefts) + len(rights) > s:
+            cover_violations += count
     return {
         "seed": seed,
         "trials": trials,
         "violations": violations,
         "cover_size_violations": cover_violations,
         "per_partition_cap": str(cap),
-        "mean": str(mean),
-        "exact_expectation": str(expectation),
+        "mean": mean,
+        "exact_expectation": expectation,
         "z_score": z,
-        "max_observed": str(Fraction(max_weight, scale)),
+        "max_observed": max_observed,
         "status": "pass" if not violations and not cover_violations and abs(z) <= 3 else "fail",
     }
-
-
-# ---------------------------------------------------------------------------
-# random matchings for general n
-# ---------------------------------------------------------------------------
-
-def random_matching(n: int, k: int, rng: random.Random) -> list[int]:
-    """t = floor(n/k) disjoint k-sets: consecutive blocks of k of a shuffled [n].
-
-    When k divides n the blocks are a uniform random ordered partition of [n].
-    """
-    pool = [1 << i for i in range(n)]  # element i + 1 as a one-bit mask
-    rng.shuffle(pool)  # its draws depend only on len(pool)
-    t = n // k
-    # the bits of a block are distinct, so their sum is their union
-    return [sum(pool[i * k : (i + 1) * k]) for i in range(t)]
 
 
 def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, seed: int) -> dict:
@@ -443,39 +442,17 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
     ws = weight_vector(weights, s + 1)
     if not is_overlapping(chain):
         raise ValueError("chain is not overlapping")
-
-    t = n // k
     threshold = thm4_threshold(k, ws)
     bound_applies = n >= threshold
-    cap = t * sum(ws[1:], Fraction(0))
-    total_sets = binom(n, k)
-    # each of the t blocks is marginally uniform over C([n], k)
-    expectation = sum(
-        (t * w * Fraction(len(f), total_sets) for w, f in zip(ws, chain.families)),
-        Fraction(0),
+    cap = n // k * sum(ws[1:], Fraction(0))
+    violations, mean, expectation, mean_z, max_observed, first_levels = _sample_matchings(
+        chain, ws, cap if bound_applies else None, trials, seed, itemgetter(0)
     )
-
-    # in integers: every weight below is L times the true one
-    level, tail, scale = _entry_levels(chain, ws)
-    absent = s + 1
-    rng = random.Random(seed)
-    violations = []
-    first_entries = [0] * (s + 2)  # trials whose first block enters at level j
-    total = total_sq = max_weight = 0
-    for trial in range(trials):
-        blocks = random_matching(n, k, rng)
-        weight = sum(tail[level.get(mask, absent)] for mask in blocks)
-        first_entries[level.get(blocks[0], absent)] += 1
-        if bound_applies and weight > t * tail[1]:
-            violations.append({"trial": trial, "weight": str(Fraction(weight, scale))})
-        total += weight
-        total_sq += weight * weight
-        max_weight = max(max_weight, weight)
-    hits = list(accumulate(first_entries[:absent]))
+    hits = list(accumulate(first_levels[j] for j in range(s + 1)))
 
     freq_rows = []
     for j, fam in enumerate(chain.families):
-        expected = Fraction(len(fam), total_sets)
+        expected = Fraction(len(fam), binom(n, k))
         observed = Fraction(hits[j], trials) if trials else Fraction(0)
         p = float(expected)
         sigma = (p * (1 - p) / trials) ** 0.5 if trials and 0 < p < 1 else 0.0
@@ -489,7 +466,6 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
             }
         )
     freq_ok = all(abs(row["z_score"]) <= 3 for row in freq_rows)
-    mean, mean_z = _mean_z_score(Fraction(total, scale), Fraction(total_sq, scale * scale), trials, expectation)
     return {
         "seed": seed,
         "trials": trials,
@@ -497,10 +473,10 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
         "threshold_n": threshold,
         "cap": str(cap),
         "violations": violations,
-        "mean": str(mean),
-        "exact_expectation": str(expectation),
+        "mean": mean,
+        "exact_expectation": expectation,
         "mean_z_score": mean_z,
-        "max_observed": str(Fraction(max_weight, scale)),
+        "max_observed": max_observed,
         "membership": freq_rows,
         "status": "pass" if not violations and freq_ok and abs(mean_z) <= 3 else "fail",
     }

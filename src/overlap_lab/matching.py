@@ -13,7 +13,6 @@ plain augmenting paths with the alternating-reachability minimum cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -182,7 +181,6 @@ class BipartiteGraph:
     left: tuple
     right: tuple
     adj: tuple[int, ...]
-    right_weights: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.adj) != len(self.left):
@@ -191,8 +189,6 @@ class BipartiteGraph:
         for row in self.adj:
             if row < 0 or row >> nr:
                 raise ValueError("edge endpoints outside right side")
-        if self.right_weights is not None and len(self.right_weights) != nr:
-            raise ValueError("right_weights length must match right side")
 
 
 def max_bipartite_matching(g: BipartiteGraph) -> tuple[tuple[int, int], ...]:

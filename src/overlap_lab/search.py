@@ -19,8 +19,10 @@ Two independent routes compute the same optimum:
   cells of perfbench's shifted workload, against 24 686 at one per member).
 
 Both ask the rainbow question through matching.rainbow over the cached
-matching.disjointness table, and share nothing else.  Agreement of the two
-on every co-runnable instance is a tested invariant, not an assumption.
+matching.disjointness table, and both open and close in _solver_frame
+(weights, warm start, revalidated record); they share nothing else.
+Agreement of the two on every co-runnable instance is a tested invariant,
+not an assumption.
 Witness tie-breaking is deterministic: smallest total cardinality first,
 then the lexicographically least entry-level sequence read in colex order.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import bounds as _bounds
 from .combinatorics import binom, iter_bits
@@ -114,20 +116,44 @@ def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fracti
     return best_val, best_kind
 
 
-def _check_k(k: int) -> None:
-    # at k = 0 the empty set misses itself, so one set can fill every
-    # index of a rainbow matching and the solvers' arguments fail
+def _solver_frame(
+    solver: str, n: int, k: int, s: int, weights: Sequence, warm_start: bool, m: int | None
+) -> tuple[tuple[int, ...], int, int, Callable[..., ExtremalRecord]]:
+    """The set-up and finish both solvers share: (iw, lead0, incumbent, finish).
+
+    Rejects k < 1 (at k = 0 the empty set misses itself, so one set can fill
+    every index of a rainbow matching and the solvers' arguments fail) and
+    invalid weights.  iw are the weights scaled to integers by L, lead0 is
+    the first level of positive weight, and the incumbent is L times the
+    best construction's value (-1 without a warm start).
+    finish(best_val, best_chain, nodes) returns the ExtremalRecord of
+    optimum best_val / L, with the witness chain of bitsets revalidated.
+    """
+    t0 = time.perf_counter()
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    ws = _bounds.solver_weights(weights, s + 1)
+    iw, scale = _bounds.integer_weights(ws)
+    incumbent = -1
+    if warm_start:
+        warm = best_construction(n, k, s, ws)[0] * scale
+        assert warm.denominator == 1, "warm-start value is not a multiple of 1/L"
+        incumbent = warm.numerator
 
+    def finish(best_val: int, best_chain: Sequence[int] | None, nodes: int) -> ExtremalRecord:
+        if best_chain is None:
+            # cannot happen: the warm value comes from a feasible chain in the search space
+            raise AssertionError("search completed without a witness")
+        witness = Chain(tuple(Family(n, k, b) for b in best_chain))
+        optimum = Fraction(best_val, scale)
+        record = ExtremalRecord(n, k, s, ws, optimum, witness, solver, nodes, time.perf_counter() - t0, m)
+        if not is_overlapping(witness):
+            raise AssertionError("solver returned a non-overlapping witness")
+        if witness.weighted_value(ws) != optimum:
+            raise AssertionError("witness value does not match reported optimum")
+        return record
 
-def _validated_record(record: ExtremalRecord) -> ExtremalRecord:
-    chain = record.witness
-    if not is_overlapping(chain):
-        raise AssertionError("solver returned a non-overlapping witness")
-    if chain.weighted_value(record.weights) != record.optimum:
-        raise AssertionError("witness value does not match reported optimum")
-    return record
+    return iw, next(j for j, w in enumerate(iw) if w), incumbent, finish
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +191,7 @@ def oracle_f(
     88 583 (about 0.4 s); with the warm start as the only prune they took
     453 974 and 12.1 M nodes (0.75 and 22 s on a 2-core host, Python 3.11).
     """
-    t0 = time.perf_counter()
-    _check_k(k)
-    ws = _bounds.solver_weights(weights, s + 1)
+    iw, lead0, best_val, finish = _solver_frame("oracle", n, k, s, weights, warm_start, m)
     capacity = binom(n, k)
     raw = (s + 2) ** capacity
     if raw > limit_candidates:
@@ -175,29 +199,20 @@ def oracle_f(
             f"oracle space (s+2)^C(n,k) = {raw} exceeds guard {limit_candidates}"
         )
     disj = disjointness(n, k)
-    iw, scale = _bounds.integer_weights(ws)
     # contrib[lvl]: value of a set entering at lvl; s+1 is never
     contrib = [sum(iw[lvl:]) for lvl in range(s + 2)]
     # tie_card[lvl]: least cardinality of an entry level worth contrib[lvl]
     tie_card = [
         s + 1 - max(t for t in range(lvl, s + 2) if contrib[t] == contrib[lvl]) for lvl in range(s + 2)
     ]
-    lead0 = 0
-    while lead0 <= s and ws[lead0] == 0:
-        lead0 += 1
     # entry levels below lead0 add cardinality but no value: dominated, skip;
     # at s = 0 the other indices match vacuously, so a lone family stays empty
     first = lead0 if s else s + 1
     cap = [first] * capacity
 
     fam_bits = [0] * (s + 1)
-    best_val = -1
     best_card: int | None = None
     best_chain: tuple[int, ...] | None = None
-    if warm_start:
-        warm = best_construction(n, k, s, ws)[0] * scale
-        assert warm.denominator == 1, "warm-start value is not a multiple of 1/L"
-        best_val = warm.numerator
     nodes = 0
 
     def explore(pos: int, val: int, card: int, rest_val: int, rest_card: int) -> None:
@@ -262,15 +277,7 @@ def oracle_f(
         explore(pos + 1, val, card, rest_val, rest_card)
 
     explore(0, 0, 0, capacity * contrib[first], capacity * tie_card[first])
-    if best_chain is None:
-        # warm value was optimal but ties were never completed; cannot happen
-        # because the warm value comes from a feasible chain in the search space
-        raise AssertionError("search completed without a witness")
-    witness = Chain(tuple(Family(n, k, b) for b in best_chain))
-    record = ExtremalRecord(
-        n, k, s, ws, Fraction(best_val, scale), witness, "oracle", nodes, time.perf_counter() - t0, m
-    )
-    return _validated_record(record)
+    return finish(best_val, best_chain, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -343,28 +350,17 @@ def exact_f_shifted(
     preserve the optimum); that equality is enforced by tests rather than
     assumed here.
     """
-    t0 = time.perf_counter()
-    _check_k(k)
-    ws = _bounds.solver_weights(weights, s + 1)
+    iw, lead0, best_val, finish = _solver_frame("shifted", n, k, s, weights, warm_start, m)
     capacity = binom(n, k)
     downs = downset_bitsets(n, k, limit_downsets)
     by_size = sorted(downs, key=lambda d: (-d.bit_count(), d))
     disj = disjointness(n, k)
     ups = poset_upsets(n, k)
-    lead0 = 0
-    while lead0 <= s and ws[lead0] == 0:
-        lead0 += 1
-    iw, scale = _bounds.integer_weights(ws)
     prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]
 
-    best_val = -1
     best_card: int | None = None
     best_key: tuple[int, ...] | None = None
     best_chain: tuple[int, ...] | None = None
-    if warm_start:
-        warm = best_construction(n, k, s, ws)[0] * scale
-        assert warm.denominator == 1, "warm-start value is not a multiple of 1/L"
-        best_val = warm.numerator
     nodes = 0
     chain_bits = [0] * (s + 1)
 
@@ -423,13 +419,7 @@ def exact_f_shifted(
         chain_bits[j] = 0
 
     descend(s, 0, 0)
-    if best_chain is None:
-        raise AssertionError("search completed without a witness")
-    witness = Chain(tuple(Family(n, k, b) for b in best_chain))
-    record = ExtremalRecord(
-        n, k, s, ws, Fraction(best_val, scale), witness, "shifted", nodes, time.perf_counter() - t0, m
-    )
-    return _validated_record(record)
+    return finish(best_val, best_chain, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +454,15 @@ def max_min_overlapping(n: int, k: int, s: int, limit_downsets: int = 10**7) -> 
     return best_size, fam
 
 
-def hunt_conjectures(name: str, grid: dict | None = None, *, limit_nodes: int | None = None) -> dict:
-    """Search solver-feasible grids for counterexamples to the conjectured values.
+def hunt_conjectures(name: str, grid: dict, *, limit_nodes: int | None = None) -> dict:
+    """Search the cells grid["cells"] for counterexamples to the conjectured values.
 
     conj1 compares the solver optimum for weights (p,1,...,1) against the
     three-term candidate maximum; conj2 maximizes min_i |B_i| over
     overlapping chains and compares against its conjectured cap.  Any
-    counterexample row carries the witness chain verbatim.  The cells are
-    grid["cells"], or the suite's own in suites.SUITES.
+    counterexample row carries the witness chain verbatim.
     """
-    cells = (grid or {}).get("cells")
-    if cells is None:
-        from .suites import SUITES  # imported here: the suites module imports this one
-
-        cells = SUITES[name].cells
+    cells = grid["cells"]
     rows: list[dict] = []
     if name == "conj1":
         for n, k, s, p in cells:

@@ -23,6 +23,7 @@ from overlap_lab.bounds import (
     u_zero,
     weight_vector,
 )
+from overlap_lab.cli import main
 from overlap_lab.combinatorics import binom
 from overlap_lab.family import Family
 from overlap_lab.matching import matching_number
@@ -134,6 +135,16 @@ def test_u_zero_bracket():
     assert lo <= root <= hi
     assert hi - lo <= Fraction(1, 2**20)
     assert u_eval(lo, 10, 1, 4) < 0 <= u_eval(hi, 10, 1, 4)
+
+
+@pytest.mark.parametrize("n, k, p", [(2, 3, 1), (4, 2, -2)])
+def test_u_zero_without_sign_change_is_usage_error(n, k, p, capsys):
+    # [-p, n-k] is the single point -p, where u = -1: nothing to bracket
+    with pytest.raises(ValueError, match="no sign change"):
+        u_zero(n, k, p)
+    argv = ["bounds", "--name", "u-zero", "--n", str(n), "--k", str(k), "--p", str(p)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: no sign change")
 
 
 def test_thm2_values():

@@ -289,6 +289,17 @@ def test_search_rejects_k_zero(solver, tmp_path, capsys):
     assert capsys.readouterr().err == "error: k must be at least 1, got 0\n"
 
 
+def test_limit_stopped_run_keeps_header_for_resume(tmp_path, capsys):
+    # the run stops at its first solver call; an unclosed --out stream would fail
+    # this test through the ResourceWarning filter in pyproject.toml
+    out = tmp_path / "out.json"
+    assert main(["verify", "--suite", "thm1", "--limit-nodes", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("resource limit: ")
+    (header,) = map(json.loads, out.read_text().splitlines())
+    assert header["config"]["suite"] == "thm1"
+    assert main(["verify", "--suite", "thm1", "--resume", str(out), "--out", str(tmp_path / "done.json")]) == 0
+
+
 def test_limit_validation():
     assert main(["search", "--n", "4", "--k", "2", "--weights", "1,1", "--jobs", "0"]) == 2
     assert main(["verify", "--suite", "bde", "--trials", "-3"]) == 2

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -264,5 +263,3 @@ def test_min_cover_against_brute():
 def test_graph_validation():
     with pytest.raises(ValueError):
         BipartiteGraph((0,), (0,), (0b10,))
-    with pytest.raises(ValueError):
-        BipartiteGraph((0,), (0, 1), (0b01,), (Fraction(1),))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member
+from overlap_lab import search
 from overlap_lab.bounds import conj1_value, conj2_bound, thm2_value, thm3_value, thm4_value
 from overlap_lab.combinatorics import binom
 from overlap_lab.family import DownsetLimitError, downset_bitsets, poset_upsets, reduce_to_weighted
@@ -68,6 +69,15 @@ def test_solvers_reject_k_zero():
         for warm_start in (True, False):
             with pytest.raises(ValueError, match="k must be at least 1"):
                 solver(3, 0, 1, (3, 1), warm_start=warm_start)
+
+
+@pytest.mark.parametrize("solver", [oracle_f, exact_f_shifted])
+def test_solvers_revalidate_witness(solver, monkeypatch):
+    # a kernel that never finds a rainbow matching lets a search keep every
+    # k-set; the witness recheck runs through matching's own kernel and refuses it
+    monkeypatch.setattr(search, "rainbow", lambda *args: False)
+    with pytest.raises(AssertionError, match="non-overlapping witness"):
+        solver(4, 2, 1, (1, 1))
 
 
 def test_solvers_match_raw_enumeration():
@@ -368,7 +378,7 @@ def test_hunt_conjectures_subgrids():
     rep = hunt_conjectures("conj2", {"cells": [(6, 2, 1), (6, 2, 2), (9, 3, 2)]})
     assert rep["summary"]["violations"] == 0
     with pytest.raises(KeyError):
-        hunt_conjectures("conj3")
+        hunt_conjectures("conj3", {"cells": [(6, 2, 1)]})
 
 
 def test_oracle_witness_minimizes_cardinality_then_levels():
