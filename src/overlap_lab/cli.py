@@ -19,17 +19,24 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import __version__
 from . import bounds as _bounds
 from . import search as _search
-from .family import DownsetLimitError, reduce_to_weighted
+from .family import DOWNSET_LIMIT_DEFAULT, DownsetLimitError, reduce_to_weighted
 from .suites import SUITES, run_suite
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+
+# what a solver or the downset walk raises when it stops at a resource limit
+LIMIT_ERRORS = (_search.NodeLimitError, DownsetLimitError, _search.InstanceTooLargeError)
+
+# the grid axes of `bounds`; a formula reads those among them in its params
+BOUNDS_AXES = ("n", "k", "m", "p", "s", "i", "l")
 
 # ---------------------------------------------------------------------------
 # argument parsing
@@ -90,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="evaluate a named formula over a grid")
     add_report(p_bounds)
     p_bounds.add_argument("--name", required=True, choices=sorted(_bounds.FORMULAS))
-    for flag in ("--n", "--k", "--m", "--p", "--s", "--i", "--l"):
-        p_bounds.add_argument(flag, type=_range_arg)
+    for axis in BOUNDS_AXES:
+        p_bounds.add_argument(f"--{axis}", type=_range_arg)
     p_bounds.add_argument("--weights", type=_weights_arg)
 
     p_search = sub.add_parser("search", help="exact extremal search over a grid")
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--solver", choices=("oracle", "shifted", "both"), default="shifted")
     p_search.add_argument("--jobs", type=int, default=1, help="parallel workers for grid cells")
     p_search.add_argument("--limit-nodes", type=int, default=None)
-    p_search.add_argument("--limit-downsets", type=int, default=10**7)
+    p_search.add_argument("--limit-downsets", type=int, help="shifted solver only")
     p_search.add_argument("--warm-start", choices=("on", "off"), default="on")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
@@ -273,24 +280,17 @@ def _bounds_cells(args) -> list[dict]:
     spec = _bounds.FORMULAS[args.name]
     cells = [{}]
     for pname in spec.params:
-        if pname == "weights":
-            if args.weights is None:
-                raise ValueError(f"formula {args.name!r} needs --weights")
-            cells = [dict(c, weights=[str(w) for w in args.weights]) for c in cells]
-            continue
-        values = getattr(args, pname, None)
+        values = getattr(args, pname)
         if values is None:
             raise ValueError(f"formula {args.name!r} needs --{pname}")
+        if pname == "weights":
+            values = [[str(w) for w in values]]  # one vector, not an axis
         cells = [dict(c, **{pname: v}) for c in cells for v in values]
     return cells
 
 
 def cmd_bounds(args) -> int:
-    try:
-        cells = _bounds_cells(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    cells = _bounds_cells(args)
     config = {"command": "bounds", "name": args.name, "cells": len(cells)}
     with ReportWriter(args.format, args.out, config, args.resume) as writer:
         for cell in cells:
@@ -316,24 +316,19 @@ def _search_one(cell: dict) -> dict:
     n, k, s, weights = cell["n"], cell["k"], cell["s"], cell["weights"]
     kwargs = {"limit_nodes": cell["limit_nodes"], "warm_start": cell["warm_start"]}
     out = {"cell": cell["key"], "n": n, "k": k, "s": s, "weights": weights}
-    if cell.get("m") is not None:
+    if cell["m"] is not None:
         out["m"] = cell["m"]
     try:
         if cell["solver"] in ("oracle", "both"):
-            rec_o = _search.oracle_f(n, k, s, weights, **kwargs)
-            out["oracle"] = rec_o.to_dict()
+            out["oracle"] = _search.oracle_f(n, k, s, weights, **kwargs).to_dict()
         if cell["solver"] in ("shifted", "both"):
-            rec_s = _search.exact_f_shifted(n, k, s, weights, limit_downsets=cell["limit_downsets"], **kwargs)
-            out["shifted"] = rec_s.to_dict()
+            limit = cell["limit_downsets"]
+            out["shifted"] = _search.exact_f_shifted(n, k, s, weights, limit_downsets=limit, **kwargs).to_dict()
         if cell["solver"] == "both":
-            agree = out["oracle"]["optimum"] == out["shifted"]["optimum"]
-            out["solvers_agree"] = agree
-            out["status"] = "ok" if agree else "VIOLATION"
-        else:
-            out["status"] = "ok"
-        rec = out.get("shifted") or out.get("oracle")
-        out["optimum"] = rec["optimum"]
-    except (_search.NodeLimitError, DownsetLimitError, _search.InstanceTooLargeError) as exc:
+            out["solvers_agree"] = out["oracle"]["optimum"] == out["shifted"]["optimum"]
+        out["status"] = "ok" if out.get("solvers_agree", True) else "VIOLATION"
+        out["optimum"] = (out.get("shifted") or out["oracle"])["optimum"]
+    except LIMIT_ERRORS as exc:
         out["status"] = "incomplete"
         out["error"] = str(exc)
     return out
@@ -341,35 +336,26 @@ def _search_one(cell: dict) -> dict:
 
 def cmd_search(args) -> int:
     if args.weights is None and args.m is None:
-        print("search needs --weights or --m", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("search needs --weights or --m")
     if args.weights is not None and args.m is not None:
-        print("--weights and --m are mutually exclusive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--weights and --m are mutually exclusive")
+    if args.m is not None:
+        vectors = [(s, m, reduce_to_weighted(m, s)) for s in args.s or [1] for m in args.m]
+    else:
+        s = len(args.weights) - 1
+        if args.s and args.s != [s]:
+            raise ValueError("--s must match the weight vector length minus one")
+        vectors = [(s, None, args.weights)]
+    run = {
+        "solver": args.solver,
+        "limit_nodes": args.limit_nodes,
+        "limit_downsets": DOWNSET_LIMIT_DEFAULT if args.limit_downsets is None else args.limit_downsets,
+        "warm_start": args.warm_start == "on",
+    }
     cells = []
-    for n in args.n:
-        for k in args.k:
-            if args.m is not None:
-                for s in args.s or [1]:
-                    for m in args.m:
-                        try:
-                            weights = reduce_to_weighted(m, s)
-                        except ValueError as exc:
-                            print(str(exc), file=sys.stderr)
-                            return EXIT_USAGE
-                        cells.append({"n": n, "k": k, "s": s, "m": m, "weights": [str(w) for w in weights]})
-            else:
-                s = len(args.weights) - 1
-                if args.s and args.s != [s]:
-                    print("--s must match the weight vector length minus one", file=sys.stderr)
-                    return EXIT_USAGE
-                cells.append({"n": n, "k": k, "s": s, "m": None, "weights": [str(w) for w in args.weights]})
-    for cell in cells:
-        cell["key"] = _canon({p: cell[p] for p in ("n", "k", "s", "m", "weights")})
-        cell["solver"] = args.solver
-        cell["limit_nodes"] = args.limit_nodes
-        cell["limit_downsets"] = args.limit_downsets
-        cell["warm_start"] = args.warm_start == "on"
+    for n, k, (s, m, ws) in product(args.n, args.k, vectors):
+        grid = {"n": n, "k": k, "s": s, "m": m, "weights": [str(w) for w in ws]}
+        cells.append({**grid, "key": _canon(grid), **run})
     config = {
         "command": "search",
         "solver": args.solver,
@@ -403,8 +389,7 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     needs_seed = any(SUITES[name].trials is not None for name in names)
     if args.ci and needs_seed and args.seed is None:
-        print("--ci requires an explicit --seed for randomized suites", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--ci requires an explicit --seed for randomized suites")
     seed = args.seed if args.seed is not None else 0
     config = {
         "command": "verify",
@@ -488,8 +473,7 @@ def cmd_matching(args) -> int:
     from .matching import is_overlapping, matching_number, rainbow_matching_number
 
     if bool(args.family) == bool(args.chain):
-        print("matching needs exactly one of --family or --chain", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("matching needs exactly one of --family or --chain")
     if args.family:
         fam = family_from_dict(_load_input(args.family, "family"))
         out = {
@@ -512,27 +496,43 @@ def cmd_matching(args) -> int:
     return EXIT_PASS
 
 
-def _validate_limits(args) -> str | None:
-    if getattr(args, "jobs", 1) < 1:
-        return "--jobs must be positive"
-    if getattr(args, "limit_nodes", None) is not None and args.limit_nodes < 1:
-        return "--limit-nodes must be positive"
-    if getattr(args, "limit_downsets", 1) < 1:
-        return "--limit-downsets must be positive"
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        return "--trials must be positive"
-    return None
+def _validate_limits(args) -> None:
+    """Refuse a count flag below 1."""
+    for name in ("jobs", "limit_nodes", "limit_downsets", "trials"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be positive")
 
 
-def _unhonoured_verify_flag(args) -> str | None:
-    """The first of --trials, --seed, --limit-nodes that no selected suite reads."""
-    suites = list(SUITES.values()) if args.suite == "all" else [SUITES[args.suite]]
-    randomized = any(suite.trials is not None for suite in suites)
-    solves = any(suite.runs_solver for suite in suites)
-    for flag, read in (("trials", randomized), ("seed", randomized), ("limit_nodes", solves)):
+def _unread_flag(args) -> str | None:
+    """The first flag given that the selection does not read, as a message.
+
+    verify's --trials and --seed are read by randomized suites and
+    --limit-nodes by suites that solve; bounds reads the axes its formula
+    takes; search reads --limit-downsets only for the shifted solver.
+    """
+    if args.command == "verify":
+        suites = list(SUITES.values()) if args.suite == "all" else [SUITES[args.suite]]
+        randomized = any(suite.trials is not None for suite in suites)
+        solves = any(suite.runs_solver for suite in suites)
+        reads = {"trials": randomized, "seed": randomized, "limit_nodes": solves}
+        selection = f"suite {args.suite!r}"
+    elif args.command == "bounds":
+        params = _bounds.FORMULAS[args.name].params
+        reads = {flag: flag in params for flag in (*BOUNDS_AXES, "weights")}
+        selection = f"formula {args.name!r}"
+    elif args.command == "search":
+        reads = {"limit_downsets": args.solver != "oracle"}
+        selection = "--solver oracle"
+    else:
+        return None
+    for flag, read in reads.items():
         if getattr(args, flag) is not None and not read:
-            return f"--{flag.replace('_', '-')} is not read by suite {args.suite!r}"
+            return f"--{flag.replace('_', '-')} is not read by {selection}"
     return None
+
+
+COMMANDS = {"bounds": cmd_bounds, "search": cmd_search, "verify": cmd_verify, "matching": cmd_matching}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -540,30 +540,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "resume", None) and args.format == "csv":
         parser.error("--resume reads the json stream; it cannot be combined with --format csv")
-    problem = _validate_limits(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "verify":
-        problem = _unhonoured_verify_flag(args)
+    try:
+        _validate_limits(args)
+        problem = _unread_flag(args)
         if problem:
             parser.error(problem)
-    try:
-        if args.command == "bounds":
-            return cmd_bounds(args)
-        if args.command == "search":
-            return cmd_search(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "matching":
-            return cmd_matching(args)
-    except (_search.NodeLimitError, DownsetLimitError, _search.InstanceTooLargeError) as exc:
+        return COMMANDS[args.command](args)
+    except LIMIT_ERRORS as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

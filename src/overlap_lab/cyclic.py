@@ -261,6 +261,7 @@ def run_cyclic_suite(
         t = n // k
         rng = random.Random(seed * 1_000_003 + idx)
         worst = None
+        failures_before = (total_violations, identity_failures)
         for _ in range(per_cell):
             lhs, rhs, per_head = _check_arc_chain(arc, random_overlapping_arc_chain(arc, s, rng), p)
             if lhs > rhs:
@@ -278,7 +279,7 @@ def run_cyclic_suite(
                 "p": p,
                 "trials": per_cell,
                 "min_margin": worst,
-                "status": "ok",
+                "status": "ok" if (total_violations, identity_failures) == failures_before else "VIOLATION",
             }
         )
     status = "pass" if total_violations == 0 and identity_failures == 0 else "fail"
@@ -442,6 +443,8 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
     ws = weight_vector(weights, s + 1)
     if not is_overlapping(chain):
         raise ValueError("chain is not overlapping")
+    if s < 1:
+        raise ValueError(f"the random-matching bound needs s >= 1, got s={s}")
     threshold = thm4_threshold(k, ws)
     bound_applies = n >= threshold
     cap = n // k * sum(ws[1:], Fraction(0))

@@ -28,7 +28,6 @@ then the lexicographically least entry-level sequence read in colex order.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -37,6 +36,7 @@ from . import bounds as _bounds
 from .combinatorics import binom, iter_bits
 from .family import (
     CONSTRUCTION_KINDS,
+    DOWNSET_LIMIT_DEFAULT,
     Chain,
     Family,
     chain_to_dict,
@@ -59,10 +59,6 @@ class InstanceTooLargeError(ValueError):
 class NodeLimitError(RuntimeError):
     """The solver exceeded the configured node budget."""
 
-    def __init__(self, message: str, nodes: int):
-        super().__init__(message)
-        self.nodes = nodes
-
 
 @dataclass(frozen=True)
 class ExtremalRecord:
@@ -76,11 +72,9 @@ class ExtremalRecord:
     witness: Chain
     solver: str
     nodes_explored: int
-    wall_time: float
-    m: int | None = None
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "k": self.k,
             "s": self.s,
@@ -90,11 +84,6 @@ class ExtremalRecord:
             "solver": self.solver,
             "nodes_explored": self.nodes_explored,
         }
-        if self.m is not None:
-            out["m"] = self.m
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fraction, str]:
@@ -117,7 +106,7 @@ def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fracti
 
 
 def _solver_frame(
-    solver: str, n: int, k: int, s: int, weights: Sequence, warm_start: bool, m: int | None
+    solver: str, n: int, k: int, s: int, weights: Sequence, warm_start: bool
 ) -> tuple[tuple[int, ...], int, int, Callable[..., ExtremalRecord]]:
     """The set-up and finish both solvers share: (iw, lead0, incumbent, finish).
 
@@ -129,7 +118,6 @@ def _solver_frame(
     finish(best_val, best_chain, nodes) returns the ExtremalRecord of
     optimum best_val / L, with the witness chain of bitsets revalidated.
     """
-    t0 = time.perf_counter()
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     ws = _bounds.solver_weights(weights, s + 1)
@@ -146,7 +134,7 @@ def _solver_frame(
             raise AssertionError("search completed without a witness")
         witness = Chain(tuple(Family(n, k, b) for b in best_chain))
         optimum = Fraction(best_val, scale)
-        record = ExtremalRecord(n, k, s, ws, optimum, witness, solver, nodes, time.perf_counter() - t0, m)
+        record = ExtremalRecord(n, k, s, ws, optimum, witness, solver, nodes)
         if not is_overlapping(witness):
             raise AssertionError("solver returned a non-overlapping witness")
         if witness.weighted_value(ws) != optimum:
@@ -166,16 +154,14 @@ def oracle_f(
     s: int,
     weights: Sequence,
     *,
-    limit_candidates: int = ORACLE_CANDIDATE_LIMIT,
     limit_nodes: int | None = None,
     warm_start: bool = True,
-    m: int | None = None,
 ) -> ExtremalRecord:
     """Exact maximum of sum w_i |B_i| over all nested overlapping chains.
 
     Enumerates, with sound pruning, every map assigning each k-set the
     first index at which it enters the chain (or never).  The raw
-    candidate count (s+2)^C(n,k) must stay within limit_candidates.
+    candidate count (s+2)^C(n,k) must stay within ORACLE_CANDIDATE_LIMIT.
 
     The search forward-checks (Haralick and Elliott, "Increasing tree
     search efficiency for constraint satisfaction problems", 1980): cap[r]
@@ -191,12 +177,12 @@ def oracle_f(
     88 583 (about 0.4 s); with the warm start as the only prune they took
     453 974 and 12.1 M nodes (0.75 and 22 s on a 2-core host, Python 3.11).
     """
-    iw, lead0, best_val, finish = _solver_frame("oracle", n, k, s, weights, warm_start, m)
+    iw, lead0, best_val, finish = _solver_frame("oracle", n, k, s, weights, warm_start)
     capacity = binom(n, k)
     raw = (s + 2) ** capacity
-    if raw > limit_candidates:
+    if raw > ORACLE_CANDIDATE_LIMIT:
         raise InstanceTooLargeError(
-            f"oracle space (s+2)^C(n,k) = {raw} exceeds guard {limit_candidates}"
+            f"oracle space (s+2)^C(n,k) = {raw} exceeds guard {ORACLE_CANDIDATE_LIMIT}"
         )
     disj = disjointness(n, k)
     # contrib[lvl]: value of a set entering at lvl; s+1 is never
@@ -220,7 +206,7 @@ def oracle_f(
         nonlocal best_val, best_card, best_chain, nodes
         nodes += 1
         if limit_nodes is not None and nodes > limit_nodes:
-            raise NodeLimitError(f"oracle exceeded {limit_nodes} nodes", nodes)
+            raise NodeLimitError(f"oracle exceeded {limit_nodes} nodes")
         if pos == capacity:
             if val > best_val or (val == best_val and (best_card is None or card < best_card)):
                 best_val, best_card, best_chain = val, card, tuple(fam_bits)
@@ -327,10 +313,9 @@ def exact_f_shifted(
     s: int,
     weights: Sequence,
     *,
-    limit_downsets: int = 10**7,
+    limit_downsets: int = DOWNSET_LIMIT_DEFAULT,
     limit_nodes: int | None = None,
     warm_start: bool = True,
-    m: int | None = None,
 ) -> ExtremalRecord:
     """Exact maximum of sum w_i |B_i| over nested chains of shifted families.
 
@@ -350,7 +335,7 @@ def exact_f_shifted(
     preserve the optimum); that equality is enforced by tests rather than
     assumed here.
     """
-    iw, lead0, best_val, finish = _solver_frame("shifted", n, k, s, weights, warm_start, m)
+    iw, lead0, best_val, finish = _solver_frame("shifted", n, k, s, weights, warm_start)
     capacity = binom(n, k)
     downs = downset_bitsets(n, k, limit_downsets)
     by_size = sorted(downs, key=lambda d: (-d.bit_count(), d))
@@ -399,7 +384,7 @@ def exact_f_shifted(
         for d in candidates:
             nodes += 1
             if limit_nodes is not None and nodes > limit_nodes:
-                raise NodeLimitError(f"shifted search exceeded {limit_nodes} nodes", nodes)
+                raise NodeLimitError(f"shifted search exceeded {limit_nodes} nodes")
             size = d.bit_count()
             val2 = val + iw[j] * size
             card2 = card + size
@@ -426,7 +411,7 @@ def exact_f_shifted(
 # conjecture hunts
 # ---------------------------------------------------------------------------
 
-def max_min_overlapping(n: int, k: int, s: int, limit_downsets: int = 10**7) -> tuple[int, Family]:
+def max_min_overlapping(n: int, k: int, s: int, limit_downsets: int = DOWNSET_LIMIT_DEFAULT) -> tuple[int, Family]:
     """Maximum of min_i |B_i| over overlapping nested chains, with witness family.
 
     For nested chains min_i |B_i| = |B_0|, and enlarging any family only

@@ -90,7 +90,7 @@ def _theorem(instance: Callable, solver: str, formula: str, relation: str) -> Re
         for cell in cells:
             params, s, w = instance(*cell)
             solve = getattr(_search, solver)
-            rec = solve(params["n"], params["k"], s, w, limit_nodes=limit_nodes, m=params.get("m"))
+            rec = solve(params["n"], params["k"], s, w, limit_nodes=limit_nodes)
             value = Fraction(closed_form.evaluate(**{p: params[p] for p in closed_form.params}))
             ok = rec.optimum == value if relation == "equal" else rec.optimum <= value
             rows.append(

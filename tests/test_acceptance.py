@@ -52,7 +52,7 @@ def test_01_hilton_equality():
     t0 = time.perf_counter()
     bad = []
     for n, k, m in suite_cells("hilton", 16):
-        rec = oracle_f(n, k, 1, reduce_to_weighted(m, 1), m=m)
+        rec = oracle_f(n, k, 1, reduce_to_weighted(m, 1))
         if rec.optimum != hilton_bound(n, k, m):
             bad.append((n, k, m, rec.optimum))
     report(1, "pair-bound equality", not bad, time.perf_counter() - t0, 60, f"bad={bad}")

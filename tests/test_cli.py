@@ -94,9 +94,11 @@ def test_search_node_limit_exit_code(tmp_path):
     assert row["status"] == "incomplete"
 
 
-def test_search_usage_errors():
-    assert main(["search", "--n", "4", "--k", "2"]) == 2
-    assert main(["search", "--n", "4", "--k", "2", "--weights", "2,1", "--m", "3"]) == 2
+def test_search_usage_errors(capsys):
+    for extra in ([], ["--weights", "2,1", "--m", "3"], ["--s", "2", "--m", "1"], ["--s", "2", "--weights", "2,1"]):
+        assert main(["search", "--n", "4", "--k", "2", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_bde_passes(tmp_path):
@@ -108,6 +110,7 @@ def test_verify_bde_passes(tmp_path):
 def test_verify_ci_requires_seed():
     proc = run_cli(["verify", "--suite", "cyclic", "--ci", "--trials", "9"])
     assert proc.returncode == 2
+    assert proc.stderr == "error: --ci requires an explicit --seed for randomized suites\n"
     proc = run_cli(["verify", "--suite", "thm3", "--ci"])
     assert proc.returncode == 0  # deterministic suite needs no seed
 
@@ -224,6 +227,7 @@ def test_matching_subcommand(tmp_path, capsys):
     assert out["rainbow_matching_number"] == 1
     assert out["is_overlapping"] is True
     assert main(["matching"]) == 2
+    assert capsys.readouterr().err == "error: matching needs exactly one of --family or --chain\n"
 
 
 _BOUNDS_ARGV = ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"]
@@ -305,9 +309,18 @@ def test_limit_validation():
     assert main(["verify", "--suite", "bde", "--trials", "-3"]) == 2
 
 
+@pytest.mark.parametrize("solver", ["shifted", "both"])
+def test_limit_downsets_reaches_the_shifted_solver(solver, tmp_path):
+    argv = ["search", "--n", "6", "--k", "2", "--weights", "1,1", "--solver", solver, "--limit-downsets", "2"]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
+    (row,) = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert row["status"] == "incomplete"
+
+
 _BASE_ARGV = {
     "bounds": ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"],
     "search": ["search", "--n", "4", "--k", "2", "--weights", "2,1"],
+    "search-oracle": ["search", "--n", "4", "--k", "2", "--weights", "2,1", "--solver", "oracle"],
     "verify": ["verify", "--suite", "thm3"],
     "verify-conj2": ["verify", "--suite", "conj2"],
     "verify-bde": ["verify", "--suite", "bde"],
@@ -326,8 +339,11 @@ _BASE_ARGV = {
         ("bounds", "--limit-downsets 5"),
         ("bounds", "--warm-start on"),
         ("bounds", "--jobs 2"),
+        ("bounds", "--p 7"),
+        ("bounds", "--weights 3,1"),
         ("search", "--seed 1"),
         ("search", "--ci"),
+        ("search-oracle", "--limit-downsets 1"),
         ("bounds", "--format csv --resume r.json"),
         ("search", "--format csv --resume r.json"),
         ("verify", "--format csv --resume r.json"),

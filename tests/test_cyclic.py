@@ -223,6 +223,27 @@ def test_run_cyclic_suite_matches_public_replay(seed):
     assert rep["summary"]["identity_failures"] == identity_failures
 
 
+@pytest.mark.parametrize("broken", ["inequality", "identity"])
+def test_run_cyclic_suite_marks_each_failing_cell(monkeypatch, broken):
+    check = cyclic._check_arc_chain
+
+    def check_broken_on_one_cell(arc, arc_sets, p):
+        lhs, rhs, per_head = check(arc, arc_sets, p)
+        if (len(arc), len(arc_sets) - 1, p) == (8, 1, 1):
+            if broken == "inequality":
+                rhs = lhs - 1
+            else:
+                per_head = [w + 1 for w in per_head]
+        return lhs, rhs, per_head
+
+    monkeypatch.setattr(cyclic, "_check_arc_chain", check_broken_on_one_cell)
+    rep = run_cyclic_suite([(9, 2, 2, 1), (8, 2, 1, 1)], 60, seed=9)
+    assert [row["status"] for row in rep["rows"]] == ["ok", "VIOLATION"]
+    assert rep["summary"]["status"] == "fail"
+    expected = (30, 0) if broken == "inequality" else (0, 30)  # 60 trials over two cells
+    assert (rep["summary"]["violations"], rep["summary"]["identity_failures"]) == expected
+
+
 def test_case2_replay_structure():
     n, k = 8, 2
     arc = arcs(CyclicOrder.identity(n), k)
@@ -315,6 +336,14 @@ def test_random_matching_bound_empty_chain():
     rep = verify_random_matching_bound(chain, (1, 1), trials=100, seed=5)
     assert rep["status"] == "pass"
     assert Fraction(rep["mean"]) == 0 and Fraction(rep["max_observed"]) == 0
+
+
+def test_random_matching_bound_needs_s_at_least_one():
+    with pytest.raises(ValueError, match="needs s >= 1, got s=0"):
+        verify_random_matching_bound(Chain((Family.empty(6, 2),)), (1,), trials=10, seed=1)
+    # the overlap recheck still comes first
+    with pytest.raises(ValueError, match="not overlapping"):
+        verify_random_matching_bound(Chain((Family(6, 2, 1),)), (1,), trials=10, seed=1)
 
 
 def test_random_matching_bound_cover_chain():

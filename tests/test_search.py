@@ -246,13 +246,15 @@ def test_thm2_k1_equality_point():
     assert rec.optimum == 16 == thm2_value(8, 1, 5, 2)
 
 
-def test_oracle_guard():
+def test_oracle_guard(monkeypatch):
     with pytest.raises(InstanceTooLargeError):
         oracle_f(10, 2, 2, (1, 1, 1))  # 4^45 candidates
-    rec = oracle_f(4, 2, 1, (1, 1), limit_candidates=3**6)
+    monkeypatch.setattr(search, "ORACLE_CANDIDATE_LIMIT", 3**6)
+    rec = oracle_f(4, 2, 1, (1, 1))
     assert rec.optimum == binom(4, 2)
+    monkeypatch.setattr(search, "ORACLE_CANDIDATE_LIMIT", 3**6 - 1)
     with pytest.raises(InstanceTooLargeError):
-        oracle_f(4, 2, 1, (1, 1), limit_candidates=3**6 - 1)
+        oracle_f(4, 2, 1, (1, 1))
 
 
 def test_node_limits():
@@ -278,7 +280,6 @@ def test_record_serialization():
     assert data["optimum"] == 9
     assert data["solver"] == "shifted"
     assert "wall_time" not in data
-    assert "wall_time" in rec.to_dict(include_timing=True)
     assert data["witness"]["families"][0] == [[1, 2], [1, 3], [2, 3]]
 
 
