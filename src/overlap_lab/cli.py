@@ -5,10 +5,10 @@ Reports are deterministic: the same configuration (including seed) yields
 byte-identical output files.  While a sweep runs, finished rows stream to
 the output path as JSON lines; on completion the path is rewritten as a
 single JSON document {tool_version, config, rows, summary} (or kept as CSV
-with a fixed header).  --resume <file> skips rows already present; for
-verify a row is one suite of suites.SUITES.  A resume file written under
-another configuration is a usage error; only its grid (bounds and search
-cells, the verify suite) may differ.
+with a fixed header).  --resume <file> reuses its finished rows and computes
+incomplete ones again; for verify a row is one suite of suites.SUITES.  A
+resume file written under another configuration is a usage error; only the
+grid (bounds and search cells, the verify suite) and the limits may differ.
 """
 from __future__ import annotations
 
@@ -193,8 +193,8 @@ class ReportWriter:
             config = doc.get("config", {})
         if not isinstance(config, dict):
             raise ValueError(f"resume file {path!r} holds a config that is not an object")
-        # the grid may differ (its rows are looked up by cell); every other setting must match
-        for key in sorted(config.keys() & self.config.keys() - {"cells", "suite"}):
+        # only the grid (rows are found by cell) and the node limit, on which no finished row depends, may differ
+        for key in sorted(config.keys() & self.config.keys() - {"cells", "suite", "limit_nodes"}):
             theirs, mine = config[key], self.config[key]
             if theirs != mine:
                 raise ValueError(f"resume file {path!r} was written with {key} = {theirs!r}, not {mine!r}")
@@ -206,14 +206,26 @@ class ReportWriter:
                     raise ValueError(f"resume file {path!r} holds a row whose cell is not a string")
                 self._done[row["cell"]] = row
 
-    def lookup(self, cell_key: str) -> dict | None:
-        return self._done.get(cell_key)
+    def fill(self, cells, key, compute, jobs: int = 1, valid=lambda row: True):
+        """Emit and yield each cell's row in order: its finished resumed row, else compute(cell).
 
-    def emit(self, row: dict) -> None:
-        self.rows.append(row)
-        if self._stream and self.fmt == "json":
-            self._stream.write(_canon(row) + "\n")
-            self._stream.flush()
+        A finished resumed row that valid rejects is a usage error, not computed again.
+        """
+        reused = {}
+        for cell in cells:
+            row = self._done.get(key(cell))
+            if row is not None and row.get("status") != "incomplete":
+                if not valid(row):
+                    raise ValueError(f"resume file holds a malformed row for cell {key(cell)}")
+                reused[key(cell)] = row
+        computed = _run_cells([cell for cell in cells if key(cell) not in reused], compute, jobs)
+        for cell in cells:
+            row = reused.get(key(cell)) or next(computed)
+            self.rows.append(row)
+            if self._stream and self.fmt == "json":
+                self._stream.write(_canon(row) + "\n")
+                self._stream.flush()
+            yield row
 
     def finalize(self, summary: dict) -> None:
         if self.fmt == "json":
@@ -292,19 +304,14 @@ def _bounds_cells(args) -> list[dict]:
 def cmd_bounds(args) -> int:
     cells = _bounds_cells(args)
     config = {"command": "bounds", "name": args.name, "cells": len(cells)}
+
+    def compute(cell: dict) -> dict:
+        params = dict(cell, weights=args.weights) if "weights" in cell else cell
+        return {"cell": _canon(cell), **_bounds.evaluate_bound(args.name, **params).to_row()}
+
     with ReportWriter(args.format, args.out, config, args.resume) as writer:
-        for cell in cells:
-            key = _canon(cell)
-            row = writer.lookup(key)
-            if row is None:
-                params = dict(cell)
-                if "weights" in params:
-                    params["weights"] = args.weights
-                report = _bounds.evaluate_bound(args.name, **params)
-                row = {"cell": key, **report.to_row()}
-            writer.emit(row)
-        summary = {"rows": len(writer.rows), "status": "pass"}
-        writer.finalize(summary)
+        rows = list(writer.fill(cells, _canon, compute))
+        writer.finalize({"rows": len(rows), "status": "pass"})
     return EXIT_PASS
 
 
@@ -363,22 +370,13 @@ def cmd_search(args) -> int:
         "limit_nodes": args.limit_nodes,
         "warm_start": args.warm_start,
     }
-    exit_code = EXIT_PASS
     with ReportWriter(args.format, args.out, config, args.resume) as writer:
-        pending = [c for c in cells if writer.lookup(c["key"]) is None]
-        results = iter(_run_cells(pending, _search_one, args.jobs))
-        for cell in cells:
-            row = writer.lookup(cell["key"])
-            if row is None:
-                row = next(results)
-            writer.emit(row)
-            if row["status"] == "VIOLATION":
-                exit_code = max(exit_code, EXIT_VIOLATION)
-            elif row["status"] == "incomplete":
-                exit_code = max(exit_code, EXIT_LIMIT)
-        bad = sum(r["status"] != "ok" for r in writer.rows)
-        writer.finalize({"rows": len(writer.rows), "violations": bad, "status": "pass" if bad == 0 else "fail"})
-    return exit_code
+        done = ("ok", "VIOLATION")
+        rows = writer.fill(cells, lambda c: c["key"], _search_one, args.jobs, lambda r: r.get("status") in done)
+        statuses = [row["status"] for row in rows]
+        bad = len(statuses) - statuses.count("ok")
+        writer.finalize({"rows": len(statuses), "violations": bad, "status": "pass" if bad == 0 else "fail"})
+    return EXIT_LIMIT if "incomplete" in statuses else EXIT_VIOLATION if bad else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -397,23 +395,24 @@ def cmd_verify(args) -> int:
         "seed": seed if needs_seed else None,
         "trials": args.trials,
     }
+
+    def compute(name: str) -> dict:
+        report = run_suite(name, trials=args.trials, seed=seed, limit_nodes=args.limit_nodes)
+        summary = report["summary"]
+        row = {"cell": _canon({"suite": name}), "suite": name, "summary": summary, "status": summary["status"]}
+        if summary["status"] != "pass" or args.suite != "all":
+            row["rows"] = report["rows"]
+        return row
+
+    def valid(row: dict) -> bool:
+        summary = row.get("summary")
+        return isinstance(summary, dict) and "status" in summary and _is_int(summary.get("violations", 0))
+
     total_viol = 0
     with ReportWriter(args.format, args.out, config, args.resume) as writer:
-        for name in names:
-            key = _canon({"suite": name})
-            row = writer.lookup(key)
-            if row is None:
-                report = run_suite(name, trials=args.trials, seed=seed, limit_nodes=args.limit_nodes)
-                summary = report["summary"]
-                row = {"cell": key, "suite": name, "summary": summary, "status": summary["status"]}
-                if summary["status"] != "pass" or args.suite != "all":
-                    row["rows"] = report["rows"]
-            else:
-                summary = row.get("summary")
-                valid = isinstance(summary, dict) and "status" in summary
-                if not valid or not _is_int(summary.get("violations", 0)):
-                    raise ValueError(f"resumed row of suite {name!r} has no summary with a status")
-            writer.emit(row)
+        suite_rows = writer.fill(names, lambda name: _canon({"suite": name}), compute, valid=valid)
+        for name, row in zip(names, suite_rows):
+            summary = row["summary"]
             total_viol += summary.get("violations", 0)
             print(f"[verify] {name}: {summary['status']} ({_canon(summary)})", file=sys.stderr)
         status = "pass" if total_viol == 0 else "fail"

@@ -270,17 +270,20 @@ def oracle_f(
 # shifted solver: top-down nested downset chains
 # ---------------------------------------------------------------------------
 
-def _level_key(chain_bits: Sequence[int], capacity: int, s: int) -> tuple[int, ...]:
-    """Entry level of each rank (s+1 for absent): the canonical witness key."""
-    key = []
-    for r in range(capacity):
-        lvl = s + 1
-        for i, b in enumerate(chain_bits):
-            if b >> r & 1:
-                lvl = i
-                break
-        key.append(lvl)
-    return tuple(key)
+def _enters_earlier(chain: Sequence[int], other: Sequence[int]) -> bool:
+    """Whether chain's entry levels, rank by rank, precede other's (the canonical witness order).
+
+    Both are nested, so of the two, the chain that holds their lowest differing
+    rank at the first level that tells them apart on it enters that rank first.
+    """
+    diff = 0
+    for a, b in zip(chain, other):
+        diff |= a ^ b
+    low = diff & -diff
+    for a, b in zip(chain, other):
+        if (a ^ b) & low:
+            return bool(a & low)
+    return False
 
 
 def _closed_form_head(rest: Sequence[int], disj: Sequence[int], ups: Sequence[int]) -> int:
@@ -336,7 +339,6 @@ def exact_f_shifted(
     assumed here.
     """
     iw, lead0, best_val, finish = _solver_frame("shifted", n, k, s, weights, warm_start)
-    capacity = binom(n, k)
     downs = downset_bitsets(n, k, limit_downsets)
     by_size = sorted(downs, key=lambda d: (-d.bit_count(), d))
     disj = disjointness(n, k)
@@ -344,25 +346,18 @@ def exact_f_shifted(
     prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]
 
     best_card: int | None = None
-    best_key: tuple[int, ...] | None = None
     best_chain: tuple[int, ...] | None = None
     nodes = 0
     chain_bits = [0] * (s + 1)
 
     def offer(val: int, card: int) -> None:
-        nonlocal best_val, best_card, best_key, best_chain
+        nonlocal best_val, best_card, best_chain
         if val < best_val:
             return
-        key = None
         if val == best_val and best_card is not None:
-            if card > best_card:
+            if card > best_card or card == best_card and not _enters_earlier(chain_bits, best_chain):
                 return
-            if card == best_card:
-                key = _level_key(chain_bits, capacity, s)
-                if best_key is not None and key >= best_key:
-                    return
         best_val, best_card, best_chain = val, card, tuple(chain_bits)
-        best_key = key if key is not None else _level_key(chain_bits, capacity, s)
 
     def descend(j: int, val: int, card: int) -> None:
         nonlocal nodes

@@ -196,6 +196,33 @@ def test_jobs_preserve_row_order(tmp_path):
     assert seq.read_bytes() == par.read_bytes()
 
 
+def test_resume_interleaves_resumed_and_pooled_rows(tmp_path):
+    seq, partial, resumed = tmp_path / "seq.json", tmp_path / "partial.json", tmp_path / "resumed.json"
+    args = ["search", "--n", "4..6", "--k", "2", "--weights", "2,1"]
+    assert main([*args, "--out", str(seq)]) == 0
+    # an interrupted stream holding only the middle cell: n = 4 and 6 go to the pool
+    doc = json.loads(seq.read_text())
+    header = json.dumps({"tool_version": "x", "config": doc["config"]})
+    partial.write_text(header + "\n" + json.dumps(doc["rows"][1], sort_keys=True) + "\n")
+    assert main([*args, "--jobs", "2", "--resume", str(partial), "--out", str(resumed)]) == 0
+    assert resumed.read_bytes() == seq.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid, limit",
+    [(["--n", "5..6"], ["--limit-nodes", "1"]), (["--n", "6"], ["--limit-downsets", "2"])],
+    ids=["limit-nodes", "limit-downsets"],
+)
+def test_resume_recomputes_rows_a_limit_left_incomplete(tmp_path, grid, limit):
+    # a finished row does not depend on the limit, so a resume may raise or drop it
+    r1, r2, fresh = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "fresh.json"
+    args = ["search", *grid, "--k", "2", "--weights", "1,1"]
+    assert main([*args, *limit, "--out", str(r1)]) == 3
+    assert main([*args, "--resume", str(r1), "--out", str(r2)]) == 0
+    assert main([*args, "--out", str(fresh)]) == 0
+    assert r2.read_bytes() == fresh.read_bytes()
+
+
 def test_downset_cache_env_is_ignored(tmp_path):
     # a truncated downset list under OVERLAP_LAB_CACHE once changed the optimum
     cache = tmp_path / "cache"
@@ -244,6 +271,10 @@ _CHAIN = '{"n": 4, "k": 2, "families": [[[1, 2]], [[1, 2]]], "weights": %s}'
         ([*_BOUNDS_ARGV, "--resume", "{path}"], '{"rows": [{"cell": [1, 2]}]}'),
         (["matching", "--chain", "{path}"], '{"n": 6, "k": 2, "families": 3}'),
         (["verify", "--suite", "thm3", "--resume", "{path}"], '{"rows": [{"cell": "{\\"suite\\":\\"thm3\\"}"}]}'),
+        (
+            ["search", "--n", "4", "--k", "2", "--weights", "2,1", "--resume", "{path}"],
+            json.dumps({"rows": [{"cell": '{"k":2,"m":null,"n":4,"s":1,"weights":["2","1"]}', "optimum": 7}]}),
+        ),
         (["matching", "--chain", "{path}"], _CHAIN % '["1/0", 1]'),
         (["matching", "--chain", "{path}"], _CHAIN % "[true, 1]"),
         (["matching", "--chain", "{path}"], _CHAIN % "[Infinity, 1]"),
@@ -256,6 +287,7 @@ _CHAIN = '{"n": 4, "k": 2, "families": [[[1, 2]], [[1, 2]]], "weights": %s}'
         "resume-cell-list",
         "chain-families-int",
         "resume-verify-no-summary",
+        "resume-search-no-status",
         "chain-weight-zero-denominator",
         "chain-weight-bool",
         "chain-weight-infinite",
