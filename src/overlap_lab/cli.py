@@ -24,7 +24,7 @@ from itertools import product
 from . import __version__
 from . import bounds as _bounds
 from . import search as _search
-from .family import DOWNSET_LIMIT_DEFAULT, DownsetLimitError, reduce_to_weighted
+from .family import DownsetLimitError, reduce_to_weighted
 from .suites import SUITES, run_suite
 
 EXIT_PASS = 0
@@ -33,7 +33,7 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 # what a solver or the downset walk raises when it stops at a resource limit
-LIMIT_ERRORS = (_search.NodeLimitError, DownsetLimitError, _search.InstanceTooLargeError)
+LIMIT_ERRORS = (_search.NodeLimitError, DownsetLimitError)
 
 # the grid axes of `bounds`; a formula reads those among them in its params
 BOUNDS_AXES = ("n", "k", "m", "p", "s", "i", "l")
@@ -110,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--m", type=_range_arg, help="use weights (m-s, 1, ..., 1)")
     p_search.add_argument("--solver", choices=("oracle", "shifted", "both"), default="shifted")
     p_search.add_argument("--jobs", type=int, default=1, help="parallel workers for grid cells")
-    p_search.add_argument("--limit-nodes", type=int, default=None)
-    p_search.add_argument("--limit-downsets", type=int, help="shifted solver only")
+    p_search.add_argument("--limit-nodes", type=int, default=None, help="work budget per solver call")
     p_search.add_argument("--warm-start", choices=("on", "off"), default="on")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
@@ -329,8 +328,7 @@ def _search_one(cell: dict) -> dict:
         if cell["solver"] in ("oracle", "both"):
             out["oracle"] = _search.oracle_f(n, k, s, weights, **kwargs).to_dict()
         if cell["solver"] in ("shifted", "both"):
-            limit = cell["limit_downsets"]
-            out["shifted"] = _search.exact_f_shifted(n, k, s, weights, limit_downsets=limit, **kwargs).to_dict()
+            out["shifted"] = _search.exact_f_shifted(n, k, s, weights, **kwargs).to_dict()
         if cell["solver"] == "both":
             out["solvers_agree"] = out["oracle"]["optimum"] == out["shifted"]["optimum"]
         out["status"] = "ok" if out.get("solvers_agree", True) else "VIOLATION"
@@ -356,7 +354,6 @@ def cmd_search(args) -> int:
     run = {
         "solver": args.solver,
         "limit_nodes": args.limit_nodes,
-        "limit_downsets": DOWNSET_LIMIT_DEFAULT if args.limit_downsets is None else args.limit_downsets,
         "warm_start": args.warm_start == "on",
     }
     cells = []
@@ -497,7 +494,7 @@ def cmd_matching(args) -> int:
 
 def _validate_limits(args) -> None:
     """Refuse a count flag below 1."""
-    for name in ("jobs", "limit_nodes", "limit_downsets", "trials"):
+    for name in ("jobs", "limit_nodes", "trials"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be positive")
@@ -508,7 +505,7 @@ def _unread_flag(args) -> str | None:
 
     verify's --trials and --seed are read by randomized suites and
     --limit-nodes by suites that solve; bounds reads the axes its formula
-    takes; search reads --limit-downsets only for the shifted solver.
+    takes.  search reads each of its flags under every selection.
     """
     if args.command == "verify":
         suites = list(SUITES.values()) if args.suite == "all" else [SUITES[args.suite]]
@@ -520,9 +517,6 @@ def _unread_flag(args) -> str | None:
         params = _bounds.FORMULAS[args.name].params
         reads = {flag: flag in params for flag in (*BOUNDS_AXES, "weights")}
         selection = f"formula {args.name!r}"
-    elif args.command == "search":
-        reads = {"limit_downsets": args.solver != "oracle"}
-        selection = "--solver oracle"
     else:
         return None
     for flag, read in reads.items():

@@ -122,19 +122,6 @@ def arc_chain_families(arc: ArcFamily, arc_sets: Sequence[int]) -> Chain:
     return Chain(tuple(fams))
 
 
-def _arc_degrees(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> list[int]:
-    """Degree of each arc in the head-weighted incidence graph (head family counted p times)."""
-    n = arc.sigma.n
-    s = len(arc_sets) - 1
-    deg = []
-    for i in range(n):
-        d = p * (arc_sets[0] >> i & 1)
-        for j in range(1, s + 1):
-            d += arc_sets[j] >> i & 1
-        deg.append(d)
-    return deg
-
-
 def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[int, int, list[int]]:
     """The arc-chain lemma on head bitsets, in ints: (lhs, rhs, block weight per head).
 
@@ -293,34 +280,6 @@ def run_cyclic_suite(
             "identity_failures": identity_failures,
             "status": status,
         },
-    }
-
-
-def case2_replay(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> dict:
-    """Deterministic replay of the degree-sorted block decomposition.
-
-    Sorts arcs by degree (ties broken by head position), drops the r
-    lowest-degree arcs (r = n - tk), groups the remaining heads into k
-    interleaved block matchings, and reports the intermediate quantities.
-    Purely observational; not part of any solver.
-    """
-    n, k = arc.sigma.n, arc.k
-    t = n // k
-    r = n - t * k
-    deg = _arc_degrees(arc, arc_sets, p)
-    order = sorted(range(n), key=lambda i: (deg[i], i))
-    kept = sorted(order[r:])
-    groups = []
-    for j in range(k):
-        heads = [kept[j + i * k] for i in range(t)]
-        weight = sum(deg[h] for h in heads)
-        groups.append({"heads": heads, "weight": weight})
-    return {
-        "degrees_sorted": [deg[i] for i in order],
-        "deg_at_cut": deg[order[r - 1]] if r else None,
-        "dropped_heads": sorted(order[:r]),
-        "block_matchings": groups,
-        "tie_break": "head position",
     }
 
 

@@ -24,7 +24,8 @@ from .combinatorics import (
     validate_kset,
 )
 
-DOWNSET_LIMIT_DEFAULT = 10**7
+# the default work budget: downsets a walk visits, nodes a solver explores
+WORK_LIMIT_DEFAULT = 10**7
 
 
 class DownsetLimitError(RuntimeError):
@@ -296,7 +297,7 @@ def poset_upsets(n: int, k: int) -> tuple[int, ...]:
 def walk_downsets(
     n: int,
     k: int,
-    limit: int = DOWNSET_LIMIT_DEFAULT,
+    limit: int = WORK_LIMIT_DEFAULT,
     refuse: Callable[[int, int], bool] | None = None,
 ) -> Iterator[int]:
     """Yield the downsets of (C([n],k), shift order) as rank bitsets, by reverse search.
@@ -339,7 +340,7 @@ def walk_downsets(
             stack.append((child, addable | grown))
 
 
-def downset_bitsets(n: int, k: int, limit: int = DOWNSET_LIMIT_DEFAULT) -> list[int]:
+def downset_bitsets(n: int, k: int, limit: int = WORK_LIMIT_DEFAULT) -> list[int]:
     """All downsets of (C([n],k), shift order) as rank bitsets.
 
     Ordered by nondecreasing cardinality, ties by ascending bitset value.
@@ -348,7 +349,7 @@ def downset_bitsets(n: int, k: int, limit: int = DOWNSET_LIMIT_DEFAULT) -> list[
 
 
 def enumerate_shifted_families(
-    n: int, k: int, limit: int = DOWNSET_LIMIT_DEFAULT
+    n: int, k: int, limit: int = WORK_LIMIT_DEFAULT
 ) -> Iterator[Family]:
     """Yield every shifted family over (n, k) exactly once, smallest first."""
     for bits in downset_bitsets(n, k, limit):

@@ -33,10 +33,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import bounds as _bounds
+from . import family as _family
 from .combinatorics import binom, iter_bits
 from .family import (
     CONSTRUCTION_KINDS,
-    DOWNSET_LIMIT_DEFAULT,
     Chain,
     Family,
     chain_to_dict,
@@ -49,15 +49,12 @@ from .family import (
 )
 from .matching import disjointness, has_matching_of_size, is_overlapping, rainbow
 
-ORACLE_CANDIDATE_LIMIT = 1 << 36
-
-
-class InstanceTooLargeError(ValueError):
-    """The raw search space exceeds the configured candidate guard."""
-
-
 class NodeLimitError(RuntimeError):
     """The solver exceeded the configured node budget."""
+
+
+# kept only because perfbench's frontier ladders catch this name
+InstanceTooLargeError = NodeLimitError
 
 
 @dataclass(frozen=True)
@@ -106,15 +103,17 @@ def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fracti
 
 
 def _solver_frame(
-    solver: str, n: int, k: int, s: int, weights: Sequence, warm_start: bool
-) -> tuple[tuple[int, ...], int, int, Callable[..., ExtremalRecord]]:
-    """The set-up and finish both solvers share: (iw, lead0, incumbent, finish).
+    solver: str, n: int, k: int, s: int, weights: Sequence, warm_start: bool, limit_nodes: int | None
+) -> tuple[tuple[int, ...], int, int, int, Callable[..., ExtremalRecord]]:
+    """The set-up and finish both solvers share: (iw, lead0, incumbent, budget, finish).
 
     Rejects k < 1 (at k = 0 the empty set misses itself, so one set can fill
     every index of a rainbow matching and the solvers' arguments fail) and
     invalid weights.  iw are the weights scaled to integers by L, lead0 is
     the first level of positive weight, and the incumbent is L times the
-    best construction's value (-1 without a warm start).
+    best construction's value (-1 without a warm start).  The budget is
+    limit_nodes or, when that is None, family.WORK_LIMIT_DEFAULT as it
+    stands at this call.
     finish(best_val, best_chain, nodes) returns the ExtremalRecord of
     optimum best_val / L, with the witness chain of bitsets revalidated.
     """
@@ -122,6 +121,7 @@ def _solver_frame(
         raise ValueError(f"k must be at least 1, got {k}")
     ws = _bounds.solver_weights(weights, s + 1)
     iw, scale = _bounds.integer_weights(ws)
+    budget = _family.WORK_LIMIT_DEFAULT if limit_nodes is None else limit_nodes
     incumbent = -1
     if warm_start:
         warm = best_construction(n, k, s, ws)[0] * scale
@@ -141,7 +141,7 @@ def _solver_frame(
             raise AssertionError("witness value does not match reported optimum")
         return record
 
-    return iw, next(j for j, w in enumerate(iw) if w), incumbent, finish
+    return iw, next(j for j, w in enumerate(iw) if w), incumbent, budget, finish
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,9 @@ def oracle_f(
     """Exact maximum of sum w_i |B_i| over all nested overlapping chains.
 
     Enumerates, with sound pruning, every map assigning each k-set the
-    first index at which it enters the chain (or never).  The raw
-    candidate count (s+2)^C(n,k) must stay within ORACLE_CANDIDATE_LIMIT.
+    first index at which it enters the chain (or never).  Raises
+    NodeLimitError after limit_nodes nodes (family.WORK_LIMIT_DEFAULT when
+    None).
 
     The search forward-checks (Haralick and Elliott, "Increasing tree
     search efficiency for constraint satisfaction problems", 1980): cap[r]
@@ -177,13 +178,8 @@ def oracle_f(
     88 583 (about 0.4 s); with the warm start as the only prune they took
     453 974 and 12.1 M nodes (0.75 and 22 s on a 2-core host, Python 3.11).
     """
-    iw, lead0, best_val, finish = _solver_frame("oracle", n, k, s, weights, warm_start)
+    iw, lead0, best_val, budget, finish = _solver_frame("oracle", n, k, s, weights, warm_start, limit_nodes)
     capacity = binom(n, k)
-    raw = (s + 2) ** capacity
-    if raw > ORACLE_CANDIDATE_LIMIT:
-        raise InstanceTooLargeError(
-            f"oracle space (s+2)^C(n,k) = {raw} exceeds guard {ORACLE_CANDIDATE_LIMIT}"
-        )
     disj = disjointness(n, k)
     # contrib[lvl]: value of a set entering at lvl; s+1 is never
     contrib = [sum(iw[lvl:]) for lvl in range(s + 2)]
@@ -205,8 +201,8 @@ def oracle_f(
         # rest_val, rest_card: sums of contrib[cap[r]] and tie_card[cap[r]] over r >= pos
         nonlocal best_val, best_card, best_chain, nodes
         nodes += 1
-        if limit_nodes is not None and nodes > limit_nodes:
-            raise NodeLimitError(f"oracle exceeded {limit_nodes} nodes")
+        if nodes > budget:
+            raise NodeLimitError(f"oracle exceeded {budget} nodes")
         if pos == capacity:
             if val > best_val or (val == best_val and (best_card is None or card < best_card)):
                 best_val, best_card, best_chain = val, card, tuple(fam_bits)
@@ -316,7 +312,6 @@ def exact_f_shifted(
     s: int,
     weights: Sequence,
     *,
-    limit_downsets: int = DOWNSET_LIMIT_DEFAULT,
     limit_nodes: int | None = None,
     warm_start: bool = True,
 ) -> ExtremalRecord:
@@ -333,13 +328,19 @@ def exact_f_shifted(
     _closed_form_head walks B_1 lowest rank first and drops the whole upset
     of each excluded rank: (9,3,(1,1)) takes 0.09 s, (10,2,(1,1,1)) 0.03 s
     and (10,2,(2,1,1)) 0.09 s, against 0.41, 0.23 and 0.89 s with one
-    rainbow call per member of B_1 (2-core host, Python 3.11).  Equals
-    oracle_f whenever both run (the compression and shifting reductions
-    preserve the optimum); that equality is enforced by tests rather than
-    assumed here.
+    rainbow call per member of B_1 (2-core host, Python 3.11).
+
+    limit_nodes (family.WORK_LIMIT_DEFAULT when None) caps both the downset
+    listing (DownsetLimitError) and the descent (NodeLimitError).  At s >= 1
+    the top level counts every downset as a node, so the listing cap stops
+    no cell that the descent would close.
+
+    Equals oracle_f whenever both run (the compression and shifting
+    reductions preserve the optimum); that equality is enforced by tests
+    rather than assumed here.
     """
-    iw, lead0, best_val, finish = _solver_frame("shifted", n, k, s, weights, warm_start)
-    downs = downset_bitsets(n, k, limit_downsets)
+    iw, lead0, best_val, budget, finish = _solver_frame("shifted", n, k, s, weights, warm_start, limit_nodes)
+    downs = downset_bitsets(n, k, budget)
     by_size = sorted(downs, key=lambda d: (-d.bit_count(), d))
     disj = disjointness(n, k)
     ups = poset_upsets(n, k)
@@ -378,8 +379,8 @@ def exact_f_shifted(
         candidates = by_size if parent is None else [d for d in by_size if not d & ~parent]
         for d in candidates:
             nodes += 1
-            if limit_nodes is not None and nodes > limit_nodes:
-                raise NodeLimitError(f"shifted search exceeded {limit_nodes} nodes")
+            if nodes > budget:
+                raise NodeLimitError(f"shifted search exceeded {budget} nodes")
             size = d.bit_count()
             val2 = val + iw[j] * size
             card2 = card + size
@@ -406,7 +407,9 @@ def exact_f_shifted(
 # conjecture hunts
 # ---------------------------------------------------------------------------
 
-def max_min_overlapping(n: int, k: int, s: int, limit_downsets: int = DOWNSET_LIMIT_DEFAULT) -> tuple[int, Family]:
+def max_min_overlapping(
+    n: int, k: int, s: int, limit_downsets: int = _family.WORK_LIMIT_DEFAULT
+) -> tuple[int, Family]:
     """Maximum of min_i |B_i| over overlapping nested chains, with witness family.
 
     For nested chains min_i |B_i| = |B_0|, and enlarging any family only

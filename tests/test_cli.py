@@ -210,11 +210,12 @@ def test_resume_interleaves_resumed_and_pooled_rows(tmp_path):
 
 @pytest.mark.parametrize(
     "grid, limit",
-    [(["--n", "5..6"], ["--limit-nodes", "1"]), (["--n", "6"], ["--limit-downsets", "2"])],
+    [(["--n", "5..6"], ["--limit-nodes", "1"]), (["--n", "6"], ["--limit-nodes", "2"])],
     ids=["limit-nodes", "limit-downsets"],
 )
 def test_resume_recomputes_rows_a_limit_left_incomplete(tmp_path, grid, limit):
-    # a finished row does not depend on the limit, so a resume may raise or drop it
+    # a finished row does not depend on the limit, so a resume may raise or drop it;
+    # the budget of 2 stops the shifted solver at its listing of the 32 downsets of (6, 2)
     r1, r2, fresh = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "fresh.json"
     args = ["search", *grid, "--k", "2", "--weights", "1,1"]
     assert main([*args, *limit, "--out", str(r1)]) == 3
@@ -341,18 +342,9 @@ def test_limit_validation():
     assert main(["verify", "--suite", "bde", "--trials", "-3"]) == 2
 
 
-@pytest.mark.parametrize("solver", ["shifted", "both"])
-def test_limit_downsets_reaches_the_shifted_solver(solver, tmp_path):
-    argv = ["search", "--n", "6", "--k", "2", "--weights", "1,1", "--solver", solver, "--limit-downsets", "2"]
-    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 3
-    (row,) = json.loads((tmp_path / "out.json").read_text())["rows"]
-    assert row["status"] == "incomplete"
-
-
 _BASE_ARGV = {
     "bounds": ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"],
     "search": ["search", "--n", "4", "--k", "2", "--weights", "2,1"],
-    "search-oracle": ["search", "--n", "4", "--k", "2", "--weights", "2,1", "--solver", "oracle"],
     "verify": ["verify", "--suite", "thm3"],
     "verify-conj2": ["verify", "--suite", "conj2"],
     "verify-bde": ["verify", "--suite", "bde"],
@@ -362,20 +354,17 @@ _BASE_ARGV = {
 @pytest.mark.parametrize(
     "command, extra",
     [
-        ("verify", "--limit-downsets 5"),
         ("verify", "--warm-start off"),
         ("verify", "--jobs 2"),
         ("bounds", "--seed 1"),
         ("bounds", "--ci"),
         ("bounds", "--limit-nodes 5"),
-        ("bounds", "--limit-downsets 5"),
         ("bounds", "--warm-start on"),
         ("bounds", "--jobs 2"),
         ("bounds", "--p 7"),
         ("bounds", "--weights 3,1"),
         ("search", "--seed 1"),
         ("search", "--ci"),
-        ("search-oracle", "--limit-downsets 1"),
         ("bounds", "--format csv --resume r.json"),
         ("search", "--format csv --resume r.json"),
         ("verify", "--format csv --resume r.json"),

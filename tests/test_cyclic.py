@@ -13,7 +13,6 @@ from overlap_lab.cyclic import (
     arc_chain_families,
     arcs,
     block_matching,
-    case2_replay,
     random_matching,
     random_overlapping_arc_chain,
     run_cyclic_suite,
@@ -242,22 +241,6 @@ def test_run_cyclic_suite_marks_each_failing_cell(monkeypatch, broken):
     assert rep["summary"]["status"] == "fail"
     expected = (30, 0) if broken == "inequality" else (0, 30)  # 60 trials over two cells
     assert (rep["summary"]["violations"], rep["summary"]["identity_failures"]) == expected
-
-
-def test_case2_replay_structure():
-    n, k = 8, 2
-    arc = arcs(CyclicOrder.identity(n), k)
-    full = (1 << n) - 1
-    rep = case2_replay(arc, (0b1111, full), p=2)
-    t, r = n // k, n - (n // k) * k
-    assert r == 0 and rep["dropped_heads"] == []
-    assert len(rep["block_matchings"]) == k
-    for group in rep["block_matchings"]:
-        assert len(group["heads"]) == t
-    assert rep["degrees_sorted"] == sorted(rep["degrees_sorted"])
-    total = sum(g["weight"] for g in rep["block_matchings"])
-    assert total == sum(rep["degrees_sorted"])
-    assert rep["tie_break"] == "head position"
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member
-from overlap_lab import search
+from overlap_lab import family, search
 from overlap_lab.bounds import conj1_value, conj2_bound, thm2_value, thm3_value, thm4_value
 from overlap_lab.combinatorics import binom
 from overlap_lab.family import DownsetLimitError, downset_bitsets, poset_upsets, reduce_to_weighted
 from overlap_lab.matching import disjointness, is_overlapping, matching_number
 from overlap_lab.search import (
-    InstanceTooLargeError,
     NodeLimitError,
     _closed_form_head,
     best_construction,
@@ -246,22 +245,37 @@ def test_thm2_k1_equality_point():
     assert rec.optimum == 16 == thm2_value(8, 1, 5, 2)
 
 
-def test_oracle_guard(monkeypatch):
-    with pytest.raises(InstanceTooLargeError):
-        oracle_f(10, 2, 2, (1, 1, 1))  # 4^45 candidates
-    monkeypatch.setattr(search, "ORACLE_CANDIDATE_LIMIT", 3**6)
-    rec = oracle_f(4, 2, 1, (1, 1))
-    assert rec.optimum == binom(4, 2)
-    monkeypatch.setattr(search, "ORACLE_CANDIDATE_LIMIT", 3**6 - 1)
-    with pytest.raises(InstanceTooLargeError):
-        oracle_f(4, 2, 1, (1, 1))
+@pytest.mark.parametrize(
+    "n,k,s,ws",
+    [(8, 2, 1, (2, 1)), (9, 2, 1, (3, 1)), (7, 2, 2, (1, 1, 1))],
+)
+def test_solvers_agree_where_the_raw_space_is_large(n, k, s, ws):
+    # (s+2)^C(n,k) > 2^36 on each cell, yet the oracle closes it in under 80 000 nodes
+    a = check_record(oracle_f(n, k, s, ws))
+    b = check_record(exact_f_shifted(n, k, s, ws))
+    assert (a.optimum, a.witness.families) == (b.optimum, b.witness.families)
+
+
+@pytest.mark.parametrize("solver", [oracle_f, exact_f_shifted])
+def test_default_budget_is_read_at_each_call(solver, monkeypatch):
+    closed = solver(6, 2, 1, (2, 1))
+    monkeypatch.setattr(family, "WORK_LIMIT_DEFAULT", 5)
+    with pytest.raises((NodeLimitError, DownsetLimitError)):
+        solver(6, 2, 1, (2, 1))
+    assert solver(6, 2, 1, (2, 1), limit_nodes=closed.nodes_explored) == closed
 
 
 def test_node_limits():
     with pytest.raises(NodeLimitError):
         oracle_f(6, 2, 1, (2, 1), limit_nodes=10)
-    with pytest.raises(NodeLimitError):
+    # (7,2,2,(1,1,1)) lists 64 downsets and descends through 965 nodes; one budget caps both
+    with pytest.raises(DownsetLimitError):
         exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=5)
+    with pytest.raises(NodeLimitError):
+        exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=100)
+    with pytest.raises(NodeLimitError):
+        exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=964)
+    assert exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=965).nodes_explored == 965
 
 
 @pytest.mark.parametrize(
