@@ -146,7 +146,7 @@ def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[i
         raise ValueError(f"need n >= (k+1)s, got n={n}, k={k}, s={s}")
     ranks = arc.ranks
     rank_sets = [sum(1 << ranks[i] for i in iter_bits(heads)) for heads in arc_sets]
-    if rainbow(rank_sets, arc.rank_disjointness):
+    if rainbow(rank_sets, arc.rank_disjointness) is not None:
         raise ValueError("arc chain is not overlapping")
 
     head, *rest = arc_sets
@@ -225,7 +225,7 @@ def random_overlapping_arc_chain(
             if draw() < density:
                 entering[pick(s + 1)] |= 1 << i
         arc_sets = tuple(accumulate(entering, or_))
-        if not rainbow(arc_sets, head_disj):
+        if rainbow(arc_sets, head_disj) is None:
             return arc_sets
 
 

@@ -52,27 +52,32 @@ def rainbow(
     avail: int = -1,
     start: int = 0,
     floor: int = -1,
-) -> bool:
-    """True iff one member of each bitset cands[i] can be chosen in avail, pairwise disjoint.
+) -> tuple[int, ...] | None:
+    """A rainbow matching of the bitsets cands in avail as its picked ranks, or None if there is none.
 
-    An empty cands is vacuously true.  disj[r] is the bitset of ranks
-    disjoint from rank r.  Equal neighbours
-    may swap their picks, so the later one takes a rank no smaller than the
-    earlier one's (not strictly larger: at k = 0 the empty set is disjoint
-    from itself).  start and floor carry the recursion: the index being
-    placed and the ranks it may take.
+    picks[i] lies in cands[i] & avail and the picks are pairwise disjoint;
+    an empty cands gives (), which is a success but falsy, so callers test
+    `is None`.  disj[r] is the bitset of ranks disjoint from rank r.  Equal
+    neighbours may swap their picks, so the later one takes a rank no
+    smaller than the earlier one's (not strictly larger: at k = 0 the empty
+    set is disjoint from itself).  start and floor carry the recursion: the
+    index being placed and the ranks it may take.
     """
     last = len(cands) - 1
-    if start >= last:
-        return start > last or cands[start] & avail & floor != 0
+    if start > last:
+        return ()
     cand = cands[start] & avail & floor
+    if start == last:
+        return ((cand & -cand).bit_length() - 1,) if cand else None
     same = cands[start + 1] == cands[start]
     while cand:
         low = cand & -cand
-        if rainbow(cands, disj, avail & disj[low.bit_length() - 1], start + 1, -low if same else -1):
-            return True
+        r = low.bit_length() - 1
+        picks = rainbow(cands, disj, avail & disj[r], start + 1, -low if same else -1)
+        if picks is not None:
+            return (r,) + picks
         cand ^= low
-    return False
+    return None
 
 
 def _member_disjointness(fams: Sequence[Family]) -> dict[int, int]:
@@ -100,7 +105,7 @@ def has_matching_of_size(fam: Family, size: int) -> bool:
         return size <= len(fam)
     if size > fam.n // fam.k:
         return False
-    return rainbow((fam.bits,) * size, _member_disjointness((fam,)))
+    return rainbow((fam.bits,) * size, _member_disjointness((fam,))) is not None
 
 
 def _common_params(fams: Sequence[Family]) -> tuple[int, int]:
@@ -132,7 +137,7 @@ def has_rainbow_matching(fams: Sequence[Family], size: int) -> bool:
     # smallest families first: their representatives are the scarcest;
     # sorting also makes equal families neighbours
     bits = sorted((f.bits for f in fams), key=lambda b: (b.bit_count(), b))
-    return any(rainbow(pick, disj) for pick in combinations(bits, size))
+    return any(rainbow(pick, disj) is not None for pick in combinations(bits, size))
 
 
 def rainbow_matching_witness(fams: Sequence[Family]) -> list[tuple[int, int]]:
@@ -156,7 +161,7 @@ def rainbow_matching_witness(fams: Sequence[Family]) -> list[tuple[int, int]]:
         rest = bits[pos + 1 :]
         for r in iter_bits(b & avail):
             left = avail & disj[r]
-            if any(rainbow(pick, disj, left) for pick in combinations(rest, need - 1)):
+            if any(rainbow(pick, disj, left) is not None for pick in combinations(rest, need - 1)):
                 witness.append((pos, table[r]))
                 avail = left
                 need -= 1

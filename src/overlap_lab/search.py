@@ -9,7 +9,11 @@ Two independent routes compute the same optimum:
   when a disjoint set is placed, so a node tries its feasible levels with
   no rainbow call and bounds the value by every later set's own best level
   (5 129 nodes on the 23 cells of perfbench's oracle workload, against
-  183 795 when only the warm start pruned).
+  183 795 when only the warm start pruned).  The levels are kept as one
+  bitset of sets per level, and a recheck lifts every set that misses one
+  rainbow matching of a level's rivals with no call of its own (7 225
+  top-level rainbow calls on that workload, against 31 746 at one call per
+  set and level).
 
 * exact_f_shifted enumerates nested chains of shifted families top-down
   (B_s over all downsets of the shift order, each of B_{s-1}..B_1 over
@@ -42,7 +46,6 @@ from .family import (
     chain_to_dict,
     construction_chain,
     cover_family,
-    downset_bitsets,
     is_shifted,
     poset_upsets,
     walk_downsets,
@@ -165,18 +168,25 @@ def oracle_f(
     None).
 
     The search forward-checks (Haralick and Elliott, "Increasing tree
-    search efficiency for constraint satisfaction problems", 1980): cap[r]
-    is the lowest entry level at which the unassigned k-set r can still
-    join the chain (s+1 for never).  Entering later gives a pointwise
-    subchain, so the feasible levels of r are exactly cap[r]..s, and a node
-    tries them without a rainbow call.  Families only grow along a path, so
-    caps only rise; after a placement only the later ranks disjoint from
-    it are rechecked, since any new rainbow matching uses the new member.
-    The value bound is val + sum of contrib[cap[r]] over the unassigned r,
-    and a value tie is bounded by the least cardinality worth each cap.
-    Warm-started, it closes (7,2,1,(3,1)) in 435 nodes and (6,3,1,(1,1)) in
-    88 583 (about 0.4 s); with the warm start as the only prune they took
-    453 974 and 12.1 M nodes (0.75 and 22 s on a 2-core host, Python 3.11).
+    search efficiency for constraint satisfaction problems", 1980): the cap
+    of an unassigned k-set r is the lowest entry level at which it can
+    still join the chain (s+1 for never), and at[l] is the bitset of the
+    ranks whose cap is l.  Entering later gives a pointwise subchain, so
+    the feasible levels of r are exactly its cap..s, and a node tries them
+    without a rainbow call.  Families only grow along a path, so caps only
+    rise; after a placement only the later ranks disjoint from it are
+    rechecked, since any new rainbow matching uses the new member.  The
+    recheck sweeps the levels upwards.  At each level one rainbow call on
+    the rivals (the families a rising set must match around) gives a
+    matching M; every rank of the level's group that misses all of M
+    rises with no call, the rest get one call each, and the risen ranks
+    join the next level's group.  The value bound is val + sum of
+    contrib[cap] over the unassigned ranks, and a value tie is bounded by
+    the least cardinality worth each cap.  Warm-started, it closes
+    (7,2,1,(3,1)) in 435 nodes and (6,3,1,(1,1)) in 88 583 (0.35 s, with
+    88 572 top-level rainbow calls against 177 144 at one call per rank
+    and level); with the warm start as the only prune they took 453 974
+    and 12.1 M nodes (0.75 and 22 s on a 2-core host, Python 3.11).
     """
     iw, lead0, best_val, budget, finish = _solver_frame("oracle", n, k, s, weights, warm_start, limit_nodes)
     capacity = binom(n, k)
@@ -190,7 +200,9 @@ def oracle_f(
     # entry levels below lead0 add cardinality but no value: dominated, skip;
     # at s = 0 the other indices match vacuously, so a lone family stays empty
     first = lead0 if s else s + 1
-    cap = [first] * capacity
+    # at[lvl]: the ranks whose cap is lvl (only the unassigned ones are read)
+    at = [0] * (s + 2)
+    at[first] = (1 << capacity) - 1
 
     fam_bits = [0] * (s + 1)
     best_card: int | None = None
@@ -198,7 +210,7 @@ def oracle_f(
     nodes = 0
 
     def explore(pos: int, val: int, card: int, rest_val: int, rest_card: int) -> None:
-        # rest_val, rest_card: sums of contrib[cap[r]] and tie_card[cap[r]] over r >= pos
+        # rest_val, rest_card: sums of contrib[cap] and tie_card[cap] over the ranks >= pos
         nonlocal best_val, best_card, best_chain, nodes
         nodes += 1
         if nodes > budget:
@@ -215,10 +227,12 @@ def oracle_f(
             # least cardinality, and cannot beat the incumbent; first-found
             # ties are key-least
             return
-        low = cap[pos]
+        bit = 1 << pos
+        low = first
+        while not at[low] & bit:
+            low += 1
         rest_val -= contrib[low]
         rest_card -= tie_card[low]
-        bit = 1 << pos
         later = disj[pos] >> (pos + 1) << (pos + 1)
         for level in range(low, s + 1):
             for i in range(level, s + 1):
@@ -229,31 +243,38 @@ def oracle_f(
             # at t > lvl it can trade places with the member at lvl, which
             # lies in B_lvl, inside B_t.  No such matching existed before this
             # placement, so a new one uses pos, and by the same trade pos
-            # stands at `level`, or at level + 1 when lvl is `level`.
-            rivals = {}  # lvl -> the other families that match with pos, or None
-            raised = []
+            # stands at `level`, or at level + 1 when lvl is `level`.  So the
+            # sets that rise from lvl are those with a matching of the other
+            # families (the rivals) in disj[pos] that misses them.  Sweeping
+            # the levels upwards carries the risen sets into the next group.
+            saved = at[:]
             lost_val = lost_card = 0
-            for r in iter_bits(later):
-                old = lvl = cap[r]
-                while lvl <= s:
-                    if lvl not in rivals:
-                        stand = level + (lvl == level)
-                        others = [b for i, b in enumerate(fam_bits) if i != lvl and i != stand]
-                        rivals[lvl] = others if stand <= s and rainbow(others, disj, disj[pos]) else None
-                    others = rivals[lvl]
-                    if others is None or not rainbow(others, disj, disj[pos] & disj[r]):
-                        break
-                    lvl += 1
-                if lvl != old:
-                    cap[r] = lvl
-                    raised.append((r, old))
-                    lost_val += contrib[old] - contrib[lvl]
-                    lost_card += tie_card[old] - tie_card[lvl]
+            for lvl in range(first, s + 1):
+                group = at[lvl] & later
+                stand = level + (lvl == level)
+                if not group or stand > s:
+                    continue
+                others = [b for i, b in enumerate(fam_bits) if i != lvl and i != stand]
+                match = rainbow(others, disj, disj[pos])
+                if match is None:
+                    continue
+                # the sets that miss every member of this one matching rise with no call
+                risen = group
+                for p in match:
+                    risen &= disj[p]
+                for r in iter_bits(group & ~risen):
+                    if rainbow(others, disj, disj[pos] & disj[r]) is not None:
+                        risen |= 1 << r
+                if risen:
+                    at[lvl] &= ~risen
+                    at[lvl + 1] |= risen
+                    count = risen.bit_count()
+                    lost_val += count * (contrib[lvl] - contrib[lvl + 1])
+                    lost_card += count * (tie_card[lvl] - tie_card[lvl + 1])
             explore(
                 pos + 1, val + contrib[level], card + (s + 1 - level), rest_val - lost_val, rest_card - lost_card
             )
-            for r, old in raised:
-                cap[r] = old
+            at[:] = saved
             for i in range(level, s + 1):
                 fam_bits[i] &= ~bit
         explore(pos + 1, val, card, rest_val, rest_card)
@@ -298,7 +319,7 @@ def _closed_form_head(rest: Sequence[int], disj: Sequence[int], ups: Sequence[in
     while todo:
         low = todo & -todo
         r = low.bit_length() - 1
-        if rainbow(rest, disj, disj[r]):
+        if rainbow(rest, disj, disj[r]) is not None:
             todo &= ~ups[r]
         else:
             head |= low
@@ -333,15 +354,15 @@ def exact_f_shifted(
     limit_nodes (family.WORK_LIMIT_DEFAULT when None) caps both the downset
     listing (DownsetLimitError) and the descent (NodeLimitError).  At s >= 1
     the top level counts every downset as a node, so the listing cap stops
-    no cell that the descent would close.
+    no cell that the descent would close; at s = 0 nothing is listed.
 
     Equals oracle_f whenever both run (the compression and shifting
     reductions preserve the optimum); that equality is enforced by tests
     rather than assumed here.
     """
     iw, lead0, best_val, budget, finish = _solver_frame("shifted", n, k, s, weights, warm_start, limit_nodes)
-    downs = downset_bitsets(n, k, budget)
-    by_size = sorted(downs, key=lambda d: (-d.bit_count(), d))
+    # at s = 0 the chain is B_0 alone, in closed form
+    by_size = sorted(walk_downsets(n, k, budget), key=lambda d: (-d.bit_count(), d)) if s else []
     disj = disjointness(n, k)
     ups = poset_upsets(n, k)
     prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]
@@ -426,7 +447,7 @@ def max_min_overlapping(
     disj = disjointness(n, k)
     best_size = -1
     best_bits = 0
-    for bits in walk_downsets(n, k, limit_downsets, lambda d, r: rainbow((d,) * s, disj, disj[r])):
+    for bits in walk_downsets(n, k, limit_downsets, lambda d, r: rainbow((d,) * s, disj, disj[r]) is not None):
         size = bits.bit_count()
         if size > best_size or (size == best_size and bits < best_bits):
             best_size, best_bits = size, bits

@@ -112,7 +112,7 @@ def brute_upsets(n: int, k: int) -> list[int]:
 
 def head_per_member(rest, disj) -> int:
     """The closed-form B_0 by one kernel call per member of B_1 (rest = B_1..B_s; empty at s = 0)."""
-    return sum(1 << r for r in iter_bits(rest[0] if rest else 0) if not rainbow(rest, disj, disj[r]))
+    return sum(1 << r for r in iter_bits(rest[0] if rest else 0) if rainbow(rest, disj, disj[r]) is None)
 
 
 def brute_chain_optimum(n: int, k: int, s: int, weights) -> tuple[Fraction, tuple[Family, ...]]:

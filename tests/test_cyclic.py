@@ -156,7 +156,7 @@ def test_arc_chains_against_naive_construction(drawn, trials, seed):
     )
     # the recheck runs the kernel on the arcs' colex ranks; each Family's bits are those ranks
     overlapping = is_overlapping(chain)
-    assert overlapping == (not rainbow([fam.bits for fam in chain.families], arc.rank_disjointness))
+    assert overlapping == (rainbow([fam.bits for fam in chain.families], arc.rank_disjointness) is None)
     if not overlapping or n < (k + 1) * s:
         with pytest.raises(ValueError):
             verify_cyclic_lemma(arc, arc_sets, p, trials, seed)

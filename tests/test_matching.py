@@ -9,6 +9,7 @@ from _brute import (
     brute_matching_number,
     brute_min_cover_size,
     brute_rainbow_number,
+    pairwise_disjoint,
 )
 from overlap_lab.combinatorics import binom, colex_rank, ksets
 from overlap_lab.family import Chain, Family, construction_chain, cover_family
@@ -22,6 +23,7 @@ from overlap_lab.matching import (
     matching_number,
     max_bipartite_matching,
     min_vertex_cover,
+    rainbow,
     rainbow_matching_number,
     rainbow_matching_witness,
 )
@@ -161,6 +163,22 @@ def test_rainbow_kernel_against_brute(seq):
         assert has_rainbow_matching(seq, t) == (value >= t)
     key = lambda w: tuple((i, colex_rank(m)) for i, m in w)
     assert key(rainbow_matching_witness(seq)) == min(map(key, brute_all_max_rainbow(seq)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(family_sequences(), st.data())
+def test_rainbow_returns_its_matching(seq, data):
+    n, k = seq[0].n, seq[0].k
+    avail = data.draw(st.integers(-1, (1 << binom(n, k)) - 1))
+    picks = rainbow([f.bits for f in seq], disjointness(n, k), avail)
+    value = brute_rainbow_number([Family(n, k, f.bits & avail) for f in seq])
+    assert (picks is None) == (value < len(seq))
+    if picks is not None:
+        assert len(picks) == len(seq)
+        for r, f in zip(picks, seq):
+            assert (f.bits & avail) >> r & 1
+        assert pairwise_disjoint(ksets(n, k)[r] for r in picks)
+    assert rainbow((), disjointness(n, k)) == ()
 
 
 @pytest.mark.parametrize(

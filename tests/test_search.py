@@ -74,7 +74,7 @@ def test_solvers_reject_k_zero():
 def test_solvers_revalidate_witness(solver, monkeypatch):
     # a kernel that never finds a rainbow matching lets a search keep every
     # k-set; the witness recheck runs through matching's own kernel and refuses it
-    monkeypatch.setattr(search, "rainbow", lambda *args: False)
+    monkeypatch.setattr(search, "rainbow", lambda *args: None)
     with pytest.raises(AssertionError, match="non-overlapping witness"):
         solver(4, 2, 1, (1, 1))
 
@@ -265,6 +265,15 @@ def test_default_budget_is_read_at_each_call(solver, monkeypatch):
     assert solver(6, 2, 1, (2, 1), limit_nodes=closed.nodes_explored) == closed
 
 
+@pytest.mark.parametrize(
+    "n,k,s,ws,nodes",
+    [(7, 2, 1, (3, 1), 435), (12, 1, 3, (1, 1, 1, 1), 1237), (6, 3, 1, (1, 1), 88583), (7, 2, 2, (1, 1, 1), 75430)],
+)
+def test_oracle_node_counts(n, k, s, ws, nodes):
+    # the caps set the value bound, so a cap that rises too early or too late moves the count
+    assert oracle_f(n, k, s, ws).nodes_explored == nodes
+
+
 def test_node_limits():
     with pytest.raises(NodeLimitError):
         oracle_f(6, 2, 1, (2, 1), limit_nodes=10)
@@ -276,6 +285,9 @@ def test_node_limits():
     with pytest.raises(NodeLimitError):
         exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=964)
     assert exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=965).nodes_explored == 965
+    # at s = 0 B_0 comes in closed form and no downset is listed
+    rec = exact_f_shifted(6, 2, 0, (1,), limit_nodes=5)
+    assert (rec.optimum, rec.nodes_explored) == (0, 0)
 
 
 @pytest.mark.parametrize(
