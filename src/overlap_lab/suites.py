@@ -48,7 +48,7 @@ def run_suite(name: str, *, cells=None, trials=None, seed=0, limit_nodes=None) -
     """
     suite = SUITES[name]
     cells = suite.cells if cells is None else cells
-    return suite.report(name, cells, trials or suite.trials, seed, limit_nodes)
+    return suite.report(name, cells, suite.trials if trials is None else trials, seed, limit_nodes)
 
 
 def _report(name: str, rows: list[dict], violations: int, /, **counts) -> dict:

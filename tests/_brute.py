@@ -3,13 +3,16 @@
 Everything here is deliberately naive: plain enumeration over subsets,
 products, and index combinations, sharing no search code with the package.
 The sampled-harness replays draw through cyclic.random_matching, so that
-they see the same seeded samples as the code they check.
+they see the same seeded samples as the code they check; the stdlib_*
+samplers draw through `randrange` and `shuffle`, as the package once did,
+so the package's inline draws can be checked against them word for word.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from operator import or_
 
 from overlap_lab.bounds import thm4_threshold
 from overlap_lab.combinatorics import binom, iter_bits, ksets, shift_leq
@@ -254,3 +257,35 @@ def brute_random_matching_report(chain, weights, trials: int, seed: int) -> dict
         "membership": rows,
         "status": "pass" if ok else "fail",
     }
+
+
+# ---------------------------------------------------------------------------
+# the samplers on stdlib randrange and shuffle
+# ---------------------------------------------------------------------------
+
+def stdlib_random_heads(n: int, rng: random.Random, trials: int) -> list[int]:
+    """The heads verify_cyclic_lemma samples."""
+    return [rng.randrange(n) for _ in range(trials)]
+
+
+def stdlib_random_overlapping_arc_chain(arc, s: int, rng: random.Random) -> tuple[int, ...]:
+    n = arc.sigma.n
+    head_disj = arc.head_disjointness
+    draw, pick = rng.random, rng.randrange
+    while True:
+        density = draw()
+        entering = [0] * (s + 1)  # the arcs whose entry level is j
+        for i in range(n):
+            if draw() < density:
+                entering[pick(s + 1)] |= 1 << i
+        arc_sets = tuple(accumulate(entering, or_))
+        if rainbow(arc_sets, head_disj) is None:
+            return arc_sets
+
+
+def stdlib_random_matching(n: int, k: int, rng: random.Random) -> list[int]:
+    pool = [1 << i for i in range(n)]  # element i + 1 as a one-bit mask
+    rng.shuffle(pool)  # its draws depend only on len(pool)
+    t = n // k
+    # the bits of a block are distinct, so their sum is their union
+    return [sum(pool[i * k : (i + 1) * k]) for i in range(t)]

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_partition_report, brute_random_matching_report, pairwise_disjoint
+from _brute import (
+    brute_partition_report,
+    brute_random_matching_report,
+    pairwise_disjoint,
+    stdlib_random_heads,
+    stdlib_random_matching,
+    stdlib_random_overlapping_arc_chain,
+)
 from overlap_lab import cyclic
 from overlap_lab.combinatorics import binom, elements_of, mask_from_elements
 from overlap_lab.cyclic import (
@@ -22,7 +29,7 @@ from overlap_lab.cyclic import (
 )
 from overlap_lab.family import Chain, Family, construction_chain
 from overlap_lab.matching import is_overlapping, rainbow
-from overlap_lab.suites import SUITES
+from overlap_lab.suites import SUITES, run_suite
 
 
 def test_cyclic_order_validation():
@@ -177,6 +184,71 @@ def test_arc_chains_against_naive_construction(drawn, trials, seed):
     assert rep["max_observed"] == max(sampled or [block_weight(h) for h in range(n)])
     if sampled:
         assert rep["mean"] == str(Fraction(sum(sampled), trials))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.data(), st.integers(0, 2**64))
+def test_inline_draws_replay_the_stdlib_stream(data, seed):
+    # the same outputs from the same 32-bit words, and the same number of them
+    n = data.draw(st.integers(2, 13))
+    k = data.draw(st.integers(1, n - 1))
+    s = data.draw(st.integers(0, 3))
+    trials = data.draw(st.integers(0, 20))
+    arc = arcs(CyclicOrder.identity(n), k)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert random_matching(n, k, ours) == stdlib_random_matching(n, k, theirs)
+        assert random_overlapping_arc_chain(arc, s, ours) == stdlib_random_overlapping_arc_chain(arc, s, theirs)
+        assert cyclic._random_heads(n, ours, trials) == stdlib_random_heads(n, theirs, trials)
+        assert ours.getstate() == theirs.getstate()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.data())
+def test_rank_bits_match_arc_chain_families(data):
+    n = data.draw(st.integers(2, 13))
+    k = data.draw(st.integers(1, n - 1))
+    arc = arcs(CyclicOrder(tuple(data.draw(st.permutations(range(1, n + 1))))), k)
+    assert len(arc.rank_nibbles) == -(-n // 4)
+    for heads in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)):
+        (fam,) = arc_chain_families(arc, [heads]).families
+        assert arc.rank_bits(heads) == fam.bits
+
+
+def test_cyclic_suite_reuses_one_arc_family_per_cell_shape(monkeypatch):
+    seen = []
+    check = cyclic._check_arc_chain
+
+    def recording_check(arc, arc_sets, p):
+        seen.append(arc)
+        return check(arc, arc_sets, p)
+
+    monkeypatch.setattr(cyclic, "_check_arc_chain", recording_check)
+    for seed in (1, 2):
+        run_cyclic_suite([(9, 2, 2, 1), (9, 2, 2, 3), (8, 2, 1, 1)], 6, seed)
+    assert {id(arc) for arc in seen} == {id(cyclic._identity_arcs(9, 2)), id(cyclic._identity_arcs(8, 2))}
+    assert cyclic._identity_arcs(9, 2) == arcs(CyclicOrder.identity(9), 2)
+
+
+def test_sampled_entry_points_refuse_bad_trial_counts():
+    arc = arcs(CyclicOrder.identity(8), 2)
+    chain = construction_chain("clique", 4, 2, 1)
+    cover = construction_chain("cover", 8, 2, 1)
+    for trials in (0, -3, 1.5, True, None):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            verify_partition_bound(chain, (1, 1), trials, 0)
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            verify_random_matching_bound(cover, (1, 1), trials, 0)
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            run_cyclic_suite([(8, 2, 1, 1)], trials, 0)
+    for trials in (-1, 0.0, False):
+        with pytest.raises(ValueError, match="trials must be an integer >= 0"):
+            verify_cyclic_lemma(arc, (0, 0), 1, trials)
+    assert verify_cyclic_lemma(arc, (0, 0), 1, 0)["trials"] == 0
+    # trials=0 reaches the sampler instead of standing for the default count
+    for name in ("cyclic", "partition", "random-matching"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 0"):
+            run_suite(name, trials=0)
 
 
 def test_random_chain_sampler_output_contract():
