@@ -274,6 +274,14 @@ def _poset_succs(n: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _lower_covers(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per colex rank, (upper covers, bit) of each of its lower covers."""
+    preds = _poset_preds(n, k)
+    succs = _poset_succs(n, k)
+    return tuple(tuple((succs[q], 1 << q) for q in iter_bits(pb)) for pb in preds)
+
+
+@lru_cache(maxsize=None)
 def poset_upsets(n: int, k: int) -> tuple[int, ...]:
     """Per colex rank r, the bitset of ranks at or above r in the shift order.
 
@@ -338,6 +346,51 @@ def walk_downsets(
                     grown |= 1 << q
             # addable now holds only ranks above r, as does succs[r]
             stack.append((child, addable | grown))
+
+
+def walk_subdownsets(
+    n: int, k: int, top: int, keep: Callable[[int], bool] | None = None
+) -> Iterator[int]:
+    """Yield the sub-downsets of the downset `top` as rank bitsets, by reverse search.
+
+    The parent of a downset D inside top, D != top, is D | 1<<m for the
+    lowest rank m of top outside D: m's lower covers rank below m, so they
+    lie in D, and the parent is a downset.  The children of D are D minus
+    r, for each rank r maximal in D (no upper cover in D) below every rank
+    of top outside D.  A child's removable ranks are its parent's below r,
+    plus the lower covers of r left with no upper cover in the child.  A
+    depth-first walk of this tree from top reaches every sub-downset
+    exactly once, and after its parent, so each step peels one member off
+    (Avis and Fukuda, "Reverse search for enumeration", 1996).
+
+    When given, keep(D) is asked as D is reached, after the caller has
+    finished with every downset yielded before it; when it declines, D and
+    its whole subtree are skipped.  The subtree holds only sub-downsets of
+    D, so when keep declines every sub-downset of a downset it declines, as
+    a size threshold does, the walk yields exactly the downsets it keeps.
+    """
+    succs = _poset_succs(n, k)
+    removable = 0
+    for r in iter_bits(top):
+        if not succs[r] & top:
+            removable |= 1 << r
+    covers = _lower_covers(n, k)
+    # each entry: a downset, its parent's removable ranks below the rank
+    # peeled off to reach it, and the lower covers of that rank
+    stack = [(top, removable, ())]
+    while stack:
+        d, removable, below = stack.pop()
+        if keep is not None and not keep(d):
+            continue
+        for up, bit in below:
+            if not up & d:
+                removable |= bit
+        yield d
+        rest = removable
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            stack.append((d ^ low, removable & (low - 1), covers[low.bit_length() - 1]))
 
 
 def downset_bitsets(n: int, k: int, limit: int = WORK_LIMIT_DEFAULT) -> list[int]:

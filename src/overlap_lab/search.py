@@ -17,10 +17,14 @@ Two independent routes compute the same optimum:
 
 * exact_f_shifted enumerates nested chains of shifted families top-down
   (B_s over all downsets of the shift order, each of B_{s-1}..B_1 over
-  sub-downsets of its parent) and takes B_0 in closed form.  The members
-  of B_1 that B_0 must exclude form an upset of the shift order, so one
-  rainbow call excludes a whole upset (2 374 top-level calls on the 19
-  cells of perfbench's shifted workload, against 24 686 at one per member).
+  sub-downsets of its parent) and takes B_0 in closed form.  Each level
+  is a reverse-search walk that peels one member per step, so no downset
+  list is built, and since B_0 holds no s+1 disjoint sets, |B_0| is capped
+  by the matching bound M(n,k,s) in a value bound that prunes a candidate
+  together with every sub-downset below it (1 651 nodes on the 19 cells
+  of perfbench's shifted workload, against 4 768 when every downset was
+  listed and tested).  The members of B_1 that B_0 must exclude form an
+  upset of the shift order, so one rainbow call excludes a whole upset.
 
 Both ask the rainbow question through matching.rainbow over the cached
 matching.disjointness table, and both open and close in _solver_frame
@@ -40,15 +44,14 @@ from . import bounds as _bounds
 from . import family as _family
 from .combinatorics import binom, iter_bits
 from .family import (
-    CONSTRUCTION_KINDS,
     Chain,
+    DownsetLimitError,
     Family,
     chain_to_dict,
-    construction_chain,
-    cover_family,
     is_shifted,
     poset_upsets,
     walk_downsets,
+    walk_subdownsets,
 )
 from .matching import disjointness, has_matching_of_size, is_overlapping, rainbow
 
@@ -87,22 +90,22 @@ class ExtremalRecord:
 
 
 def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fraction, str]:
-    """Largest construction value among the named chains; used as a warm start."""
+    """Largest construction value among the named chains; used as a warm start.
+
+    Each named chain's level sizes have a closed form, so no chain is built:
+    empty-then-full has 0 at level 0 and C(n,k) at every other level, cover
+    C(n,k) - C(n - min(s,n), k) at every level (for s > n every k-set
+    already meets the ground set), and clique C((s+1)k-1, k) at every level
+    when n >= (s+1)k - 1.  Ties go to the kind listed first.
+    """
     ws = _bounds.solver_weights(weights, s + 1)
-    best_val = Fraction(-1)
-    best_kind = ""
-    for kind in CONSTRUCTION_KINDS:
-        if kind == "clique" and n < (s + 1) * k - 1:
-            continue
-        if kind == "cover":
-            # for s > n every k-set already meets the ground set
-            chain = Chain((cover_family(n, k, min(s, n)),) * (s + 1))
-        else:
-            chain = construction_chain(kind, n, k, s)
-        val = chain.weighted_value(ws)
-        if val > best_val:
-            best_val, best_kind = val, kind
-    return best_val, best_kind
+    full = binom(n, k)
+    total = sum(ws, Fraction(0))
+    values = [((total - ws[0]) * full, "empty-then-full"), (total * (full - binom(n - min(s, n), k)), "cover")]
+    if n >= (s + 1) * k - 1:
+        values.append((total * binom((s + 1) * k - 1, k), "clique"))
+    # max keeps the first of equal values
+    return max(values, key=lambda v: v[0])
 
 
 def _solver_frame(
@@ -327,6 +330,34 @@ def _closed_form_head(rest: Sequence[int], disj: Sequence[int], ups: Sequence[in
     return head
 
 
+# per (n, k, s): M, and the least budget a hunt for it has closed within
+_MATCHING_CAPS: dict[tuple[int, int, int], tuple[int, int]] = {}
+
+
+def _matching_cap(n: int, k: int, s: int, budget: int) -> int:
+    """M(n,k,s), the most k-sets of [n] with no s+1 pairwise disjoint; C(n,k) if the hunt runs out.
+
+    Below n = (s+1)k no s+1 k-sets are disjoint, and at s = 1 M is the
+    Erdos-Ko-Rado value C(n-1,k-1).  Otherwise max_min_overlapping hunts it
+    under the budget.  Only a hunt that closes is remembered, with its
+    budget, and a remembered M serves only budgets at least that large, so
+    the answer never depends on earlier calls.
+    """
+    if n < (s + 1) * k:
+        return binom(n, k)
+    if s == 1:
+        return binom(n - 1, k - 1)
+    known = _MATCHING_CAPS.get((n, k, s))
+    if known is not None and budget >= known[1]:
+        return known[0]
+    try:
+        cap = max_min_overlapping(n, k, s, budget)[0]
+    except DownsetLimitError:
+        return binom(n, k)
+    _MATCHING_CAPS[n, k, s] = (cap, budget)
+    return cap
+
+
 def exact_f_shifted(
     n: int,
     k: int,
@@ -338,34 +369,43 @@ def exact_f_shifted(
 ) -> ExtremalRecord:
     """Exact maximum of sum w_i |B_i| over nested chains of shifted families.
 
-    B_s ranges over all downsets of the shift order, then each of
-    B_{s-1}..B_1 over sub-downsets of its parent, largest first, with
-    value-bound pruning; nodes_explored counts these levels.  B_0 is then
+    B_s ranges over the downsets of the shift order, then each of
+    B_{s-1}..B_1 over the sub-downsets of its parent, each level walked by
+    family.walk_subdownsets, which peels one member at a time.  B_0 is then
     forced: a full rainbow matching uses exactly one member of B_0, so a
     member A of B_1 may join B_0 exactly when no rainbow matching of
     B_1..B_s misses A.  With w_0 > 0 the best B_0 holds every such A, and
     it is shifted whenever B_1..B_s are (Frankl, "The shifting technique in
     extremal set theory", 1987).  The excluded members form an upset, so
     _closed_form_head walks B_1 lowest rank first and drops the whole upset
-    of each excluded rank: (9,3,(1,1)) takes 0.09 s, (10,2,(1,1,1)) 0.03 s
-    and (10,2,(2,1,1)) 0.09 s, against 0.41, 0.23 and 0.89 s with one
-    rainbow call per member of B_1 (2-core host, Python 3.11).
+    of each excluded rank.
 
-    limit_nodes (family.WORK_LIMIT_DEFAULT when None) caps both the downset
-    listing (DownsetLimitError) and the descent (NodeLimitError).  At s >= 1
-    the top level counts every downset as a node, so the listing cap stops
-    no cell that the descent would close; at s = 0 nothing is listed.
+    B_0 lies in every level, so it holds no s+1 pairwise disjoint sets and
+    |B_0| <= M(n,k,s) (_matching_cap).  A candidate d at level j, of size
+    z, bounds every completion by val + (w_j + ... + w_0) z - w_0 max(z - M, 0).
+    That bound does not decrease with z, so a candidate below the
+    incumbent prunes its whole subtree of the walk.  nodes_explored counts
+    the candidates tested against the bound, refused ones included, and
+    limit_nodes (family.WORK_LIMIT_DEFAULT when None) caps them
+    (NodeLimitError) and the downsets the hunt for M may visit; a hunt
+    that runs out leaves the cap at C(n,k).  (20,2,(3,1)) closes in
+    37 929 nodes and about 0.1 s, (10,3,(1,1)) in 18 827 and 0.06 s and
+    (12,2,(1,1,1)) in 3 844 and 0.015 s; listing, sorting and testing every
+    downset took 524 288, 252 586 and 566 543 nodes and about 3, 1.2 and
+    0.4 s (2-core host, Python 3.11).
 
     Equals oracle_f whenever both run (the compression and shifting
     reductions preserve the optimum); that equality is enforced by tests
     rather than assumed here.
     """
     iw, lead0, best_val, budget, finish = _solver_frame("shifted", n, k, s, weights, warm_start, limit_nodes)
-    # at s = 0 the chain is B_0 alone, in closed form
-    by_size = sorted(walk_downsets(n, k, budget), key=lambda d: (-d.bit_count(), d)) if s else []
     disj = disjointness(n, k)
     ups = poset_upsets(n, k)
     prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]
+    capacity = binom(n, k)
+    # a zero w_0 leaves the cap out of every bound
+    cap = _matching_cap(n, k, s, budget) if s and lead0 == 0 else capacity
+    w0 = iw[0]
 
     best_card: int | None = None
     best_chain: tuple[int, ...] | None = None
@@ -383,41 +423,45 @@ def exact_f_shifted(
 
     def descend(j: int, val: int, card: int) -> None:
         nonlocal nodes
-        parent = chain_bits[j + 1] if j < s else None
-        if j < lead0:
+        if j < lead0 or j == 0:
             # zero-weight head: the empty family is uniquely optimal in
-            # (value, cardinality) and always feasible
+            # (value, cardinality) and always feasible; j = 0 here only at
+            # s = 0, where a lone family must be empty
             for i in range(j + 1):
                 chain_bits[i] = 0
             offer(val, card)
             return
-        if j == 0:
-            head = _closed_form_head(chain_bits[1:], disj, ups)
-            chain_bits[0] = head
-            sz = head.bit_count()
-            offer(val + iw[0] * sz, card + sz)
-            return
-        candidates = by_size if parent is None else [d for d in by_size if not d & ~parent]
-        for d in candidates:
+        slope = prefix_w[j]
+        wj = iw[j]
+
+        def admit(d: int) -> bool:
+            # the bound; it does not decrease with size, so a refusal prunes the subtree
+            nonlocal nodes
             nodes += 1
             if nodes > budget:
                 raise NodeLimitError(f"shifted search exceeded {budget} nodes")
             size = d.bit_count()
-            val2 = val + iw[j] * size
+            return val + slope * size - w0 * (size - cap if size > cap else 0) >= best_val
+
+        top = chain_bits[j + 1] if j < s else (1 << capacity) - 1
+        for d in walk_subdownsets(n, k, top, admit):
+            size = d.bit_count()
             card2 = card + size
-            potential = val2 + prefix_w[j - 1] * size
-            if potential < best_val:
-                continue
-            if (
-                potential == best_val
-                and best_card is not None
-                and card2 + max(j - lead0, 0) * size > best_card
-            ):
-                # a value tie fills every positive-weight level below with
-                # copies of d and every zero-weight level with the empty family
-                continue
+            if best_card is not None and val + slope * size - w0 * (size - cap if size > cap else 0) == best_val:
+                # a value tie fills the first positive-weight level with
+                # min(size, M) members, so every level up to j holds as
+                # many, and leaves each zero-weight head level empty
+                if card2 + (j - lead0) * min(size, cap) > best_card:
+                    continue
             chain_bits[j] = d
-            descend(j - 1, val2, card2)
+            if j > 1 or lead0:
+                descend(j - 1, val + wj * size, card2)
+            else:
+                # B_0 in closed form
+                head = _closed_form_head(chain_bits[1:], disj, ups)
+                chain_bits[0] = head
+                sz = head.bit_count()
+                offer(val + wj * size + w0 * sz, card2 + sz)
         chain_bits[j] = 0
 
     descend(s, 0, 0)

@@ -27,6 +27,7 @@ from overlap_lab.family import (
     reduce_to_weighted,
     shift_closure,
     shift_ij,
+    walk_subdownsets,
 )
 from overlap_lab.matching import rainbow_matching_number
 
@@ -250,6 +251,39 @@ def test_downset_count_at_capacity_twenty():
             probe ^= low
         count += good
     assert count == len(downset_bitsets(6, 3))
+
+
+@pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (8, 2), (6, 3), (7, 3)])
+def test_peel_walk_yields_each_large_sub_downset_once(n, k):
+    # brute filter: every downset inside top with at least t members
+    downs = downset_bitsets(n, k)
+    rng = random.Random(f"peel:{n}:{k}")
+    tops = [downs[-1], downs[0]] + rng.sample(downs, 6)
+    for top in tops:
+        inside = [d for d in downs if not d & ~top]
+        assert sorted(walk_subdownsets(n, k, top)) == sorted(inside)
+        for t in range(top.bit_count() + 2):
+            walked = list(walk_subdownsets(n, k, top, lambda d: d.bit_count() >= t))
+            assert sorted(walked) == sorted(d for d in inside if d.bit_count() >= t), (top, t)
+
+
+def test_peel_walk_asks_keep_once_the_caller_is_done():
+    # a threshold raised while the caller handles a downset already prunes its children
+    top = (1 << binom(6, 2)) - 1
+    floor = 0
+    asked = []
+
+    def keep(d):
+        asked.append(d)
+        return d.bit_count() >= floor
+
+    walked = []
+    for d in walk_subdownsets(6, 2, top, keep):
+        walked.append(d)
+        floor = d.bit_count()
+    # {5,6} is the one maximal pair, so top has one child, asked and refused
+    assert walked == [top]
+    assert asked == [top, top ^ 1 << 14]
 
 
 def test_downset_limit():

@@ -9,11 +9,20 @@ from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_mem
 from overlap_lab import family, search
 from overlap_lab.bounds import conj1_value, conj2_bound, thm2_value, thm3_value, thm4_value
 from overlap_lab.combinatorics import binom
-from overlap_lab.family import DownsetLimitError, downset_bitsets, poset_upsets, reduce_to_weighted
+from overlap_lab.family import (
+    Chain,
+    DownsetLimitError,
+    construction_chain,
+    cover_family,
+    downset_bitsets,
+    poset_upsets,
+    reduce_to_weighted,
+)
 from overlap_lab.matching import disjointness, is_overlapping, matching_number
 from overlap_lab.search import (
     NodeLimitError,
     _closed_form_head,
+    _matching_cap,
     best_construction,
     exact_f_shifted,
     hunt_conjectures,
@@ -225,6 +234,58 @@ def test_monotone_in_n_and_weights():
     assert exact_f_shifted(6, 2, 2, (2, 2, 1)).optimum >= base
 
 
+def _built_best_construction(n, k, s, ws):
+    # the warm start as it was computed from whole chains
+    best_val, best_kind = Fraction(-1), ""
+    for kind in ("empty-then-full", "cover", "clique"):
+        if kind == "clique" and n < (s + 1) * k - 1:
+            continue
+        if kind == "cover":
+            chain = Chain((cover_family(n, k, min(s, n)),) * (s + 1))
+        else:
+            chain = construction_chain(kind, n, k, s)
+        val = chain.weighted_value(ws)
+        if val > best_val:
+            best_val, best_kind = val, kind
+    return best_val, best_kind
+
+
+def test_best_construction_closed_form_matches_built_chains():
+    # the grid holds s > n, n < (s+1)k - 1 (no clique), zero heads and rationals
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for s in range(0, n + 3):
+                shapes = [(1,) * (s + 1), (s + 2,) + (1,) * s, (Fraction(7, 3),) + (Fraction(1, 2),) * s]
+                if s:
+                    shapes += [(0,) + (1,) * s, (Fraction(5, 2),) + (0,) * s, (9,) + (Fraction(2, 5),) * (s - 1) + (0,)]
+                for ws in shapes:
+                    assert best_construction(n, k, s, ws) == _built_best_construction(n, k, s, ws), (n, k, s, ws)
+
+
+def test_matching_cap_closed_forms_equal_the_hunt(monkeypatch):
+    monkeypatch.setattr(search, "_MATCHING_CAPS", {})
+    for k in range(1, 9):
+        for n in range(k, 57):
+            if binom(n, k) > 56:
+                break
+            for s in range(1, 4):
+                assert _matching_cap(n, k, s, 10**6) == max_min_overlapping(n, k, s)[0], (n, k, s)
+
+
+def test_matching_cap_falls_back_when_the_hunt_runs_out(monkeypatch):
+    # M(7,2,2) = 11 takes a hunt over 29 downsets; one fewer leaves the cap at
+    # C(7,2), whatever earlier calls found
+    monkeypatch.setattr(search, "_MATCHING_CAPS", {})
+    assert _matching_cap(7, 2, 2, 28) == 21
+    assert search._MATCHING_CAPS == {}
+    assert _matching_cap(7, 2, 2, 1000) == 11
+    assert _matching_cap(7, 2, 2, 28) == 21
+    assert _matching_cap(7, 2, 2, 29) == 11
+    assert search._MATCHING_CAPS == {(7, 2, 2): (11, 29)}
+    monkeypatch.setattr(search, "max_min_overlapping", None)
+    assert _matching_cap(7, 2, 2, 500) == 11
+
+
 def test_construction_lower_bound_sandwich():
     for n, k, s, ws in [(6, 2, 1, (1, 1)), (6, 2, 2, (2, 1, 1)), (9, 1, 2, (4, 1, 1))]:
         value, kind = best_construction(n, k, s, ws)
@@ -274,28 +335,48 @@ def test_oracle_node_counts(n, k, s, ws, nodes):
     assert oracle_f(n, k, s, ws).nodes_explored == nodes
 
 
+@pytest.mark.parametrize(
+    "n,k,s,ws,nodes",
+    [(12, 2, 2, (1, 1, 1), 3844), (9, 3, 1, (2, 1), 19509), (8, 2, 2, (5, 0, 0), 1698), (8, 2, 3, (2, 1, 1, 0), 1399)],
+)
+def test_shifted_node_counts(n, k, s, ws, nodes):
+    # the capped bound sets where each walk stops, and with trailing zero
+    # weights a value tie is pruned by cardinality, so a looser bound or a
+    # lost tie prune moves the count
+    assert exact_f_shifted(n, k, s, ws).nodes_explored == nodes
+
+
 def test_node_limits():
     with pytest.raises(NodeLimitError):
         oracle_f(6, 2, 1, (2, 1), limit_nodes=10)
-    # (7,2,2,(1,1,1)) lists 64 downsets and descends through 965 nodes; one budget caps both
-    with pytest.raises(DownsetLimitError):
-        exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=5)
-    with pytest.raises(NodeLimitError):
-        exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=100)
-    with pytest.raises(NodeLimitError):
-        exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=964)
-    assert exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=965).nodes_explored == 965
-    # at s = 0 B_0 comes in closed form and no downset is listed
+    # (7,2,2,(1,1,1)) tests 206 candidates; no downset list is built, so even
+    # a budget too small for the hunt of M stops at the node count
+    for limit in (5, 100, 205):
+        with pytest.raises(NodeLimitError):
+            exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=limit)
+    assert exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=206).nodes_explored == 206
+    # at s = 0 B_0 comes in closed form and no candidate is tested
     rec = exact_f_shifted(6, 2, 0, (1,), limit_nodes=5)
     assert (rec.optimum, rec.nodes_explored) == (0, 0)
 
 
 @pytest.mark.parametrize(
     "n,k,s,p,value",
-    [(12, 2, 1, 1, 66), (8, 3, 1, 1, 56), (9, 3, 1, 1, 84), (10, 2, 2, 1, 90), (13, 2, 1, 3, 78)],
+    [
+        (12, 2, 1, 1, 66),
+        (8, 3, 1, 1, 56),
+        (9, 3, 1, 1, 84),
+        (10, 2, 2, 1, 90),
+        (13, 2, 1, 3, 78),
+        (20, 2, 1, 3, 190),
+        (10, 3, 1, 1, 120),
+        (12, 2, 2, 1, 132),
+    ],
 )
 def test_shifted_frontier_within_small_budget(n, k, s, p, value):
-    # B_0 comes in closed form, so each of these cells closes in at most 42 518 nodes
+    # the matching cap on |B_0| prunes whole subtrees of the peel walks, so
+    # each of these cells closes in at most 37 929 nodes ((20,2,1,3) listed
+    # and tested all 524 288 downsets of (20,2) before)
     rec = check_record(exact_f_shifted(n, k, s, (p,) + (1,) * s, limit_nodes=50_000))
     assert rec.optimum == value == conj1_value(n, k, p, s)
 
