@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member
 from overlap_lab import family, search
 from overlap_lab.bounds import conj1_value, conj2_bound, thm2_value, thm3_value, thm4_value
-from overlap_lab.combinatorics import binom
+from overlap_lab.combinatorics import binom, ksets
 from overlap_lab.family import (
     Chain,
     DownsetLimitError,
@@ -18,7 +19,7 @@ from overlap_lab.family import (
     poset_upsets,
     reduce_to_weighted,
 )
-from overlap_lab.matching import disjointness, is_overlapping, matching_number
+from overlap_lab.matching import disjointness, is_overlapping, matching_number, rainbow
 from overlap_lab.search import (
     NodeLimitError,
     _closed_form_head,
@@ -479,6 +480,50 @@ def test_max_min_overlapping_rechecks_witness(monkeypatch, planted):
         max_min_overlapping(4, 2, 1)
 
 
+def _hunt_cells(most):
+    # every (n, k, s) with k >= 1, C(n, k) <= most, n <= 64 (the widest ground set) and s <= 3
+    return [(n, k, s) for n in range(1, 65) for k in range(1, n + 1) if binom(n, k) <= most for s in range(4)]
+
+
+def test_matching_window_keeps_every_refusal():
+    # random downsets D (the downward closures of a few random k-sets): s
+    # disjoint members of D miss the k-set of rank r exactly when s such
+    # members lie in the window of rank r
+    rng = random.Random(20)
+    for n, k, s in _hunt_cells(84):
+        if k > 3 or s == 0:
+            continue
+        disj = disjointness(n, k)
+        ups = poset_upsets(n, k)
+        sets = ksets(n, k)
+        for _ in range(6):
+            gens = sum(1 << rng.randrange(len(sets)) for _ in range(rng.randint(1, 4)))
+            d = sum(1 << q for q, up in enumerate(ups) if up & gens)
+            for r, a in enumerate(sets):
+                cand = d & disj[r] & search._matching_window(a, n, k, s)
+                full = rainbow((d,) * s, disj, disj[r]) is None
+                assert (rainbow((cand,) * s, disj) is None) == full, (n, k, s, d, r)
+
+
+def test_max_min_overlapping_walks_like_the_full_refusal(monkeypatch):
+    # the windowed, memoised refusal yields the same downsets, in the same
+    # order, as a walk that asks the kernel on all of D & disj[r]
+    seen = []
+
+    def spy(n, k, limit, refuse):
+        for d in family.walk_downsets(n, k, limit, refuse):
+            seen.append(d)
+            yield d
+
+    monkeypatch.setattr(search, "walk_downsets", spy)
+    for n, k, s in _hunt_cells(84):
+        disj = disjointness(n, k)
+        plain = list(family.walk_downsets(n, k, 10**6, lambda d, r: rainbow((d,) * s, disj, disj[r]) is not None))
+        seen.clear()
+        max_min_overlapping(n, k, s)
+        assert seen == plain, (n, k, s)
+
+
 def test_hunt_conjectures_subgrids():
     rep = hunt_conjectures("conj1", {"cells": [(4, 2, 1, 2), (6, 2, 2, 1), (5, 1, 1, 3)]})
     assert rep["summary"]["violations"] == 0
@@ -487,6 +532,13 @@ def test_hunt_conjectures_subgrids():
     assert rep["summary"]["violations"] == 0
     with pytest.raises(KeyError):
         hunt_conjectures("conj3", {"cells": [(6, 2, 1)]})
+
+
+def test_hunt_conjectures_conj2_refuses_a_node_budget():
+    # only conj1 reads limit_nodes; conj2 must not drop it silently
+    with pytest.raises(ValueError, match="limit_nodes"):
+        hunt_conjectures("conj2", {"cells": [(6, 2, 1)]}, limit_nodes=10)
+    assert hunt_conjectures("conj1", {"cells": [(4, 2, 1, 2)]}, limit_nodes=10**5)["summary"]["violations"] == 0
 
 
 def test_oracle_witness_minimizes_cardinality_then_levels():
