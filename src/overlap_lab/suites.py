@@ -154,7 +154,9 @@ def _sampled(sampler: str, show_construction: bool) -> Report:
 
 
 def _hunt(name, cells, trials, seed, limit_nodes):
-    return _search.hunt_conjectures(name, {"cells": cells}, limit_nodes=limit_nodes)
+    # a node budget reaches only the hunt that solves (conj1); conj2 refuses one
+    budget = limit_nodes if SUITES[name].runs_solver else None
+    return _search.hunt_conjectures(name, {"cells": cells}, limit_nodes=budget)
 
 
 # ---------------------------------------------------------------------------

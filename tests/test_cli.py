@@ -397,6 +397,21 @@ def test_verify_all_takes_every_suite_flag(monkeypatch, tmp_path):
     assert main(["verify", "--suite", "conj1", "--limit-nodes", "5", "--out", str(tmp_path / "c.json")]) == 0
 
 
+def test_verify_all_hands_limit_nodes_to_the_solving_suites_only(monkeypatch, tmp_path):
+    import dataclasses
+
+    from overlap_lab.suites import SUITES
+
+    # every suite cut to its first cell, with its own report builder
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, dataclasses.replace(SUITES[name], cells=SUITES[name].cells[:1]))
+    argv = ["verify", "--suite", "all", "--seed", "1", "--trials", "5", "--limit-nodes", "100000"]
+    assert main([*argv, "--out", str(tmp_path / "all.json")]) == 0
+    rows = {row["suite"]: row for row in json.loads((tmp_path / "all.json").read_text())["rows"]}
+    assert rows.keys() == SUITES.keys()
+    assert rows["conj2"]["status"] == "pass"
+
+
 def test_resume_from_another_config_is_usage_error(tmp_path, capsys):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     cyclic = ["verify", "--suite", "cyclic", "--trials"]

@@ -539,6 +539,10 @@ def test_hunt_conjectures_conj2_refuses_a_node_budget():
     with pytest.raises(ValueError, match="limit_nodes"):
         hunt_conjectures("conj2", {"cells": [(6, 2, 1)]}, limit_nodes=10)
     assert hunt_conjectures("conj1", {"cells": [(4, 2, 1, 2)]}, limit_nodes=10**5)["summary"]["violations"] == 0
+    # a suite run hands the budget to conj1 only, as verify --suite all does
+    assert run_suite("conj2", cells=[(6, 2, 1)], limit_nodes=5)["summary"]["status"] == "pass"
+    with pytest.raises(NodeLimitError):
+        run_suite("conj1", cells=[(4, 2, 1, 2)], limit_nodes=5)
 
 
 def test_oracle_witness_minimizes_cardinality_then_levels():
