@@ -63,8 +63,10 @@ def validate_kset(mask: int, n: int, k: int | None = None) -> int:
 @lru_cache(maxsize=None)
 def ksets(n: int, k: int) -> tuple[int, ...]:
     """All k-subsets of [n] as masks, in colex order (index == colex rank)."""
-    if n < 0 or n > MAX_GROUND_SET or k < 0:
-        raise ValueError(f"bad parameters n={n}, k={k}")
+    if n < 0 or n > MAX_GROUND_SET:
+        raise ValueError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     out: list[int] = []
 
     def gen(top: int, kk: int, acc: int) -> None:

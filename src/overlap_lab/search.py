@@ -11,9 +11,11 @@ Two independent routes compute the same optimum:
   (5 129 nodes on the 23 cells of perfbench's oracle workload, against
   183 795 when only the warm start pruned).  The levels are kept as one
   bitset of sets per level, and a recheck lifts every set that misses one
-  rainbow matching of a level's rivals with no call of its own (7 225
-  top-level rainbow calls on that workload, against 31 746 at one call per
-  set and level).
+  rainbow matching of a level's rivals with no call of its own.  The
+  rivals' question does not depend on the level the placed set tries, so
+  a node asks each rival set once and each (rival set, set) pair at most
+  once (3 399 top-level rainbow calls on that workload, against 7 225 when
+  every level asked again and 31 746 at one call per set and level).
 
 * exact_f_shifted enumerates nested chains of shifted families top-down
   (B_s over all downsets of the shift order, each of B_{s-1}..B_1 over
@@ -179,17 +181,29 @@ def oracle_f(
     without a rainbow call.  Families only grow along a path, so caps only
     rise; after a placement only the later ranks disjoint from it are
     rechecked, since any new rainbow matching uses the new member.  The
-    recheck sweeps the levels upwards.  At each level one rainbow call on
-    the rivals (the families a rising set must match around) gives a
-    matching M; every rank of the level's group that misses all of M
-    rises with no call, the rest get one call each, and the risen ranks
-    join the next level's group.  The value bound is val + sum of
-    contrib[cap] over the unassigned ranks, and a value tie is bounded by
-    the least cardinality worth each cap.  Warm-started, it closes
-    (7,2,1,(3,1)) in 435 nodes and (6,3,1,(1,1)) in 88 583 (0.35 s, with
-    88 572 top-level rainbow calls against 177 144 at one call per rank
-    and level); with the warm start as the only prune they took 453 974
-    and 12.1 M nodes (0.75 and 22 s on a 2-core host, Python 3.11).
+    recheck sweeps the levels upwards, and the risen ranks join the next
+    level's group.  At each level the rivals (the families a rising set
+    must match around) are asked for a rainbow matching in disj[pos].
+    Since k >= 1, pos is not in disj[pos], so pos's own bit, the only
+    thing that differs between the levels tried at one node, is masked
+    out: whether a rank rises depends on the rival indices alone.  A memo
+    local to the node, keyed by those indices, keeps "no matching" or the
+    ranks known to rise and to stay.  The first question on a rival set
+    gives a matching M, and every later rank that misses all of M rises
+    with no call; any other rank gets one call, once per node.  Asked at
+    another level, the kernel could return another first M (its floor for
+    equal neighbours sees pos's bit), which would change only which ranks
+    take that shortcut, so every rise set is exact.  A plan built once
+    per call lists, per level, each group level with its rival indices;
+    it leaves out lvl = level = s, where pos would have to stand at s+1.
+    The value bound is val + sum of contrib[cap] over the unassigned
+    ranks, and a value tie is bounded by the least cardinality worth each
+    cap.  Warm-started, it closes (7,2,1,(3,1)) in 435 nodes and
+    (6,3,1,(1,1)) in 88 583 (0.11-0.21 s, with 29 524 top-level rainbow
+    calls, against 88 572 calls and 0.16-0.31 s when every level asked
+    again, and 177 144 at one call per rank and level); with the warm
+    start as the only prune they took 453 974 and 12.1 M nodes (0.75 and
+    22 s on a 2-core host, Python 3.11).
     """
     iw, lead0, best_val, budget, finish = _solver_frame("oracle", n, k, s, weights, warm_start, limit_nodes)
     capacity = binom(n, k)
@@ -206,6 +220,15 @@ def oracle_f(
     # at[lvl]: the ranks whose cap is lvl (only the unassigned ones are read)
     at = [0] * (s + 2)
     at[first] = (1 << capacity) - 1
+
+    # plan[level]: (lvl, rival indices) per group level; the rivals leave
+    # out lvl and `stand`, the index pos stands at, which must be at most s
+    plan: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(s + 1)]
+    for level in range(first, s + 1):
+        for lvl in range(first, s + 1):
+            stand = level + (lvl == level)
+            if stand <= s:
+                plan[level].append((lvl, tuple(i for i in range(s + 1) if i != lvl and i != stand)))
 
     fam_bits = [0] * (s + 1)
     best_card: int | None = None
@@ -236,7 +259,12 @@ def oracle_f(
             low += 1
         rest_val -= contrib[low]
         rest_card -= tie_card[low]
-        later = disj[pos] >> (pos + 1) << (pos + 1)
+        avail = disj[pos]
+        later = avail >> (pos + 1) << (pos + 1)
+        # per rival index tuple: None (no matching) or [rise, stay], the later
+        # ranks known to rise or to stay; fam_bits change between nodes, so
+        # the memo lives for this node only
+        memo: dict[tuple[int, ...], list[int] | None] = {}
         for level in range(low, s + 1):
             for i in range(level, s + 1):
                 fam_bits[i] |= bit
@@ -250,24 +278,39 @@ def oracle_f(
             # sets that rise from lvl are those with a matching of the other
             # families (the rivals) in disj[pos] that misses them.  Sweeping
             # the levels upwards carries the risen sets into the next group.
+            # pos is not in disj[pos] (k >= 1), so the answer for a rank
+            # depends on the rival indices alone, not on `level`.
             saved = at[:]
             lost_val = lost_card = 0
-            for lvl in range(first, s + 1):
+            for lvl, rivals in plan[level]:
                 group = at[lvl] & later
-                stand = level + (lvl == level)
-                if not group or stand > s:
+                if not group:
                     continue
-                others = [b for i, b in enumerate(fam_bits) if i != lvl and i != stand]
-                match = rainbow(others, disj, disj[pos])
-                if match is None:
+                if rivals in memo:
+                    known = memo[rivals]
+                else:
+                    known = None
+                    match = rainbow([fam_bits[i] for i in rivals], disj, avail)
+                    if match is not None:
+                        # the sets that miss every member of this one matching rise with no call
+                        rise = later
+                        for p in match:
+                            rise &= disj[p]
+                        known = [rise, 0]
+                    memo[rivals] = known
+                if known is None:
                     continue
-                # the sets that miss every member of this one matching rise with no call
-                risen = group
-                for p in match:
-                    risen &= disj[p]
-                for r in iter_bits(group & ~risen):
-                    if rainbow(others, disj, disj[pos] & disj[r]) is not None:
-                        risen |= 1 << r
+                rise, stay = known
+                unknown = group & ~rise & ~stay
+                if unknown:
+                    others = [fam_bits[i] for i in rivals]
+                    for r in iter_bits(unknown):
+                        if rainbow(others, disj, avail & disj[r]) is not None:
+                            rise |= 1 << r
+                        else:
+                            stay |= 1 << r
+                    known[0], known[1] = rise, stay
+                risen = group & rise
                 if risen:
                     at[lvl] &= ~risen
                     at[lvl + 1] |= risen

@@ -326,6 +326,12 @@ def test_search_rejects_k_zero(solver, tmp_path, capsys):
     assert capsys.readouterr().err == "error: k must be at least 1, got 0\n"
 
 
+def test_search_names_the_ground_set_bound(tmp_path, capsys):
+    argv = ["search", "--n", "70", "--k", "2", "--weights", "1,1", "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: ground set size 70 outside 0..64\n"
+
+
 def test_limit_stopped_run_keeps_header_for_resume(tmp_path, capsys):
     # the run stops at its first solver call; an unclosed --out stream would fail
     # this test through the ResourceWarning filter in pyproject.toml

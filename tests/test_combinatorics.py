@@ -59,6 +59,16 @@ def test_validate_kset():
         validate_kset(0b101, 3, 3)
 
 
+def test_ksets_name_the_bound_they_break():
+    assert ksets(0, 0) == (0,) and len(ksets(64, 1)) == 64
+    with pytest.raises(ValueError, match=r"ground set size 65 outside 0\.\.64"):
+        ksets(65, 2)
+    with pytest.raises(ValueError, match=r"ground set size -1 outside 0\.\.64"):
+        ksets(-1, 0)
+    with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+        ksets(4, -1)
+
+
 def test_ksets_agree_with_colex_comparator():
     # independent definition of colex: compare reversed sorted element tuples
     for n, k in [(5, 2), (6, 3), (7, 2), (4, 4), (6, 1)]:

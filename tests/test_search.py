@@ -104,6 +104,14 @@ def test_solvers_match_raw_enumeration():
         (4, 1, 1, (5, 2)),
         (4, 2, 1, (1, 0)),  # a trailing zero
         (4, 1, 2, (2, 1, 0)),
+        # s = 3: six rival sets share one node's recheck
+        (4, 1, 3, (1, 1, 1, 1)),
+        (5, 1, 3, (1, 1, 1, 1)),
+        (5, 1, 3, (4, 1, 1, 1)),
+        (5, 1, 3, (0, 1, 1, 1)),
+        (5, 1, 3, (0, 0, 2, 1)),
+        (5, 1, 3, (Fraction(7, 3), Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))),
+        (4, 1, 3, (3, 1, 1, 0)),
     ]
     for n, k, s, ws in cases:
         raw, witness = brute_chain_optimum(n, k, s, ws)
@@ -158,6 +166,28 @@ def test_integer_objective_agrees_across_solvers(instance):
     for rec in (a, b):
         assert isinstance(rec.optimum, Fraction)
         assert rec.optimum == rec.witness.weighted_value(ws)
+
+
+@st.composite
+def s3_instances(draw):
+    """(n, k, 3, weights) with C(n, k) <= 8: a zero prefix, then nonincreasing positive integers or rationals."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 8).filter(lambda n: binom(n, k) <= 8))
+    zeros = draw(st.integers(0, 3))
+    dens = draw(st.lists(st.sampled_from((1,) + _PRIMES), min_size=4 - zeros, max_size=4 - zeros))
+    nums = draw(st.lists(st.integers(1, 40), min_size=4 - zeros, max_size=4 - zeros))
+    positive = sorted((Fraction(a, b) for a, b in zip(nums, dens)), reverse=True)
+    return n, k, 3, (Fraction(0),) * zeros + tuple(positive)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(s3_instances())
+def test_solvers_agree_at_s3(instance):
+    # at s = 3 each node of the oracle asks up to six rival sets, each once
+    n, k, s, ws = instance
+    a = check_record(oracle_f(n, k, s, ws))
+    b = check_record(exact_f_shifted(n, k, s, ws))
+    assert (a.optimum, a.witness) == (b.optimum, b.witness)
 
 
 @st.composite
@@ -334,6 +364,23 @@ def test_default_budget_is_read_at_each_call(solver, monkeypatch):
 def test_oracle_node_counts(n, k, s, ws, nodes):
     # the caps set the value bound, so a cap that rises too early or too late moves the count
     assert oracle_f(n, k, s, ws).nodes_explored == nodes
+
+
+@pytest.mark.parametrize("n,k,s,ws,calls", [(12, 1, 3, (1, 1, 1, 1), 1161), (6, 3, 1, (1, 1), 29524)])
+def test_oracle_kernel_calls(n, k, s, ws, calls, monkeypatch):
+    # a node asks each rival set once, and each (rival set, rank) at most once,
+    # whatever level it tries; asked again at every level the same cells took
+    # 2 361 and 88 572 top-level calls
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return rainbow(*args)
+
+    monkeypatch.setattr(search, "rainbow", counting)
+    oracle_f(n, k, s, ws)
+    assert count == calls
 
 
 @pytest.mark.parametrize(
