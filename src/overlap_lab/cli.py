@@ -24,16 +24,13 @@ from itertools import product
 from . import __version__
 from . import bounds as _bounds
 from . import search as _search
-from .family import DownsetLimitError, reduce_to_weighted
+from .family import NodeLimitError, reduce_to_weighted
 from .suites import SUITES, run_suite
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-# what a solver or the downset walk raises when it stops at a resource limit
-LIMIT_ERRORS = (_search.NodeLimitError, DownsetLimitError)
 
 # the grid axes of `bounds`; a formula reads those among them in its params
 BOUNDS_AXES = ("n", "k", "m", "p", "s", "i", "l")
@@ -333,7 +330,7 @@ def _search_one(cell: dict) -> dict:
             out["solvers_agree"] = out["oracle"]["optimum"] == out["shifted"]["optimum"]
         out["status"] = "ok" if out.get("solvers_agree", True) else "VIOLATION"
         out["optimum"] = (out.get("shifted") or out["oracle"])["optimum"]
-    except LIMIT_ERRORS as exc:
+    except NodeLimitError as exc:
         out["status"] = "incomplete"
         out["error"] = str(exc)
     return out
@@ -504,14 +501,14 @@ def _unread_flag(args) -> str | None:
     """The first flag given that the selection does not read, as a message.
 
     verify's --trials and --seed are read by randomized suites and
-    --limit-nodes by suites that solve; bounds reads the axes its formula
+    --limit-nodes by suites that search; bounds reads the axes its formula
     takes.  search reads each of its flags under every selection.
     """
     if args.command == "verify":
         suites = list(SUITES.values()) if args.suite == "all" else [SUITES[args.suite]]
         randomized = any(suite.trials is not None for suite in suites)
-        solves = any(suite.runs_solver for suite in suites)
-        reads = {"trials": randomized, "seed": randomized, "limit_nodes": solves}
+        searches = any(suite.searches for suite in suites)
+        reads = {"trials": randomized, "seed": randomized, "limit_nodes": searches}
         selection = f"suite {args.suite!r}"
     elif args.command == "bounds":
         params = _bounds.FORMULAS[args.name].params
@@ -539,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
         if problem:
             parser.error(problem)
         return COMMANDS[args.command](args)
-    except LIMIT_ERRORS as exc:
+    except NodeLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (KeyError, ValueError) as exc:

@@ -24,12 +24,16 @@ from .combinatorics import (
     validate_kset,
 )
 
-# the default work budget: downsets a walk visits, nodes a solver explores
+# the default work budget: nodes a solver explores, downsets the conj2 hunt visits
 WORK_LIMIT_DEFAULT = 10**7
 
 
-class DownsetLimitError(RuntimeError):
-    """Downset enumeration exceeded the configured count limit."""
+class NodeLimitError(RuntimeError):
+    """A search exceeded its work budget."""
+
+
+# kept only because perfbench's frontier ladders catch this name
+DownsetLimitError = NodeLimitError
 
 
 @dataclass(frozen=True)
@@ -302,12 +306,7 @@ def poset_upsets(n: int, k: int) -> tuple[int, ...]:
 # downset (shifted-family) enumeration
 # ---------------------------------------------------------------------------
 
-def walk_downsets(
-    n: int,
-    k: int,
-    limit: int = WORK_LIMIT_DEFAULT,
-    refuse: Callable[[int, int], bool] | None = None,
-) -> Iterator[int]:
+def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool] | None = None) -> Iterator[int]:
     """Yield the downsets of (C([n],k), shift order) as rank bitsets, by reverse search.
 
     Colex rank is a linear extension of the shift order, so dropping the
@@ -316,21 +315,15 @@ def walk_downsets(
     whose lower covers lie in D; a depth-first walk of this tree from the
     empty downset reaches every downset exactly once, in no particular
     order.  When given, refuse(D, r) may reject the child D | 1<<r, and its
-    whole subtree is skipped.  Raises DownsetLimitError on visiting more
-    than `limit` downsets.
+    whole subtree is skipped.  The walk sets no budget: a caller that
+    needs one counts what it is given.
     """
     preds = _poset_preds(n, k)
     succs = _poset_succs(n, k)
     # each entry: a downset and the ranks above its top that may join it
     stack = [(0, sum(1 << r for r, pb in enumerate(preds) if not pb))]
-    visited = 0
     while stack:
         d, addable = stack.pop()
-        visited += 1
-        if visited > limit:
-            raise DownsetLimitError(
-                f"more than {limit} downsets for (n={n}, k={k}); raise the limit to enumerate"
-            )
         yield d
         while addable:
             low = addable & -addable
@@ -393,19 +386,17 @@ def walk_subdownsets(
             stack.append((d ^ low, removable & (low - 1), covers[low.bit_length() - 1]))
 
 
-def downset_bitsets(n: int, k: int, limit: int = WORK_LIMIT_DEFAULT) -> list[int]:
+def downset_bitsets(n: int, k: int) -> list[int]:
     """All downsets of (C([n],k), shift order) as rank bitsets.
 
     Ordered by nondecreasing cardinality, ties by ascending bitset value.
     """
-    return sorted(walk_downsets(n, k, limit), key=lambda d: (d.bit_count(), d))
+    return sorted(walk_downsets(n, k), key=lambda d: (d.bit_count(), d))
 
 
-def enumerate_shifted_families(
-    n: int, k: int, limit: int = WORK_LIMIT_DEFAULT
-) -> Iterator[Family]:
+def enumerate_shifted_families(n: int, k: int) -> Iterator[Family]:
     """Yield every shifted family over (n, k) exactly once, smallest first."""
-    for bits in downset_bitsets(n, k, limit):
+    for bits in downset_bitsets(n, k):
         yield Family(n, k, bits)
 
 

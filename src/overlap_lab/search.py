@@ -47,8 +47,8 @@ from . import family as _family
 from .combinatorics import binom, iter_bits, ksets
 from .family import (
     Chain,
-    DownsetLimitError,
     Family,
+    NodeLimitError,
     chain_to_dict,
     is_shifted,
     poset_upsets,
@@ -56,10 +56,6 @@ from .family import (
     walk_subdownsets,
 )
 from .matching import disjointness, has_matching_of_size, is_overlapping, rainbow
-
-class NodeLimitError(RuntimeError):
-    """The solver exceeded the configured node budget."""
-
 
 # kept only because perfbench's frontier ladders catch this name
 InstanceTooLargeError = NodeLimitError
@@ -394,8 +390,8 @@ def _matching_cap(n: int, k: int, s: int, budget: int) -> int:
     if known is not None and budget >= known[1]:
         return known[0]
     try:
-        cap = max_min_overlapping(n, k, s, budget)[0]
-    except DownsetLimitError:
+        cap = max_min_overlapping(n, k, s, limit_nodes=budget)[0]
+    except NodeLimitError:
         return binom(n, k)
     _MATCHING_CAPS[n, k, s] = (cap, budget)
     return cap
@@ -528,9 +524,7 @@ def _matching_window(a: int, n: int, k: int, s: int) -> int:
     return (1 << binom(min(e + 1, n), k)) - 1
 
 
-def max_min_overlapping(
-    n: int, k: int, s: int, limit_downsets: int = _family.WORK_LIMIT_DEFAULT
-) -> tuple[int, Family]:
+def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = None) -> tuple[int, Family]:
     """Maximum of min_i |B_i| over overlapping nested chains, with witness family.
 
     For nested chains min_i |B_i| = |B_0|, and enlarging any family only
@@ -542,7 +536,9 @@ def max_min_overlapping(
     pairwise disjoint members.  Its parent D holds none, so such a matching
     uses r, and its other s members lie in D & disj[r].  A matching stays in
     every superset, so a refused subtree holds no feasible downset, and the
-    walk visits exactly the feasible ones; limit_downsets bounds their count.
+    walk visits exactly the feasible ones.  Raises NodeLimitError on
+    visiting more than limit_nodes of them (family.WORK_LIMIT_DEFAULT as it
+    stands at this call when None).
 
     The question needs only a window of D & disj[r] (Frankl, "The shifting
     technique in extremal set theory", 1987).  If F_1..F_s are disjoint
@@ -560,6 +556,7 @@ def max_min_overlapping(
     D & disj[r] took 3.9 and 11.9 s, and (11,3,3) and (12,3,3) reach the
     limit in 5-7 s instead of 111 and 71 s (2-core host, Python 3.11).
     """
+    budget = _family.WORK_LIMIT_DEFAULT if limit_nodes is None else limit_nodes
     disj = disjointness(n, k)
     sets = ksets(n, k)
     window: list[int | None] = [None] * len(sets)
@@ -577,7 +574,9 @@ def max_min_overlapping(
 
     best_size = -1
     best_bits = 0
-    for bits in walk_downsets(n, k, limit_downsets, refuse):
+    for visited, bits in enumerate(walk_downsets(n, k, refuse), 1):
+        if visited > budget:
+            raise NodeLimitError(f"conj2 hunt exceeded {budget} downsets for (n={n}, k={k}, s={s})")
         size = bits.bit_count()
         if size > best_size or (size == best_size and bits < best_bits):
             best_size, best_bits = size, bits
@@ -594,12 +593,9 @@ def hunt_conjectures(name: str, grid: dict, *, limit_nodes: int | None = None) -
     conj1 compares the solver optimum for weights (p,1,...,1) against the
     three-term candidate maximum; conj2 maximizes min_i |B_i| over
     overlapping chains and compares against its conjectured cap.  Any
-    counterexample row carries the witness chain verbatim.  Only conj1
-    reads limit_nodes, the node budget of each solver call; the conj2 hunt
-    has none, so giving limit_nodes with conj2 raises ValueError.
+    counterexample row carries the witness chain verbatim.  limit_nodes
+    is the work budget of each solver call (conj1) or hunt (conj2).
     """
-    if name == "conj2" and limit_nodes is not None:
-        raise ValueError("limit_nodes is read by conj1 only; the conj2 hunt has no node budget")
     cells = grid["cells"]
     rows: list[dict] = []
     if name == "conj1":
@@ -627,7 +623,7 @@ def hunt_conjectures(name: str, grid: dict, *, limit_nodes: int | None = None) -
             rows.append(row)
     elif name == "conj2":
         for n, k, s in cells:
-            value, fam = max_min_overlapping(n, k, s)
+            value, fam = max_min_overlapping(n, k, s, limit_nodes=limit_nodes)
             cap = _bounds.conj2_bound(n, k, s)
             status = "ok" if value <= cap else "COUNTEREXAMPLE"
             row = {

@@ -27,24 +27,24 @@ Report = Callable[..., dict]
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite's cells, the builder of its report, its default trial count, and whether it solves.
+    """A suite's cells, the builder of its report, its default trial count, and whether it searches.
 
     trials is None for a deterministic suite; a randomized suite draws from
-    a seed and runs `trials` samples unless told otherwise.  runs_solver
-    marks a suite whose rows come from an exact solver, the only kind that
-    a node budget limits.
+    a seed and runs `trials` samples unless told otherwise.  searches marks
+    a suite whose rows come from an exact solver or the conj2 hunt, the
+    only kind that a work budget limits.
     """
 
     cells: tuple[tuple, ...]
     report: Report
     trials: int | None = None
-    runs_solver: bool = False
+    searches: bool = False
 
 
 def run_suite(name: str, *, cells=None, trials=None, seed=0, limit_nodes=None) -> dict:
     """The report of a named suite, on its own cells unless a list of `cells` is given.
 
-    trials and seed matter to a randomized suite only, limit_nodes to a solver.
+    trials and seed matter to a randomized suite only, limit_nodes to a search.
     """
     suite = SUITES[name]
     cells = suite.cells if cells is None else cells
@@ -154,9 +154,7 @@ def _sampled(sampler: str, show_construction: bool) -> Report:
 
 
 def _hunt(name, cells, trials, seed, limit_nodes):
-    # a node budget reaches only the hunt that solves (conj1); conj2 refuses one
-    budget = limit_nodes if SUITES[name].runs_solver else None
-    return _search.hunt_conjectures(name, {"cells": cells}, limit_nodes=budget)
+    return _search.hunt_conjectures(name, {"cells": cells}, limit_nodes=limit_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +175,18 @@ SUITES: dict[str, Suite] = {
     "hilton": Suite(
         tuple((n, 2, m) for n in range(4, 8) for m in range(1, 5)),
         _theorem(_pair, "oracle_f", "hilton", "equal"),
-        runs_solver=True,
+        searches=True,
     ),
     # (n, k, s, p)
     "thm1": Suite(
         tuple((n, k, s, p) for k in (1, 2) for s in (1, 2) for n in range((s + 1) * k, 9) for p in (1, 2, 3)),
         _theorem(_head, "exact_f_shifted", "thm1", "le"),
-        runs_solver=True,
+        searches=True,
     ),
     "thm2-k1": Suite(
         tuple((n, 1, s, p) for s in (1, 2) for n in range(4 * s, 13) for p in range(1, 13)),
         _theorem(_head, "exact_f_shifted", "thm2", "equal"),
-        runs_solver=True,
+        searches=True,
     ),
     # (n, k, s, weights)
     "thm3": Suite(
@@ -199,7 +197,7 @@ SUITES: dict[str, Suite] = {
             if len(w) == s + 1
         ),
         _theorem(_weighted, "exact_f_shifted", "thm3", "equal"),
-        runs_solver=True,
+        searches=True,
     ),
     "thm4": Suite(
         tuple(
@@ -209,7 +207,7 @@ SUITES: dict[str, Suite] = {
             for n in range(_bounds.thm4_threshold(k, w), last + 1)
         ),
         _theorem(_weighted, "exact_f_shifted", "thm4", "equal"),
-        runs_solver=True,
+        searches=True,
     ),
     # (m, s, l)
     "bde": Suite(_bde_triangle(30), _bde),
@@ -250,11 +248,12 @@ SUITES: dict[str, Suite] = {
             for n in range(first, last + 1)
         ),
         _hunt,
-        runs_solver=True,
+        searches=True,
     ),
     # (n, k, s)
     "conj2": Suite(
         tuple((n, k, s) for k, s, first, last in _CONJ2_BLOCKS for n in range(first, last + 1)),
         _hunt,
+        searches=True,
     ),
 }

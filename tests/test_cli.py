@@ -215,7 +215,7 @@ def test_resume_interleaves_resumed_and_pooled_rows(tmp_path):
 )
 def test_resume_recomputes_rows_a_limit_left_incomplete(tmp_path, grid, limit):
     # a finished row does not depend on the limit, so a resume may raise or drop it;
-    # the budget of 2 stops the shifted solver at its listing of the 32 downsets of (6, 2)
+    # the budget of 2 stops the shifted solver at its third candidate at (6, 2)
     r1, r2, fresh = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "fresh.json"
     args = ["search", *grid, "--k", "2", "--weights", "1,1"]
     assert main([*args, *limit, "--out", str(r1)]) == 3
@@ -352,7 +352,6 @@ _BASE_ARGV = {
     "bounds": ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"],
     "search": ["search", "--n", "4", "--k", "2", "--weights", "2,1"],
     "verify": ["verify", "--suite", "thm3"],
-    "verify-conj2": ["verify", "--suite", "conj2"],
     "verify-bde": ["verify", "--suite", "bde"],
 }
 
@@ -377,7 +376,6 @@ _BASE_ARGV = {
         ("verify", "--trials 5"),
         ("verify", "--seed 3"),
         ("verify-bde", "--trials 5 --seed 3"),
-        ("verify-conj2", "--limit-nodes 1"),
         ("verify-bde", "--limit-nodes 1"),
     ],
 )
@@ -403,19 +401,37 @@ def test_verify_all_takes_every_suite_flag(monkeypatch, tmp_path):
     assert main(["verify", "--suite", "conj1", "--limit-nodes", "5", "--out", str(tmp_path / "c.json")]) == 0
 
 
-def test_verify_all_hands_limit_nodes_to_the_solving_suites_only(monkeypatch, tmp_path):
+def test_verify_all_hands_limit_nodes_to_every_searching_suite(monkeypatch, tmp_path):
     import dataclasses
 
+    from overlap_lab import search
     from overlap_lab.suites import SUITES
 
     # every suite cut to its first cell, with its own report builder
     for name in list(SUITES):
         monkeypatch.setitem(SUITES, name, dataclasses.replace(SUITES[name], cells=SUITES[name].cells[:1]))
+    budgets = {}
+    hunt = search.hunt_conjectures
+
+    def spy(name, grid, *, limit_nodes=None):
+        budgets[name] = limit_nodes
+        return hunt(name, grid, limit_nodes=limit_nodes)
+
+    monkeypatch.setattr(search, "hunt_conjectures", spy)
     argv = ["verify", "--suite", "all", "--seed", "1", "--trials", "5", "--limit-nodes", "100000"]
     assert main([*argv, "--out", str(tmp_path / "all.json")]) == 0
     rows = {row["suite"]: row for row in json.loads((tmp_path / "all.json").read_text())["rows"]}
     assert rows.keys() == SUITES.keys()
     assert rows["conj2"]["status"] == "pass"
+    assert budgets == {"conj1": 100000, "conj2": 100000}
+
+
+def test_verify_conj2_stops_at_the_node_limit(tmp_path, capsys):
+    # (9,3,2) visits 11 720 feasible downsets and (10,3,2) 46 588, so the hunt stops at (10,3,2)
+    out = tmp_path / "c.json"
+    assert main(["verify", "--suite", "conj2", "--limit-nodes", "20000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: conj2 hunt exceeded 20000 downsets for (n=10, k=3, s=2)")
 
 
 def test_resume_from_another_config_is_usage_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from _brute import brute_downset_count, brute_rainbow_number, brute_upsets, is_d
 from overlap_lab.combinatorics import binom
 from overlap_lab.family import (
     Chain,
-    DownsetLimitError,
     Family,
     chain_from_dict,
     chain_to_dict,
@@ -284,15 +283,6 @@ def test_peel_walk_asks_keep_once_the_caller_is_done():
     # {5,6} is the one maximal pair, so top has one child, asked and refused
     assert walked == [top]
     assert asked == [top, top ^ 1 << 14]
-
-
-def test_downset_limit():
-    with pytest.raises(DownsetLimitError):
-        downset_bitsets(8, 3, limit=100)
-    # the limit caps the count itself: (6,3) has 66 downsets
-    assert len(downset_bitsets(6, 3, limit=66)) == 66
-    with pytest.raises(DownsetLimitError):
-        downset_bitsets(6, 3, limit=65)
 
 
 @pytest.mark.parametrize("corruption", ["half", "list"])

@@ -12,7 +12,6 @@ from overlap_lab.bounds import conj1_value, conj2_bound, thm2_value, thm3_value,
 from overlap_lab.combinatorics import binom, ksets
 from overlap_lab.family import (
     Chain,
-    DownsetLimitError,
     construction_chain,
     cover_family,
     downset_bitsets,
@@ -348,13 +347,29 @@ def test_solvers_agree_where_the_raw_space_is_large(n, k, s, ws):
     assert (a.optimum, a.witness.families) == (b.optimum, b.witness.families)
 
 
-@pytest.mark.parametrize("solver", [oracle_f, exact_f_shifted])
-def test_default_budget_is_read_at_each_call(solver, monkeypatch):
-    closed = solver(6, 2, 1, (2, 1))
+def _conj2_hunt(n, k, s, **budget):
+    return hunt_conjectures("conj2", {"cells": [(n, k, s)]}, **budget)
+
+
+@pytest.mark.parametrize(
+    "search_fn, args, work",
+    [
+        (oracle_f, (6, 2, 1, (2, 1)), 266),
+        (exact_f_shifted, (6, 2, 1, (2, 1)), 27),
+        # (8,2,2) has 37 downsets of matching number at most 2
+        (max_min_overlapping, (8, 2, 2), 37),
+        (_conj2_hunt, (8, 2, 2), 37),
+    ],
+    ids=["oracle_f", "exact_f_shifted", "max_min_overlapping", "hunt_conjectures"],
+)
+def test_default_budget_is_read_at_each_call(search_fn, args, work, monkeypatch):
+    closed = search_fn(*args)
     monkeypatch.setattr(family, "WORK_LIMIT_DEFAULT", 5)
-    with pytest.raises((NodeLimitError, DownsetLimitError)):
-        solver(6, 2, 1, (2, 1))
-    assert solver(6, 2, 1, (2, 1), limit_nodes=closed.nodes_explored) == closed
+    with pytest.raises(NodeLimitError):
+        search_fn(*args)
+    assert search_fn(*args, limit_nodes=work) == closed
+    with pytest.raises(NodeLimitError):
+        search_fn(*args, limit_nodes=work - 1)
 
 
 @pytest.mark.parametrize(
@@ -509,11 +524,11 @@ def test_max_min_overlapping_against_brute(n, k):
 
 def test_max_min_overlapping_visits_only_feasible_downsets():
     # (14,2,1): the walk stops at the 15 intersecting downsets of 8192
-    assert max_min_overlapping(14, 2, 1, limit_downsets=15)[0] == 13
-    with pytest.raises(DownsetLimitError):
-        max_min_overlapping(14, 2, 1, limit_downsets=14)
-    with pytest.raises(DownsetLimitError):
-        max_min_overlapping(8, 2, 2, limit_downsets=3)
+    assert max_min_overlapping(14, 2, 1, limit_nodes=15)[0] == 13
+    with pytest.raises(NodeLimitError):
+        max_min_overlapping(14, 2, 1, limit_nodes=14)
+    with pytest.raises(NodeLimitError):
+        max_min_overlapping(8, 2, 2, limit_nodes=3)
 
 
 @pytest.mark.parametrize("planted", [0b111111, 0b100000], ids=["matching", "not-shifted"])
@@ -522,7 +537,7 @@ def test_max_min_overlapping_rechecks_witness(monkeypatch, planted):
     # downset, must not slip through as the (4,2,1) witness
     import overlap_lab.search as search_mod
 
-    monkeypatch.setattr(search_mod, "walk_downsets", lambda n, k, limit, refuse: iter([0, planted]))
+    monkeypatch.setattr(search_mod, "walk_downsets", lambda n, k, refuse: iter([0, planted]))
     with pytest.raises(AssertionError):
         max_min_overlapping(4, 2, 1)
 
@@ -557,15 +572,15 @@ def test_max_min_overlapping_walks_like_the_full_refusal(monkeypatch):
     # order, as a walk that asks the kernel on all of D & disj[r]
     seen = []
 
-    def spy(n, k, limit, refuse):
-        for d in family.walk_downsets(n, k, limit, refuse):
+    def spy(n, k, refuse):
+        for d in family.walk_downsets(n, k, refuse):
             seen.append(d)
             yield d
 
     monkeypatch.setattr(search, "walk_downsets", spy)
     for n, k, s in _hunt_cells(84):
         disj = disjointness(n, k)
-        plain = list(family.walk_downsets(n, k, 10**6, lambda d, r: rainbow((d,) * s, disj, disj[r]) is not None))
+        plain = list(family.walk_downsets(n, k, lambda d, r: rainbow((d,) * s, disj, disj[r]) is not None))
         seen.clear()
         max_min_overlapping(n, k, s)
         assert seen == plain, (n, k, s)
@@ -581,15 +596,13 @@ def test_hunt_conjectures_subgrids():
         hunt_conjectures("conj3", {"cells": [(6, 2, 1)]})
 
 
-def test_hunt_conjectures_conj2_refuses_a_node_budget():
-    # only conj1 reads limit_nodes; conj2 must not drop it silently
-    with pytest.raises(ValueError, match="limit_nodes"):
-        hunt_conjectures("conj2", {"cells": [(6, 2, 1)]}, limit_nodes=10)
+def test_hunt_conjectures_hands_limit_nodes_to_both_hunts():
+    # conj1 gives it to each solver call, conj2 to each hunt (test_default_budget_is_read_at_each_call)
     assert hunt_conjectures("conj1", {"cells": [(4, 2, 1, 2)]}, limit_nodes=10**5)["summary"]["violations"] == 0
-    # a suite run hands the budget to conj1 only, as verify --suite all does
-    assert run_suite("conj2", cells=[(6, 2, 1)], limit_nodes=5)["summary"]["status"] == "pass"
-    with pytest.raises(NodeLimitError):
-        run_suite("conj1", cells=[(4, 2, 1, 2)], limit_nodes=5)
+    # a suite run hands the budget to either hunt, as verify --suite all does
+    for name, cell in (("conj1", (4, 2, 1, 2)), ("conj2", (14, 2, 1))):
+        with pytest.raises(NodeLimitError):
+            run_suite(name, cells=[cell], limit_nodes=5)
 
 
 def test_oracle_witness_minimizes_cardinality_then_levels():
