@@ -9,10 +9,10 @@ Two independent routes compute the same optimum:
   when a disjoint set is placed, so a node tries its feasible levels with
   no rainbow call and bounds the value by every later set's own best level
   (5 129 nodes on the 23 cells of perfbench's oracle workload, against
-  183 795 when only the warm start pruned).  The levels are kept as one
-  bitset of sets per level, and a recheck lifts every set that misses one
-  rainbow matching of a level's rivals with no call of its own.  The
-  rivals' question does not depend on the level the placed set tries, so
+  183 795 when only the starting incumbent pruned).  The levels are kept
+  as one bitset of sets per level, and a recheck lifts every set that
+  misses one rainbow matching of a level's rivals with no call of its
+  own.  The rivals' question does not depend on the level the placed set tries, so
   a node asks each rival set once and each (rival set, set) pair at most
   once (3 399 top-level rainbow calls on that workload, against 7 225 when
   every level asked again and 31 746 at one call per set and level).
@@ -30,7 +30,7 @@ Two independent routes compute the same optimum:
 
 Both ask the rainbow question through matching.rainbow over the cached
 matching.disjointness table, and both open and close in _solver_frame
-(weights, warm start, revalidated record); they share nothing else.
+(weights, starting incumbent, revalidated record); they share nothing else.
 Agreement of the two on every co-runnable instance is a tested invariant,
 not an assumption.
 Witness tie-breaking is deterministic: smallest total cardinality first,
@@ -87,35 +87,35 @@ class ExtremalRecord:
         }
 
 
-def best_construction(n: int, k: int, s: int, weights: Sequence) -> tuple[Fraction, str]:
-    """Largest construction value among the named chains; used as a warm start.
+def best_construction(n: int, k: int, s: int, iw: Sequence[int]) -> int:
+    """L times the largest value among the paper's named chains, from the integer weights iw.
 
     Each named chain's level sizes have a closed form, so no chain is built:
     empty-then-full has 0 at level 0 and C(n,k) at every other level, cover
     C(n,k) - C(n - min(s,n), k) at every level (for s > n every k-set
     already meets the ground set), and clique C((s+1)k-1, k) at every level
-    when n >= (s+1)k - 1.  Ties go to the kind listed first.
+    when n >= (s+1)k - 1.  Their maximum is the paper's conjectured optimum,
+    and by its main theorem the optimum for n >= 4k^2 s; both solvers start
+    from it.
     """
-    ws = _bounds.solver_weights(weights, s + 1)
     full = binom(n, k)
-    total = sum(ws, Fraction(0))
-    values = [((total - ws[0]) * full, "empty-then-full"), (total * (full - binom(n - min(s, n), k)), "cover")]
+    total = sum(iw)
+    best = max((total - iw[0]) * full, total * (full - binom(n - min(s, n), k)))
     if n >= (s + 1) * k - 1:
-        values.append((total * binom((s + 1) * k - 1, k), "clique"))
-    # max keeps the first of equal values
-    return max(values, key=lambda v: v[0])
+        best = max(best, total * binom((s + 1) * k - 1, k))
+    return best
 
 
 def _solver_frame(
-    solver: str, n: int, k: int, s: int, weights: Sequence, warm_start: bool, limit_nodes: int | None
+    solver: str, n: int, k: int, s: int, weights: Sequence, limit_nodes: int | None
 ) -> tuple[tuple[int, ...], int, int, int, Callable[..., ExtremalRecord]]:
     """The set-up and finish both solvers share: (iw, lead0, incumbent, budget, finish).
 
     Rejects k < 1 (at k = 0 the empty set misses itself, so one set can fill
     every index of a rainbow matching and the solvers' arguments fail) and
     invalid weights.  iw are the weights scaled to integers by L, lead0 is
-    the first level of positive weight, and the incumbent is L times the
-    best construction's value (-1 without a warm start).  The budget is
+    the first level of positive weight, and the incumbent is
+    best_construction, L times the best named chain's value.  The budget is
     limit_nodes or, when that is None, family.WORK_LIMIT_DEFAULT as it
     stands at this call.
     finish(best_val, best_chain, nodes) returns the ExtremalRecord of
@@ -126,15 +126,10 @@ def _solver_frame(
     ws = _bounds.solver_weights(weights, s + 1)
     iw, scale = _bounds.integer_weights(ws)
     budget = _family.WORK_LIMIT_DEFAULT if limit_nodes is None else limit_nodes
-    incumbent = -1
-    if warm_start:
-        warm = best_construction(n, k, s, ws)[0] * scale
-        assert warm.denominator == 1, "warm-start value is not a multiple of 1/L"
-        incumbent = warm.numerator
 
     def finish(best_val: int, best_chain: Sequence[int] | None, nodes: int) -> ExtremalRecord:
         if best_chain is None:
-            # cannot happen: the warm value comes from a feasible chain in the search space
+            # cannot happen: the incumbent is the value of a feasible chain in the search space
             raise AssertionError("search completed without a witness")
         witness = Chain(tuple(Family(n, k, b) for b in best_chain))
         optimum = Fraction(best_val, scale)
@@ -145,7 +140,7 @@ def _solver_frame(
             raise AssertionError("witness value does not match reported optimum")
         return record
 
-    return iw, next(j for j, w in enumerate(iw) if w), incumbent, budget, finish
+    return iw, next(j for j, w in enumerate(iw) if w), best_construction(n, k, s, iw), budget, finish
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +154,6 @@ def oracle_f(
     weights: Sequence,
     *,
     limit_nodes: int | None = None,
-    warm_start: bool = True,
 ) -> ExtremalRecord:
     """Exact maximum of sum w_i |B_i| over all nested overlapping chains.
 
@@ -194,14 +188,14 @@ def oracle_f(
     it leaves out lvl = level = s, where pos would have to stand at s+1.
     The value bound is val + sum of contrib[cap] over the unassigned
     ranks, and a value tie is bounded by the least cardinality worth each
-    cap.  Warm-started, it closes (7,2,1,(3,1)) in 435 nodes and
-    (6,3,1,(1,1)) in 88 583 (0.11-0.21 s, with 29 524 top-level rainbow
-    calls, against 88 572 calls and 0.16-0.31 s when every level asked
-    again, and 177 144 at one call per rank and level); with the warm
-    start as the only prune they took 453 974 and 12.1 M nodes (0.75 and
-    22 s on a 2-core host, Python 3.11).
+    cap.  It closes (7,2,1,(3,1)) in 435 nodes and (6,3,1,(1,1)) in
+    88 583 (0.11-0.21 s, with 29 524 top-level rainbow calls, against
+    88 572 calls and 0.16-0.31 s when every level asked again, and
+    177 144 at one call per rank and level); with the starting incumbent
+    as the only prune they took 453 974 and 12.1 M nodes (0.75 and 22 s
+    on a 2-core host, Python 3.11).
     """
-    iw, lead0, best_val, budget, finish = _solver_frame("oracle", n, k, s, weights, warm_start, limit_nodes)
+    iw, lead0, best_val, budget, finish = _solver_frame("oracle", n, k, s, weights, limit_nodes)
     capacity = binom(n, k)
     disj = disjointness(n, k)
     # contrib[lvl]: value of a set entering at lvl; s+1 is never
@@ -404,7 +398,6 @@ def exact_f_shifted(
     weights: Sequence,
     *,
     limit_nodes: int | None = None,
-    warm_start: bool = True,
 ) -> ExtremalRecord:
     """Exact maximum of sum w_i |B_i| over nested chains of shifted families.
 
@@ -437,7 +430,7 @@ def exact_f_shifted(
     reductions preserve the optimum); that equality is enforced by tests
     rather than assumed here.
     """
-    iw, lead0, best_val, budget, finish = _solver_frame("shifted", n, k, s, weights, warm_start, limit_nodes)
+    iw, lead0, best_val, budget, finish = _solver_frame("shifted", n, k, s, weights, limit_nodes)
     disj = disjointness(n, k)
     ups = poset_upsets(n, k)
     prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]

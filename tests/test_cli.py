@@ -46,6 +46,8 @@ def test_bounds_grid_row_count(tmp_path):
     assert main(["bounds", "--name", "hilton", "--n", "4..7", "--k", "2", "--m", "1..4", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["rows"]) == 16
+    # the row that the malformed resume files below corrupt
+    assert doc["rows"][0] == _BOUNDS_ROW
     assert doc["summary"]["status"] == "pass"
     assert doc["tool_version"]
 
@@ -211,7 +213,7 @@ def test_resume_interleaves_resumed_and_pooled_rows(tmp_path):
 @pytest.mark.parametrize(
     "grid, limit",
     [(["--n", "5..6"], ["--limit-nodes", "1"]), (["--n", "6"], ["--limit-nodes", "2"])],
-    ids=["limit-nodes", "limit-downsets"],
+    ids=["limit-nodes", "limit-shifted-candidates"],
 )
 def test_resume_recomputes_rows_a_limit_left_incomplete(tmp_path, grid, limit):
     # a finished row does not depend on the limit, so a resume may raise or drop it;
@@ -259,6 +261,14 @@ def test_matching_subcommand(tmp_path, capsys):
 
 
 _BOUNDS_ARGV = ["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1"]
+_BOUNDS_ROW = {
+    "attained_by": "empty-then-full",
+    "cell": '{"k":2,"m":1,"n":4}',
+    "flags": [],
+    "name": "hilton",
+    "params": {"k": 2, "m": 1, "n": 4},
+    "value": 6,
+}
 _CHAIN = '{"n": 4, "k": 2, "families": [[[1, 2]], [[1, 2]]], "weights": %s}'
 
 
@@ -270,6 +280,8 @@ _CHAIN = '{"n": 4, "k": 2, "families": [[[1, 2]], [[1, 2]]], "weights": %s}'
         (["matching", "--family", "{path}"], '{"n": 6, "k": 2, "sets": [[1, "2"]]}'),
         ([*_BOUNDS_ARGV, "--resume", "{path}"], '{"rows": 5}'),
         ([*_BOUNDS_ARGV, "--resume", "{path}"], '{"rows": [{"cell": [1, 2]}]}'),
+        ([*_BOUNDS_ARGV, "--resume", "{path}"], json.dumps({"rows": [dict(_BOUNDS_ROW, value="junk")]})),
+        ([*_BOUNDS_ARGV, "--resume", "{path}"], json.dumps({"rows": [dict(_BOUNDS_ROW, name="thm1")]})),
         (["matching", "--chain", "{path}"], '{"n": 6, "k": 2, "families": 3}'),
         (["verify", "--suite", "thm3", "--resume", "{path}"], '{"rows": [{"cell": "{\\"suite\\":\\"thm3\\"}"}]}'),
         (
@@ -286,6 +298,8 @@ _CHAIN = '{"n": 4, "k": 2, "families": [[[1, 2]], [[1, 2]]], "weights": %s}'
         "family-string-element",
         "resume-rows-int",
         "resume-cell-list",
+        "resume-bounds-wrong-value",
+        "resume-bounds-wrong-name",
         "chain-families-int",
         "resume-verify-no-summary",
         "resume-search-no-status",
@@ -369,6 +383,7 @@ _BASE_ARGV = {
         ("bounds", "--p 7"),
         ("bounds", "--weights 3,1"),
         ("search", "--seed 1"),
+        ("search", "--warm-start off"),
         ("search", "--ci"),
         ("bounds", "--format csv --resume r.json"),
         ("search", "--format csv --resume r.json"),

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member
 from overlap_lab import family, search
-from overlap_lab.bounds import conj1_value, conj2_bound, thm2_value, thm3_value, thm4_value
+from overlap_lab.bounds import (
+    conj1_value,
+    conj2_bound,
+    integer_weights,
+    solver_weights,
+    thm2_value,
+    thm3_value,
+    thm4_value,
+)
 from overlap_lab.combinatorics import binom, ksets
 from overlap_lab.family import (
     Chain,
@@ -74,9 +82,8 @@ def test_single_family_chain():
 def test_solvers_reject_k_zero():
     # at k = 0 the empty set misses itself, which both solvers' arguments exclude
     for solver in (oracle_f, exact_f_shifted):
-        for warm_start in (True, False):
-            with pytest.raises(ValueError, match="k must be at least 1"):
-                solver(3, 0, 1, (3, 1), warm_start=warm_start)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            solver(3, 0, 1, (3, 1))
 
 
 @pytest.mark.parametrize("solver", [oracle_f, exact_f_shifted])
@@ -221,17 +228,6 @@ def test_rational_weights():
     assert a.optimum * 2 == oracle_f(5, 2, 1, (5, 1)).optimum
 
 
-def test_warm_start_does_not_change_answers():
-    for n, k, s, ws in [(5, 2, 1, (2, 1)), (6, 2, 2, (3, 1, 1)), (8, 1, 2, (5, 1, 1))]:
-        cold = exact_f_shifted(n, k, s, ws, warm_start=False)
-        warm = exact_f_shifted(n, k, s, ws, warm_start=True)
-        assert cold.optimum == warm.optimum
-        assert cold.witness == warm.witness
-    cold = oracle_f(5, 2, 1, (2, 1), warm_start=False)
-    warm = oracle_f(5, 2, 1, (2, 1), warm_start=True)
-    assert (cold.optimum, cold.witness) == (warm.optimum, warm.witness)
-
-
 def test_shifted_witness_is_shifted():
     from overlap_lab.family import is_shifted
 
@@ -265,19 +261,11 @@ def test_monotone_in_n_and_weights():
 
 
 def _built_best_construction(n, k, s, ws):
-    # the warm start as it was computed from whole chains
-    best_val, best_kind = Fraction(-1), ""
-    for kind in ("empty-then-full", "cover", "clique"):
-        if kind == "clique" and n < (s + 1) * k - 1:
-            continue
-        if kind == "cover":
-            chain = Chain((cover_family(n, k, min(s, n)),) * (s + 1))
-        else:
-            chain = construction_chain(kind, n, k, s)
-        val = chain.weighted_value(ws)
-        if val > best_val:
-            best_val, best_kind = val, kind
-    return best_val, best_kind
+    # the starting incumbent as it was computed from whole chains
+    chains = [construction_chain("empty-then-full", n, k, s), Chain((cover_family(n, k, min(s, n)),) * (s + 1))]
+    if n >= (s + 1) * k - 1:
+        chains.append(construction_chain("clique", n, k, s))
+    return max(chain.weighted_value(ws) for chain in chains)
 
 
 def test_best_construction_closed_form_matches_built_chains():
@@ -289,7 +277,9 @@ def test_best_construction_closed_form_matches_built_chains():
                 if s:
                     shapes += [(0,) + (1,) * s, (Fraction(5, 2),) + (0,) * s, (9,) + (Fraction(2, 5),) * (s - 1) + (0,)]
                 for ws in shapes:
-                    assert best_construction(n, k, s, ws) == _built_best_construction(n, k, s, ws), (n, k, s, ws)
+                    iw, scale = integer_weights(solver_weights(ws))
+                    built = _built_best_construction(n, k, s, ws) * scale
+                    assert best_construction(n, k, s, iw) == built, (n, k, s, ws)
 
 
 def test_matching_cap_closed_forms_equal_the_hunt(monkeypatch):
@@ -318,10 +308,8 @@ def test_matching_cap_falls_back_when_the_hunt_runs_out(monkeypatch):
 
 def test_construction_lower_bound_sandwich():
     for n, k, s, ws in [(6, 2, 1, (1, 1)), (6, 2, 2, (2, 1, 1)), (9, 1, 2, (4, 1, 1))]:
-        value, kind = best_construction(n, k, s, ws)
-        rec = exact_f_shifted(n, k, s, ws)
-        assert value <= rec.optimum
-        assert kind in ("empty-then-full", "cover", "clique")
+        iw, scale = integer_weights(solver_weights(ws))
+        assert best_construction(n, k, s, iw) <= exact_f_shifted(n, k, s, ws).optimum * scale
 
 
 def test_thm3_equality_points():
