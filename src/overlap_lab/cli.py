@@ -136,7 +136,9 @@ class ReportWriter:
     """Streams rows; finalizes to a canonical JSON document or CSV table.
 
     Use it in a with statement: a run that fails closes the stream and
-    leaves the rows written so far on disk for --resume.
+    leaves the rows written so far on disk for --resume.  fill opens a JSON
+    --out only once every resumed row has passed; finalize writes --out
+    through a temporary file and a rename (a CSV --out only then), else stdout.
     """
 
     def __init__(self, fmt: str, out: str | None, config: dict, resume: str | None = None):
@@ -148,10 +150,6 @@ class ReportWriter:
         self._stream = None
         if resume:
             self._load_resume(resume)
-        if out:
-            self._stream = open(out, "w", encoding="utf-8")
-            if fmt == "json":
-                self._stream.write(_canon({"tool_version": __version__, "config": config}) + "\n")
 
     def __enter__(self) -> "ReportWriter":
         return self
@@ -213,11 +211,14 @@ class ReportWriter:
                 if not valid(row):
                     raise ValueError(f"resume file holds a malformed row for cell {key(cell)}")
                 reused[key(cell)] = row
+        if self.out and self.fmt == "json":
+            self._stream = open(self.out, "w", encoding="utf-8")
+            self._stream.write(_canon({"tool_version": __version__, "config": self.config}) + "\n")
         computed = _run_cells([cell for cell in cells if key(cell) not in reused], compute, jobs)
         for cell in cells:
             row = reused.get(key(cell)) or next(computed)
             self.rows.append(row)
-            if self._stream and self.fmt == "json":
+            if self._stream:
                 self._stream.write(_canon(row) + "\n")
                 self._stream.flush()
             yield row
@@ -231,14 +232,6 @@ class ReportWriter:
                 "summary": summary,
             }
             payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-            if self._stream:
-                self._stream.close()
-                tmp = self.out + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-                os.replace(tmp, self.out)
-            else:
-                sys.stdout.write(payload)
         else:
             header: list[str] = []
             for row in self.rows:
@@ -251,11 +244,16 @@ class ReportWriter:
             for row in self.rows:
                 writer.writerow([_csv_cell(row.get(h)) for h in header])
             payload = buf.getvalue()
+        if self.out:
             if self._stream:
-                self._stream.write(payload)
                 self._stream.close()
-            else:
-                sys.stdout.write(payload)
+            tmp = self.out + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+            os.replace(tmp, self.out)
+        else:
+            sys.stdout.write(payload)
+        if self.fmt == "csv":
             print(f"# summary: {_canon(summary)}", file=sys.stderr)
 
 
@@ -403,7 +401,8 @@ def cmd_verify(args) -> int:
             summary = row["summary"]
             total_viol += summary.get("violations", 0)
             print(f"[verify] {name}: {summary['status']} ({_canon(summary)})", file=sys.stderr)
-        status = "pass" if total_viol == 0 else "fail"
+        # a suite can fail with no violations (cyclic on its identity), so each suite's status counts
+        status = "fail" if total_viol or any(row["summary"]["status"] != "pass" for row in writer.rows) else "pass"
         writer.finalize({"suites": len(names), "violations": total_viol, "status": status})
     return EXIT_PASS if status == "pass" else EXIT_VIOLATION
 
@@ -533,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     except NodeLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

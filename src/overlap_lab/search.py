@@ -32,7 +32,8 @@ Both ask the rainbow question through matching.rainbow over the cached
 matching.disjointness table, and both open and close in _solver_frame
 (weights, starting incumbent, revalidated record); they share nothing else.
 Agreement of the two on every co-runnable instance is a tested invariant,
-not an assumption.
+not an assumption.  This module builds no report: the conj1 and conj2
+reports are built in suites from these solvers and max_min_overlapping.
 Witness tie-breaking is deterministic: smallest total cardinality first,
 then the lexicographically least entry-level sequence read in colex order.
 """
@@ -581,61 +582,7 @@ def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = Non
 
 
 def hunt_conjectures(name: str, grid: dict, *, limit_nodes: int | None = None) -> dict:
-    """Search the cells grid["cells"] for counterexamples to the conjectured values.
+    """suites.run_suite(name) on the cells grid["cells"]; kept for perfbench, which calls and traces this name."""
+    from .suites import run_suite  # suites imports this module
 
-    conj1 compares the solver optimum for weights (p,1,...,1) against the
-    three-term candidate maximum; conj2 maximizes min_i |B_i| over
-    overlapping chains and compares against its conjectured cap.  Any
-    counterexample row carries the witness chain verbatim.  limit_nodes
-    is the work budget of each solver call (conj1) or hunt (conj2).
-    """
-    cells = grid["cells"]
-    rows: list[dict] = []
-    if name == "conj1":
-        for n, k, s, p in cells:
-            w = (p,) + (1,) * s
-            rec = exact_f_shifted(n, k, s, w, limit_nodes=limit_nodes)
-            expected = Fraction(_bounds.conj1_value(n, k, p, s))
-            if rec.optimum == expected:
-                status = "ok"
-            elif rec.optimum > expected:
-                status = "COUNTEREXAMPLE"
-            else:
-                status = "BELOW-CONSTRUCTION"  # would indicate a solver defect
-            row = {
-                "n": n,
-                "k": k,
-                "s": s,
-                "p": p,
-                "solver_value": _bounds.json_safe(rec.optimum),
-                "conjectured": _bounds.json_safe(expected),
-                "status": status,
-            }
-            if status != "ok":
-                row["witness"] = chain_to_dict(rec.witness)
-            rows.append(row)
-    elif name == "conj2":
-        for n, k, s in cells:
-            value, fam = max_min_overlapping(n, k, s, limit_nodes=limit_nodes)
-            cap = _bounds.conj2_bound(n, k, s)
-            status = "ok" if value <= cap else "COUNTEREXAMPLE"
-            row = {
-                "n": n,
-                "k": k,
-                "s": s,
-                "max_min_size": value,
-                "conjectured_cap": cap,
-                "status": status,
-            }
-            if status != "ok":
-                row["witness"] = chain_to_dict(Chain((fam,) * (s + 1)))
-            rows.append(row)
-    else:
-        raise KeyError(f"unknown conjecture {name!r}; known: conj1, conj2")
-
-    bad = sum(r["status"] != "ok" for r in rows)
-    return {
-        "suite": name,
-        "rows": rows,
-        "summary": {"rows": len(rows), "violations": bad, "status": "pass" if bad == 0 else "fail"},
-    }
+    return run_suite(name, cells=grid["cells"], limit_nodes=limit_nodes)

@@ -2,9 +2,10 @@
 
 Each suite replays one result of the paper on a fixed list of cells and
 returns the report {"suite", "rows", "summary"}.  SUITES is the only place
-a suite's name, cells and default trial count are written down; the CLI,
-the conjecture hunts and the acceptance tests read it.  Its order is the
-order `verify --suite all` runs.
+a suite's name, cells, default trial count and report builder are written
+down; the CLI, search.hunt_conjectures and the acceptance tests read it.
+Every report but cyclic's (cyclic.run_cyclic_suite) is built here, through
+_report.  Its order is the order `verify --suite all` runs.
 
 A report builder looks up the solver, sampler or hunt it calls through its
 module at call time, so a function rebound on that module (by a tracer,
@@ -19,7 +20,7 @@ from typing import Callable
 from . import bounds as _bounds
 from . import cyclic as _cyclic
 from . import search as _search
-from .family import construction_chain, reduce_to_weighted
+from .family import Chain, chain_to_dict, construction_chain, reduce_to_weighted
 
 # report(name, cells, trials, seed, limit_nodes) -> {"suite", "rows", "summary"}
 Report = Callable[..., dict]
@@ -153,8 +154,54 @@ def _sampled(sampler: str, show_construction: bool) -> Report:
     return report
 
 
-def _hunt(name, cells, trials, seed, limit_nodes):
-    return _search.hunt_conjectures(name, {"cells": cells}, limit_nodes=limit_nodes)
+def _conj1(name, cells, trials, seed, limit_nodes):
+    """The optimum for weights (p,1,...,1) against the three-term maximum; a row not "ok" carries its witness."""
+    rows = []
+    for n, k, s, p in cells:
+        rec = _search.exact_f_shifted(n, k, s, (p,) + (1,) * s, limit_nodes=limit_nodes)
+        expected = Fraction(_bounds.conj1_value(n, k, p, s))
+        if rec.optimum == expected:
+            status = "ok"
+        elif rec.optimum > expected:
+            status = "COUNTEREXAMPLE"
+        else:
+            status = "BELOW-CONSTRUCTION"  # would indicate a solver defect
+        row = {
+            "n": n,
+            "k": k,
+            "s": s,
+            "p": p,
+            "solver_value": _bounds.json_safe(rec.optimum),
+            "conjectured": _bounds.json_safe(expected),
+            "status": status,
+        }
+        if status != "ok":
+            row["witness"] = chain_to_dict(rec.witness)
+        rows.append(row)
+    bad = sum(r["status"] != "ok" for r in rows)
+    return _report(name, rows, bad, rows=len(rows))
+
+
+def _conj2(name, cells, trials, seed, limit_nodes):
+    """The maximum of min_i |B_i| against its conjectured cap; a row not "ok" carries its witness."""
+    rows = []
+    for n, k, s in cells:
+        value, fam = _search.max_min_overlapping(n, k, s, limit_nodes=limit_nodes)
+        cap = _bounds.conj2_bound(n, k, s)
+        status = "ok" if value <= cap else "COUNTEREXAMPLE"
+        row = {
+            "n": n,
+            "k": k,
+            "s": s,
+            "max_min_size": value,
+            "conjectured_cap": cap,
+            "status": status,
+        }
+        if status != "ok":
+            row["witness"] = chain_to_dict(Chain((fam,) * (s + 1)))
+        rows.append(row)
+    bad = sum(r["status"] != "ok" for r in rows)
+    return _report(name, rows, bad, rows=len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +294,13 @@ SUITES: dict[str, Suite] = {
             for k, s, first, last in _CONJ1_BLOCKS
             for n in range(first, last + 1)
         ),
-        _hunt,
+        _conj1,
         searches=True,
     ),
     # (n, k, s)
     "conj2": Suite(
         tuple((n, k, s) for k, s, first, last in _CONJ2_BLOCKS for n in range(first, last + 1)),
-        _hunt,
+        _conj2,
         searches=True,
     ),
 }

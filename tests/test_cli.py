@@ -190,6 +190,44 @@ def test_resume_in_place(tmp_path):
     assert target.read_bytes() == finished
 
 
+@pytest.mark.parametrize(
+    "argv, corrupt",
+    [
+        (["bounds", "--name", "hilton", "--n", "4..5", "--k", "2", "--m", "1"], lambda row: row.update(value="junk")),
+        (["search", "--n", "4..5", "--k", "2", "--weights", "1,1"], lambda row: row.update(status="weird")),
+        (["verify", "--suite", "bde"], lambda row: row.pop("summary")),
+    ],
+    ids=["bounds", "search", "verify"],
+)
+def test_refused_in_place_resume_leaves_its_file(tmp_path, capsys, argv, corrupt):
+    target = tmp_path / "sweep.json"
+    assert main([*argv, "--out", str(target)]) == 0
+    doc = json.loads(target.read_text())
+    corrupt(doc["rows"][-1])
+    target.write_text(json.dumps(doc))
+    kept = target.read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--resume", str(target), "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: resume file holds a malformed row for cell ")
+    assert target.read_bytes() == kept
+
+
+def test_csv_run_stopped_by_an_error_leaves_its_out_file(tmp_path):
+    # n = 3 has a row; n = 1 has no sign change, a usage error found mid-grid
+    out = tmp_path / "f.csv"
+    out.write_text("kept\n")
+    argv = ["bounds", "--name", "u-zero", "--n", "3,1", "--k", "2", "--p", "1", "--format", "csv", "--out", str(out)]
+    assert main(argv) == 2
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, fmt):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1", "--format", fmt, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_jobs_preserve_row_order(tmp_path):
     seq, par = tmp_path / "seq.json", tmp_path / "par.json"
     args = ["search", "--n", "4..6", "--k", "2", "--weights", "2,1"]
@@ -425,20 +463,27 @@ def test_verify_all_hands_limit_nodes_to_every_searching_suite(monkeypatch, tmp_
     # every suite cut to its first cell, with its own report builder
     for name in list(SUITES):
         monkeypatch.setitem(SUITES, name, dataclasses.replace(SUITES[name], cells=SUITES[name].cells[:1]))
-    budgets = {}
-    hunt = search.hunt_conjectures
+    budgets = {"exact_f_shifted": [], "max_min_overlapping": []}
 
-    def spy(name, grid, *, limit_nodes=None):
-        budgets[name] = limit_nodes
-        return hunt(name, grid, limit_nodes=limit_nodes)
+    def spy(name):
+        real = getattr(search, name)
 
-    monkeypatch.setattr(search, "hunt_conjectures", spy)
+        def call(*args, limit_nodes=None):
+            budgets[name].append(limit_nodes)
+            return real(*args, limit_nodes=limit_nodes)
+
+        monkeypatch.setattr(search, name, call)
+
+    # the shifted solver serves the theorem suites and conj1, the hunt conj2
+    spy("exact_f_shifted")
+    spy("max_min_overlapping")
     argv = ["verify", "--suite", "all", "--seed", "1", "--trials", "5", "--limit-nodes", "100000"]
     assert main([*argv, "--out", str(tmp_path / "all.json")]) == 0
     rows = {row["suite"]: row for row in json.loads((tmp_path / "all.json").read_text())["rows"]}
     assert rows.keys() == SUITES.keys()
     assert rows["conj2"]["status"] == "pass"
-    assert budgets == {"conj1": 100000, "conj2": 100000}
+    assert all(budgets.values())
+    assert {b for calls in budgets.values() for b in calls} == {100000}
 
 
 def test_verify_conj2_stops_at_the_node_limit(tmp_path, capsys):
@@ -489,6 +534,31 @@ def test_verify_violation_exit_code(monkeypatch, tmp_path):
     out = tmp_path / "v.json"
     assert main(["verify", "--suite", "thm3", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["summary"]["status"] == "fail"
+
+
+def test_verify_fails_on_a_suite_that_fails_without_violations(monkeypatch, tmp_path):
+    import dataclasses
+
+    from overlap_lab import cyclic
+    from overlap_lab.suites import SUITES
+
+    check = cyclic._check_arc_chain
+
+    def check_broken(arc, arc_sets, p):
+        lhs, rhs, per_head = check(arc, arc_sets, p)
+        return lhs, rhs, [w + 1 for w in per_head]
+
+    # every sampled chain now fails the identity, which cyclic counts apart from its violations
+    monkeypatch.setattr(cyclic, "_check_arc_chain", check_broken)
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, dataclasses.replace(SUITES[name], cells=SUITES[name].cells[:1]))
+    for suite in ("cyclic", "all"):
+        out = tmp_path / f"{suite}.json"
+        assert main(["verify", "--suite", suite, "--seed", "1", "--trials", "20", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["summary"]["violations"] == 0
+        assert doc["summary"]["status"] == "fail"
+        assert [row["status"] for row in doc["rows"] if row["status"] != "pass"] == ["fail"]
 
 
 def test_verify_resume_reuses_suite_rows(monkeypatch, tmp_path):
