@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -79,7 +80,9 @@ def _weights_arg(spec: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="overlap-lab",
         description="Exact solver and verification suites for overlapping-chain extremal values.",
@@ -248,9 +251,13 @@ class ReportWriter:
             if self._stream:
                 self._stream.close()
             tmp = self.out + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.out)
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+                os.replace(tmp, self.out)
+            except OSError as exc:
+                # the error names --out, not the temporary file beside it
+                raise OSError(exc.errno, exc.strerror, self.out) from exc
         else:
             sys.stdout.write(payload)
         if self.fmt == "csv":

@@ -9,18 +9,23 @@ count; identical seeds reproduce identical reports.
 
 An arc chain is checked on bitsets over head positions, in ints: the
 tables it needs (the disjointness of the arcs' colex ranks, the ranks of
-each nibble of heads and the heads of each block matching) are cached
-once per `ArcFamily`, and the suite keeps one identity `ArcFamily` per
-(n, k), so a sampled chain builds no `Chain`, `Family` or `Fraction`.
+each nibble of heads and the block matchings laid out for one popcount
+per level) are cached once per `ArcFamily`, and the suite keeps one
+identity `ArcFamily` per (n, k), so a sampled chain builds no `Chain`,
+`Family` or `Fraction`.  A sampled matching only finds its pattern of
+entry levels; what depends on the pattern alone is computed once per
+distinct pattern.
 
 A number below m is drawn inline as `getrandbits(m.bit_length())`, drawn
 again while it is >= m: the words `randrange(m)` and `shuffle` use on
 Python 3.10 to 3.13, in their order.  So the reports depend only on
 `Random.random` and `Random.getrandbits`.  At the default trial counts
 (`--seed 42`, in-process, 2-core host, Python 3.11) the suites take about
-2.0–2.7 s (`cyclic`), 0.22–0.4 s (`partition`) and 0.25–0.5 s
-(`random-matching`), against 3.0–4.2, 0.5–0.7 and 0.67–0.87 s through
-`randrange`/`shuffle`.
+1.3–2.0 s (`cyclic`), 0.14–0.28 s (`partition`) and 0.19–0.36 s
+(`random-matching`), medians 1.36, 0.17 and 0.24 s over seven runs,
+against 1.86, 0.21 and 0.26 s while each trial built its own per-head
+vector and weighed its own matching, and 3.0–4.2, 0.5–0.7 and
+0.67–0.87 s through `randrange`/`shuffle`.
 """
 from __future__ import annotations
 
@@ -31,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import itemgetter, or_
-from typing import Callable, Iterator, Sequence
+from operator import or_
+from typing import Iterator, Sequence
 
 from .bounds import integer_weights, thm4_threshold, weight_vector
 from .combinatorics import binom, colex_rank, iter_bits, mask_from_elements, validate_kset
@@ -106,10 +111,25 @@ class ArcFamily:
         return bits
 
     @cached_property
+    def head_bits(self) -> tuple[int, ...]:
+        """Entry i: the one-head bitset 1 << i."""
+        return tuple(1 << i for i in range(len(self.masks)))
+
+    @cached_property
     def block_heads(self) -> tuple[int, ...]:
         """Entry h: the bitset of heads h, h+k, ..., h+(t-1)k (mod n), t = n // k, of the block matching at h."""
         n, k = self.sigma.n, self.k
         return tuple(sum(1 << (h + j * k) % n for j in range(n // k)) for h in range(n))
+
+    @cached_property
+    def block_layout(self) -> tuple[int, int]:
+        """(rep, blocks): heads * rep holds n copies of heads, n bits apart; copy h of blocks is block_heads[h].
+
+        So (heads * rep & blocks).bit_count() is the sum over h of (heads & block_heads[h]).bit_count().
+        """
+        n = len(self.masks)
+        rep = sum(1 << h * n for h in range(n))
+        return rep, sum(block << h * n for h, block in enumerate(self.block_heads))
 
 
 def arcs(sigma: CyclicOrder, k: int) -> ArcFamily:
@@ -156,8 +176,8 @@ def arc_chain_families(arc: ArcFamily, arc_sets: Sequence[int]) -> Chain:
     return Chain(tuple(fams))
 
 
-def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[int, int, list[int]]:
-    """The arc-chain lemma on head bitsets, in ints: (lhs, rhs, block weight per head).
+def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[int, int, int]:
+    """The arc-chain lemma on head bitsets, in ints: (lhs, rhs, block weight summed over all n heads).
 
     Raises ValueError unless p is an int >= 1 (a bool is not), the chain
     has a level, every head lies in 0..n-1, the chain is nested,
@@ -184,11 +204,19 @@ def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[i
     head, *rest = arc_sets
     lhs = p * head.bit_count() + sum(bits.bit_count() for bits in rest)
     rhs = max(n * s, (p + s) * k * s)
+    rep, blocks = arc.block_layout
+    total = p * (head * rep & blocks).bit_count() + sum((bits * rep & blocks).bit_count() for bits in rest)
+    return lhs, rhs, total
+
+
+def _block_weights(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> list[int]:
+    """Entry h: e(M_h, Y), the weight p|B_0 & M_h| + |B_1 & M_h| + ... of the block matching M_h at head h."""
+    head, *rest = arc_sets
     blocks = arc.block_heads
     per_head = [p * (head & block).bit_count() for block in blocks]
     for bits in rest:
         per_head = [w + (bits & block).bit_count() for w, block in zip(per_head, blocks)]
-    return lhs, rhs, per_head
+    return per_head
 
 
 def _random_heads(n: int, rng: random.Random, trials: int) -> list[int]:
@@ -222,10 +250,11 @@ def verify_cyclic_lemma(
     """
     n, k = arc.sigma.n, arc.k
     _check_trials(trials, 0)
-    lhs, rhs, per_head = _check_arc_chain(arc, arc_sets, p)
+    lhs, rhs, total = _check_arc_chain(arc, arc_sets, p)
     t = n // k
+    per_head = _block_weights(arc, arc_sets, p)
     sampled = [per_head[h] for h in _random_heads(n, random.Random(seed), trials)]
-    head_average = Fraction(sum(per_head), n)
+    head_average = Fraction(total, n)
     return {
         "seed": seed,
         "trials": trials,
@@ -240,7 +269,7 @@ def verify_cyclic_lemma(
         "exact_expectation": str(Fraction(t * lhs, n)),
         "head_average": str(head_average),
         # both sides are over n, so the identity is one of numerators
-        "identity_holds": sum(per_head) == t * lhs,
+        "identity_holds": total == t * lhs,
         "violations": [] if lhs <= rhs else [{"lhs": lhs, "rhs": rhs}],
         "mean": str(Fraction(sum(sampled), len(sampled))) if sampled else str(head_average),
         "max_observed": max(sampled) if sampled else max(per_head),
@@ -257,19 +286,18 @@ def random_overlapping_arc_chain(
     both appear; non-overlapping draws are rejected and redrawn.  Each draw
     is tested on the head bitsets directly, so none builds a Family.
     """
-    n = arc.sigma.n
-    head_disj = arc.head_disjointness
+    head_bits, head_disj = arc.head_bits, arc.head_disjointness
     m = s + 1
     draw, getrandbits, width = rng.random, rng.getrandbits, m.bit_length()
     while True:
         density = draw()
         entering = [0] * m  # the arcs whose entry level is j
-        for i in range(n):
+        for bit in head_bits:
             if draw() < density:
                 j = getrandbits(width)
                 while j >= m:
                     j = getrandbits(width)
-                entering[j] |= 1 << i
+                entering[j] |= bit
         arc_sets = tuple(accumulate(entering, or_))
         if rainbow(arc_sets, head_disj) is None:
             return arc_sets
@@ -303,10 +331,10 @@ def run_cyclic_suite(
         worst = None
         failures_before = (total_violations, identity_failures)
         for _ in range(per_cell):
-            lhs, rhs, per_head = _check_arc_chain(arc, random_overlapping_arc_chain(arc, s, rng), p)
+            lhs, rhs, total = _check_arc_chain(arc, random_overlapping_arc_chain(arc, s, rng), p)
             if lhs > rhs:
                 total_violations += 1
-            if sum(per_head) != t * lhs:
+            if total != t * lhs:
                 identity_failures += 1
             margin = rhs - lhs
             if worst is None or margin < worst:
@@ -370,7 +398,7 @@ def random_matching(n: int, k: int, rng: random.Random) -> list[int]:
 
 
 def _sample_matchings(
-    chain: Chain, ws: Sequence[Fraction], cap: Fraction | None, trials: int, seed: int, key: Callable
+    chain: Chain, ws: Sequence[Fraction], cap: Fraction | None, trials: int, seed: int
 ) -> tuple[list[dict], str, str, float, str, Counter]:
     """The trial loop of the sampled bounds: `trials` random matchings, drawn from `seed`.
 
@@ -381,7 +409,12 @@ def _sample_matchings(
     the k-sets, so the mean is compared, with a z-score, against
     t * sum_j w_j |B_j| / C(n,k).  Returns the report's violations, mean,
     exact expectation, z-score and max_observed, and the number of trials
-    per key(levels), levels being the blocks' entry levels (s+1 for none).
+    per pattern: the tuple of the blocks' entry levels (s+1 for none).
+
+    A trial only finds and counts its pattern.  The weight depends on the
+    pattern alone, so it, the moments and the maximum are computed once per
+    distinct pattern, and the trials are walked again, to list those above
+    cap in order, only if some pattern is above it.
     """
     n, k, s = chain.n, chain.k, chain.s
     expectation = Fraction(n // k * sum(w * len(f) for w, f in zip(ws, chain.families)), binom(n, k))
@@ -399,20 +432,21 @@ def _sample_matchings(
     limit = math.inf if cap is None else int(cap * scale)
     absent = s + 1
     get, starts = level.get, range(0, n // k * k, k)
-    violations = []
-    counts: Counter = Counter()
-    total = total_sq = max_weight = 0
-    for trial, pool in enumerate(_shuffled_pools(n, random.Random(seed), trials)):
-        # the blocks of random_matching, each looked up as it is summed
-        levels = [get(sum(pool[b : b + k]), absent) for b in starts]
-        weight = sum([tail[j] for j in levels])  # a list sums faster than a generator
-        if weight > limit:
-            violations.append({"trial": trial, "weight": str(Fraction(weight, scale))})
-        counts[key(levels)] += 1
-        total += weight
-        total_sq += weight * weight
-        if weight > max_weight:
-            max_weight = weight
+    # the blocks of random_matching, each looked up as it is summed
+    patterns = [
+        tuple([get(sum(pool[b : b + k]), absent) for b in starts])
+        for pool in _shuffled_pools(n, random.Random(seed), trials)
+    ]
+    counts = Counter(patterns)
+    weights = {levels: sum(tail[j] for j in levels) for levels in counts}
+    total = sum(weight * counts[levels] for levels, weight in weights.items())
+    total_sq = sum(weight * weight * counts[levels] for levels, weight in weights.items())
+    max_weight = max(weights.values())
+    violations = [
+        {"trial": trial, "weight": str(Fraction(weights[levels], scale))}
+        for trial, levels in enumerate(patterns)
+        if weights[levels] > limit
+    ] if max_weight > limit else []
 
     mean = Fraction(total, scale * trials)
     var = Fraction(total_sq, scale * scale * trials) - mean * mean
@@ -438,9 +472,7 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
     if not is_overlapping(chain):
         raise ValueError("chain is not overlapping")
     cap = s * sum(ws)
-    violations, mean, expectation, z, max_observed, patterns = _sample_matchings(
-        chain, ws, cap, trials, seed, tuple
-    )
+    violations, mean, expectation, z, max_observed, patterns = _sample_matchings(chain, ws, cap, trials, seed)
     # block i meets exactly the families from its entry level up, so the
     # incidence graph, and hence its cover, depends on the levels alone
     full = (1 << (s + 1)) - 1
@@ -482,9 +514,12 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
     threshold = thm4_threshold(k, ws)
     bound_applies = n >= threshold
     cap = n // k * sum(ws[1:], Fraction(0))
-    violations, mean, expectation, mean_z, max_observed, first_levels = _sample_matchings(
-        chain, ws, cap if bound_applies else None, trials, seed, itemgetter(0)
+    violations, mean, expectation, mean_z, max_observed, patterns = _sample_matchings(
+        chain, ws, cap if bound_applies else None, trials, seed
     )
+    first_levels: Counter = Counter()
+    for levels, count in patterns.items():
+        first_levels[levels[0]] += count
     hits = list(accumulate(first_levels[j] for j in range(s + 1)))
 
     freq_rows = []

@@ -215,6 +215,25 @@ def test_rank_bits_match_arc_chain_families(data):
         assert arc.rank_bits(heads) == fam.bits
 
 
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.data())
+def test_block_layout_sums_the_block_weights_of_every_head(data):
+    n = data.draw(st.integers(2, 64))
+    k = data.draw(st.integers(1, n - 1))
+    arc = arcs(CyclicOrder(tuple(data.draw(st.permutations(range(1, n + 1))))), k)
+    rep, blocks = arc.block_layout
+    for heads in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)):
+        assert (heads * rep & blocks).bit_count() == sum((heads & b).bit_count() for b in arc.block_heads)
+    # the overlap recheck lists all C(n, k) k-sets, so a chain is checked only where they are few
+    if binom(n, k) > 2_000:
+        return
+    s = data.draw(st.integers(0, min(3, n // (k + 1))))
+    p = data.draw(st.integers(1, 4))
+    arc_sets = random_overlapping_arc_chain(arc, s, random.Random(data.draw(st.integers(0, 2**32))))
+    lhs, _, total = cyclic._check_arc_chain(arc, arc_sets, p)
+    assert total == sum(cyclic._block_weights(arc, arc_sets, p)) == n // k * lhs
+
+
 def test_cyclic_suite_reuses_one_arc_family_per_cell_shape(monkeypatch):
     seen = []
     check = cyclic._check_arc_chain
@@ -299,13 +318,13 @@ def test_run_cyclic_suite_marks_each_failing_cell(monkeypatch, broken):
     check = cyclic._check_arc_chain
 
     def check_broken_on_one_cell(arc, arc_sets, p):
-        lhs, rhs, per_head = check(arc, arc_sets, p)
+        lhs, rhs, total = check(arc, arc_sets, p)
         if (len(arc), len(arc_sets) - 1, p) == (8, 1, 1):
             if broken == "inequality":
                 rhs = lhs - 1
             else:
-                per_head = [w + 1 for w in per_head]
-        return lhs, rhs, per_head
+                total += 1
+        return lhs, rhs, total
 
     monkeypatch.setattr(cyclic, "_check_arc_chain", check_broken_on_one_cell)
     rep = run_cyclic_suite([(9, 2, 2, 1), (8, 2, 1, 1)], 60, seed=9)
