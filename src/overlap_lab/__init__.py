@@ -8,14 +8,13 @@ arguments that pin those optima down.
 
 __version__ = "0.1.0"
 
-from .combinatorics import binom, colex_rank, colex_unrank, ksets, shift_leq
+from .combinatorics import binom, colex_rank, ksets, shift_leq
 from .family import (
     Chain,
     Family,
     compress_pair,
     construction_chain,
     cover_family,
-    enumerate_shifted_families,
     is_shifted,
     nestify,
     reduce_to_weighted,
@@ -58,8 +57,6 @@ from .cyclic import (
     ArcFamily,
     CyclicOrder,
     arcs,
-    block_matching,
-    verify_cyclic_lemma,
     verify_partition_bound,
     verify_random_matching_bound,
 )

@@ -256,6 +256,8 @@ class ReportWriter:
                     fh.write(payload)
                 os.replace(tmp, self.out)
             except OSError as exc:
+                if os.path.isfile(tmp):
+                    os.remove(tmp)
                 # the error names --out, not the temporary file beside it
                 raise OSError(exc.errno, exc.strerror, self.out) from exc
         else:

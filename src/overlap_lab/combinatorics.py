@@ -92,25 +92,6 @@ def colex_rank(mask: int) -> int:
     return r
 
 
-def colex_unrank(r: int, k: int, n: int) -> int:
-    """Inverse of colex_rank over C([n], k); rejects ranks outside [0, C(n,k))."""
-    if r < 0 or r >= binom(n, k):
-        raise ValueError(f"rank {r} outside [0, C({n},{k})={binom(n, k)})")
-    mask = 0
-    hi = n
-    for j in range(k, 0, -1):
-        # largest c with C(c, j) <= r gives the j-th largest element c+1
-        c = j - 1
-        for cand in range(hi - 1, j - 2, -1):
-            if binom(cand, j) <= r:
-                c = cand
-                break
-        r -= binom(c, j)
-        mask |= 1 << c
-        hi = c
-    return mask
-
-
 def shift_leq(x: int, y: int) -> bool:
     """Coordinatewise order on equal-size sets: i-th smallest of x <= i-th smallest of y."""
     if x.bit_count() != y.bit_count():

@@ -7,10 +7,12 @@ identity, the random-partition cover bound at n = (s+1)k, and the random
 t-matching bound.  Every randomized report carries its seed and trial
 count; identical seeds reproduce identical reports.
 
-An arc chain is checked on bitsets over head positions, in ints: the
-tables it needs (the disjointness of the arcs' colex ranks, the ranks of
-each nibble of heads and the block matchings laid out for one popcount
-per level) are cached once per `ArcFamily`, and the suite keeps one
+The arc-chain lemma has one check, `_check_arc_chain`, which
+`run_cyclic_suite` runs on every sampled chain.  It works on bitsets over
+head positions, in ints: the tables it needs (the disjointness of the
+arcs' colex ranks, the ranks of each nibble of heads and the block
+matchings laid out for one popcount per level) are cached once per
+`ArcFamily`, and the suite keeps one
 identity `ArcFamily` per (n, k), so a sampled chain builds no `Chain`,
 `Family` or `Fraction`.  A sampled matching only finds its pattern of
 entry levels; what depends on the pattern alone is computed once per
@@ -143,20 +145,10 @@ def arcs(sigma: CyclicOrder, k: int) -> ArcFamily:
     return ArcFamily(sigma, k, tuple(masks))
 
 
-def block_matching(sigma: CyclicOrder, k: int, head: int) -> list[int]:
-    """t = floor(n/k) pairwise disjoint arcs starting at head, stepping by k."""
-    n = sigma.n
-    if not 0 <= head < n:
-        raise ValueError(f"head {head} outside 0..{n - 1}")
-    arc = arcs(sigma, k)
-    t = n // k
-    return [arc.masks[(head + j * k) % n] for j in range(t)]
-
-
-def _check_trials(trials: int, least: int = 1) -> int:
-    """trials, unless it is not an int >= least (a bool is not): then ValueError."""
-    if type(trials) is not int or trials < least:
-        raise ValueError(f"trials must be an integer >= {least}, got {trials!r}")
+def _check_trials(trials: int) -> int:
+    """trials, unless it is not an int >= 1 (a bool is not): then ValueError."""
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     return trials
 
 
@@ -184,6 +176,9 @@ def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[i
     n >= (k+1)s and the chain is overlapping; the cheap checks run before
     the overlap recheck, which is the kernel on the arcs' colex ranks.
     The lhs p|B_0| + |B_1| + ... + |B_s| is also e(X, Y), the total degree.
+    The inequality is lhs <= rhs = max{ns, (p+s)ks}; the exact head-average
+    identity, that e(M_h, Y) averages (t/n) e(X, Y) over the n block
+    matchings M_h, t = n // k, is total == t * lhs.
     """
     n, k = arc.sigma.n, arc.k
     s = len(arc_sets) - 1
@@ -207,73 +202,6 @@ def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[i
     rep, blocks = arc.block_layout
     total = p * (head * rep & blocks).bit_count() + sum((bits * rep & blocks).bit_count() for bits in rest)
     return lhs, rhs, total
-
-
-def _block_weights(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> list[int]:
-    """Entry h: e(M_h, Y), the weight p|B_0 & M_h| + |B_1 & M_h| + ... of the block matching M_h at head h."""
-    head, *rest = arc_sets
-    blocks = arc.block_heads
-    per_head = [p * (head & block).bit_count() for block in blocks]
-    for bits in rest:
-        per_head = [w + (bits & block).bit_count() for w, block in zip(per_head, blocks)]
-    return per_head
-
-
-def _random_heads(n: int, rng: random.Random, trials: int) -> list[int]:
-    """`trials` heads, each uniform in 0..n-1, drawn as `rng.randrange(n)` draws them."""
-    getrandbits, width = rng.getrandbits, n.bit_length()
-    heads = []
-    for _ in range(trials):
-        j = getrandbits(width)
-        while j >= n:
-            j = getrandbits(width)
-        heads.append(j)
-    return heads
-
-
-def verify_cyclic_lemma(
-    arc: ArcFamily,
-    arc_sets: Sequence[int],
-    p: int,
-    trials: int = 0,
-    seed: int = 0,
-) -> dict:
-    """Check the arc-chain inequality and the exact head-average identity.
-
-    arc_sets are bitsets over head positions forming a nested chain
-    B_0 <= ... <= B_s of sub-families of the arcs; the chain must be
-    overlapping (checked, not assumed).  The inequality is
-    p|B_0| + |B_1| + ... + |B_s| <= max{ns, (p+s)ks}.  The head average of
-    e(M, Y) over all n block matchings M is compared exactly with
-    (t/n) * e(X, Y); `trials` extra random heads (an int >= 0) report the
-    sampled mean and maximum.
-    """
-    n, k = arc.sigma.n, arc.k
-    _check_trials(trials, 0)
-    lhs, rhs, total = _check_arc_chain(arc, arc_sets, p)
-    t = n // k
-    per_head = _block_weights(arc, arc_sets, p)
-    sampled = [per_head[h] for h in _random_heads(n, random.Random(seed), trials)]
-    head_average = Fraction(total, n)
-    return {
-        "seed": seed,
-        "trials": trials,
-        "n": n,
-        "k": k,
-        "s": len(arc_sets) - 1,
-        "p": p,
-        "lhs": lhs,
-        "rhs": rhs,
-        "inequality_holds": lhs <= rhs,
-        "edge_total": lhs,
-        "exact_expectation": str(Fraction(t * lhs, n)),
-        "head_average": str(head_average),
-        # both sides are over n, so the identity is one of numerators
-        "identity_holds": total == t * lhs,
-        "violations": [] if lhs <= rhs else [{"lhs": lhs, "rhs": rhs}],
-        "mean": str(Fraction(sum(sampled), len(sampled))) if sampled else str(head_average),
-        "max_observed": max(sampled) if sampled else max(per_head),
-    }
 
 
 def random_overlapping_arc_chain(

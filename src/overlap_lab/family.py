@@ -150,9 +150,6 @@ class Chain:
             raise ValueError("no weights supplied")
         return sum((w * len(f) for w, f in zip(ws, self.families)), Fraction(0))
 
-    def total_cardinality(self) -> int:
-        return sum(len(f) for f in self.families)
-
 
 # ---------------------------------------------------------------------------
 # compression and the weighted reduction
@@ -384,20 +381,6 @@ def walk_subdownsets(
             low = rest & -rest
             rest ^= low
             stack.append((d ^ low, removable & (low - 1), covers[low.bit_length() - 1]))
-
-
-def downset_bitsets(n: int, k: int) -> list[int]:
-    """All downsets of (C([n],k), shift order) as rank bitsets.
-
-    Ordered by nondecreasing cardinality, ties by ascending bitset value.
-    """
-    return sorted(walk_downsets(n, k), key=lambda d: (d.bit_count(), d))
-
-
-def enumerate_shifted_families(n: int, k: int) -> Iterator[Family]:
-    """Yield every shifted family over (n, k) exactly once, smallest first."""
-    for bits in downset_bitsets(n, k):
-        yield Family(n, k, bits)
 
 
 # ---------------------------------------------------------------------------

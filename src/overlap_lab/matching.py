@@ -140,36 +140,6 @@ def has_rainbow_matching(fams: Sequence[Family], size: int) -> bool:
     return any(rainbow(pick, disj) is not None for pick in combinations(bits, size))
 
 
-def rainbow_matching_witness(fams: Sequence[Family]) -> list[tuple[int, int]]:
-    """A maximum rainbow matching as (family index, member mask) pairs.
-
-    Among maximum matchings, returns the one whose (index, colex rank)
-    pair sequence is lexicographically least, so results are reproducible:
-    index by index, it takes the least member that leaves the rest
-    completable.
-    """
-    n, k = _common_params(fams)
-    need = rainbow_matching_number(fams)
-    disj = _member_disjointness(fams)
-    table = ksets(n, k)
-    bits = [f.bits for f in fams]
-    witness: list[tuple[int, int]] = []
-    avail = -1
-    for pos, b in enumerate(bits):
-        if not need:
-            break
-        rest = bits[pos + 1 :]
-        for r in iter_bits(b & avail):
-            left = avail & disj[r]
-            if any(rainbow(pick, disj, left) is not None for pick in combinations(rest, need - 1)):
-                witness.append((pos, table[r]))
-                avail = left
-                need -= 1
-                break
-    assert not need, "greedy witness fell short of the rainbow matching number"
-    return witness
-
-
 def is_overlapping(chain: Chain) -> bool:
     """True iff the chain admits no rainbow matching of size s+1."""
     return not has_rainbow_matching(chain.families, chain.s + 1)

@@ -17,7 +17,7 @@ from operator import or_
 from overlap_lab.bounds import thm4_threshold
 from overlap_lab.combinatorics import binom, iter_bits, ksets, shift_leq
 from overlap_lab.cyclic import random_matching
-from overlap_lab.family import Family, _poset_preds, downset_bitsets
+from overlap_lab.family import Family, _poset_preds, walk_downsets
 from overlap_lab.matching import BipartiteGraph, rainbow
 
 
@@ -54,19 +54,6 @@ def brute_rainbow_number(fams) -> int:
     return 0
 
 
-def brute_all_max_rainbow(fams) -> list[tuple[tuple[int, int], ...]]:
-    """Every maximum rainbow matching as sorted (index, mask) tuples."""
-    m = len(fams)
-    member_lists = [list(f.members()) for f in fams]
-    best = brute_rainbow_number(fams)
-    out = []
-    for idxs in combinations(range(m), best):
-        for choice in product(*(member_lists[i] for i in idxs)):
-            if pairwise_disjoint(choice):
-                out.append(tuple(zip(idxs, choice)))
-    return out
-
-
 def brute_min_cover_size(g: BipartiteGraph) -> int:
     """Exact minimum vertex cover by enumerating left-side subsets."""
     nl = len(g.left)
@@ -91,6 +78,11 @@ def is_downset_direct(bits: int, n: int, k: int) -> bool:
             if shift_leq(x, y) and not bits >> r & 1:
                 return False
     return True
+
+
+def sorted_downsets(n: int, k: int) -> list[int]:
+    """Every downset walk_downsets yields, sorted by (size, bitset); not a reference for the walk itself."""
+    return sorted(walk_downsets(n, k), key=lambda d: (d.bit_count(), d))
 
 
 def brute_downset_count(n: int, k: int) -> int:
@@ -148,9 +140,9 @@ def brute_chain_optimum(n: int, k: int, s: int, weights) -> tuple[Fraction, tupl
 
 
 def brute_max_min_overlapping(n: int, k: int, s: int) -> tuple[int, int]:
-    """First largest downset, in downset_bitsets order, with matching number at most s."""
+    """First largest downset, in sorted_downsets order, with matching number at most s."""
     best_size, best_bits = -1, 0
-    for bits in downset_bitsets(n, k):
+    for bits in sorted_downsets(n, k):
         size = bits.bit_count()
         if size > best_size and brute_matching_number(Family(n, k, bits)) <= s:
             best_size, best_bits = size, bits
@@ -262,11 +254,6 @@ def brute_random_matching_report(chain, weights, trials: int, seed: int) -> dict
 # ---------------------------------------------------------------------------
 # the samplers on stdlib randrange and shuffle
 # ---------------------------------------------------------------------------
-
-def stdlib_random_heads(n: int, rng: random.Random, trials: int) -> list[int]:
-    """The heads verify_cyclic_lemma samples."""
-    return [rng.randrange(n) for _ in range(trials)]
-
 
 def stdlib_random_overlapping_arc_chain(arc, s: int, rng: random.Random) -> tuple[int, ...]:
     n = arc.sigma.n

@@ -28,8 +28,8 @@ from overlap_lab.matching import (
     min_vertex_cover,
     rainbow_matching_number,
 )
-from overlap_lab.search import exact_f_shifted, hunt_conjectures, oracle_f
-from overlap_lab.suites import SUITES
+from overlap_lab.search import exact_f_shifted, oracle_f
+from overlap_lab.suites import SUITES, run_suite
 
 SEED = 20240
 
@@ -226,8 +226,8 @@ def test_10_mixed_construction_endpoint():
 
 def test_11_conjecture_hunts():
     t0 = time.perf_counter()
-    rep1 = hunt_conjectures("conj1", {"cells": suite_cells("conj1", 87)})
-    rep2 = hunt_conjectures("conj2", {"cells": suite_cells("conj2", 62)})
+    rep1 = run_suite("conj1", cells=suite_cells("conj1", 87))
+    rep2 = run_suite("conj2", cells=suite_cells("conj2", 62))
     ok = rep1["summary"]["violations"] == 0 and rep2["summary"]["violations"] == 0
     details = f"conj1 {rep1['summary']} conj2 {rep2['summary']}"
     report(11, "conjecture hunts", ok, time.perf_counter() - t0, 1800, details)

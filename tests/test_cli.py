@@ -231,6 +231,16 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, fmt):
     assert "x.json'" in err and ".tmp" not in err
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    # a directory as --out: a CSV report is written beside it, then the rename onto it fails
+    out = tmp_path / "d"
+    out.mkdir()
+    assert main(["bounds", "--name", "hilton", "--n", "4", "--k", "2", "--m", "1", "--format", "csv", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert not any(out.iterdir())
+
+
 def test_jobs_preserve_row_order(tmp_path):
     seq, par = tmp_path / "seq.json", tmp_path / "par.json"
     args = ["search", "--n", "4..6", "--k", "2", "--weights", "2,1"]
@@ -635,4 +645,21 @@ def test_verify_all_smoke(tmp_path):
     assert doc["summary"]["status"] == "pass"
     assert [row["suite"] for row in doc["rows"]] == [
         "hilton", "thm1", "thm2-k1", "thm3", "thm4", "bde", "cyclic", "partition", "random-matching", "conj1", "conj2"
+    ]
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the package's exports fails here, so the change shows in review
+    import overlap_lab
+
+    assert sorted(overlap_lab.__all__) == [
+        "ArcFamily", "BipartiteGraph", "Chain", "CyclicOrder", "ExtremalRecord", "Family", "SUITES", "Suite",
+        "arcs", "bde_check", "binom", "bounds", "colex_rank", "combinatorics", "compress_pair", "conj1_value",
+        "conj2_bound", "construction_chain", "cover_family", "cyclic", "d_vec", "evaluate_bound", "exact_f_shifted",
+        "family", "g", "g_argmax", "gb_emc_bound", "hilton_bound", "hunt_conjectures", "is_overlapping",
+        "is_shifted", "ksets", "matching", "matching_number", "max_bipartite_matching", "min_vertex_cover",
+        "nestify", "oracle_f", "rainbow_matching_number", "reduce_to_weighted", "run_suite", "search",
+        "shift_closure", "shift_ij", "shift_leq", "suites", "thm1_bound", "thm2_value", "thm3_value",
+        "thm4_value", "u_eval", "u_zero", "verify_partition_bound", "verify_random_matching_bound",
+        "weight_vector",
     ]

@@ -5,7 +5,6 @@ import pytest
 from overlap_lab.combinatorics import (
     binom,
     colex_rank,
-    colex_unrank,
     elements_of,
     ksets,
     mask_from_elements,
@@ -83,20 +82,6 @@ def test_ksets_agree_with_colex_comparator():
 
 def test_colex_examples():
     assert colex_rank(mask_from_elements([1, 2])) == 0
-    assert colex_unrank(0, 2, 6) == mask_from_elements([1, 2])
-
-
-def test_colex_roundtrip():
-    for n, k in [(6, 2), (7, 3), (8, 1), (5, 5), (9, 4)]:
-        for r in range(binom(n, k)):
-            assert colex_rank(colex_unrank(r, k, n)) == r
-
-
-def test_colex_unrank_range_errors():
-    with pytest.raises(ValueError):
-        colex_unrank(binom(6, 2), 2, 6)
-    with pytest.raises(ValueError):
-        colex_unrank(-1, 2, 6)
 
 
 def test_shift_leq_examples():

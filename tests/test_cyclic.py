@@ -9,7 +9,6 @@ from _brute import (
     brute_partition_report,
     brute_random_matching_report,
     pairwise_disjoint,
-    stdlib_random_heads,
     stdlib_random_matching,
     stdlib_random_overlapping_arc_chain,
 )
@@ -19,11 +18,9 @@ from overlap_lab.cyclic import (
     CyclicOrder,
     arc_chain_families,
     arcs,
-    block_matching,
     random_matching,
     random_overlapping_arc_chain,
     run_cyclic_suite,
-    verify_cyclic_lemma,
     verify_partition_bound,
     verify_random_matching_bound,
 )
@@ -69,21 +66,26 @@ def test_arcs_rejects_bad_k():
         arcs(CyclicOrder.identity(5), 0)
 
 
+def block_arcs(arc, head):
+    """The arcs at the heads of block_heads[head]: the block matching M_head."""
+    return [arc.masks[i] for i in range(len(arc)) if arc.block_heads[head] >> i & 1]
+
+
 def test_block_matching_examples():
-    sigma = CyclicOrder.identity(6)
-    got = [elements_of(m) for m in block_matching(sigma, 2, 0)]
+    got = [elements_of(m) for m in block_arcs(arcs(CyclicOrder.identity(6), 2), 0)]
     assert got == [(1, 2), (3, 4), (5, 6)]
-    sigma7 = CyclicOrder.identity(7)
-    got7 = [elements_of(m) for m in block_matching(sigma7, 2, 0)]
+    got7 = [elements_of(m) for m in block_arcs(arcs(CyclicOrder.identity(7), 2), 0)]
     assert got7 == [(1, 2), (3, 4), (5, 6)]  # t = 3, element 7 unused
 
 
 def test_block_matching_disjoint_all_heads():
     for n in range(2, 21):
         for k in range(1, n):
-            sigma = CyclicOrder.identity(n)
+            arc = arcs(CyclicOrder.identity(n), k)
             for head in range(n):
-                assert pairwise_disjoint(block_matching(sigma, k, head))
+                blocks = block_arcs(arc, head)
+                assert len(blocks) == n // k
+                assert pairwise_disjoint(blocks)
 
 
 def test_consecutive_arcs_pairwise_intersect():
@@ -106,26 +108,26 @@ def test_cyclic_lemma_all_arcs():
     n, k, s, p = 9, 2, 2, 3
     arc = arcs(CyclicOrder.identity(n), k)
     full = (1 << n) - 1
-    rep = verify_cyclic_lemma(arc, (0, full, full), p)
-    assert rep["lhs"] == n * s
-    assert rep["inequality_holds"] and rep["identity_holds"]
+    lhs, rhs, total = cyclic._check_arc_chain(arc, (0, full, full), p)
+    assert lhs == n * s <= rhs
+    assert total == n // k * lhs
 
 
 def test_cyclic_lemma_rejects_bad_chains():
     arc = arcs(CyclicOrder.identity(8), 2)
     with pytest.raises(ValueError):
-        verify_cyclic_lemma(arc, (0b11, 0b01), 1)  # not nested
+        cyclic._check_arc_chain(arc, (0b11, 0b01), 1)  # not nested
     full = (1 << 8) - 1
     with pytest.raises(ValueError):
-        verify_cyclic_lemma(arc, (full, full), 1)  # rainbow pair exists
+        cyclic._check_arc_chain(arc, (full, full), 1)  # rainbow pair exists
     for arc_sets in [(1 << 8,), (-1,), (0, 1 << 9)]:  # a head outside 0..7
         with pytest.raises(ValueError):
-            verify_cyclic_lemma(arc, arc_sets, 1)
+            cyclic._check_arc_chain(arc, arc_sets, 1)
     with pytest.raises(ValueError, match="at least one level"):
-        verify_cyclic_lemma(arc, (), 1)
+        cyclic._check_arc_chain(arc, (), 1)
     for p in (0, 1.5, True):
         with pytest.raises(ValueError, match="positive integer"):
-            verify_cyclic_lemma(arc, (0,), p)
+            cyclic._check_arc_chain(arc, (0,), p)
 
 
 def test_cyclic_lemma_identity_exact_random():
@@ -134,10 +136,9 @@ def test_cyclic_lemma_identity_exact_random():
         arc = arcs(CyclicOrder.identity(n), k)
         for _ in range(200):
             arc_sets = random_overlapping_arc_chain(arc, s, rng)
-            rep = verify_cyclic_lemma(arc, arc_sets, p, trials=5, seed=7)
-            assert rep["identity_holds"], (n, k, s, p, arc_sets)
-            assert rep["inequality_holds"], (n, k, s, p, arc_sets)
-            assert Fraction(rep["head_average"]) == Fraction(rep["exact_expectation"])
+            lhs, rhs, total = cyclic._check_arc_chain(arc, arc_sets, p)
+            assert total == n // k * lhs, (n, k, s, p, arc_sets)
+            assert lhs <= rhs, (n, k, s, p, arc_sets)
 
 
 @st.composite
@@ -153,8 +154,8 @@ def nested_arc_chains(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
-@given(nested_arc_chains(), st.integers(0, 20), st.integers(0, 2**32))
-def test_arc_chains_against_naive_construction(drawn, trials, seed):
+@given(nested_arc_chains())
+def test_arc_chains_against_naive_construction(drawn):
     arc, arc_sets, p = drawn
     n, k, s = arc.sigma.n, arc.k, len(arc_sets) - 1
     chain = arc_chain_families(arc, arc_sets)
@@ -166,7 +167,7 @@ def test_arc_chains_against_naive_construction(drawn, trials, seed):
     assert overlapping == (rainbow([fam.bits for fam in chain.families], arc.rank_disjointness) is None)
     if not overlapping or n < (k + 1) * s:
         with pytest.raises(ValueError):
-            verify_cyclic_lemma(arc, arc_sets, p, trials, seed)
+            cyclic._check_arc_chain(arc, arc_sets, p)
         return
     deg = [p * (arc_sets[0] >> i & 1) + sum(bits >> i & 1 for bits in arc_sets[1:]) for i in range(n)]
 
@@ -177,13 +178,9 @@ def test_arc_chains_against_naive_construction(drawn, trials, seed):
         weight = p * (arc_sets[0] & block).bit_count() + sum((bits & block).bit_count() for bits in arc_sets[1:])
         assert weight == block_weight(h)
 
-    rep = verify_cyclic_lemma(arc, arc_sets, p, trials, seed)
-    assert rep["head_average"] == str(Fraction(sum(block_weight(h) for h in range(n)), n))
-    rng = random.Random(seed)
-    sampled = [block_weight(rng.randrange(n)) for _ in range(trials)]
-    assert rep["max_observed"] == max(sampled or [block_weight(h) for h in range(n)])
-    if sampled:
-        assert rep["mean"] == str(Fraction(sum(sampled), trials))
+    lhs, _, total = cyclic._check_arc_chain(arc, arc_sets, p)
+    assert lhs == sum(deg)
+    assert total == sum(block_weight(h) for h in range(n))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -193,13 +190,11 @@ def test_inline_draws_replay_the_stdlib_stream(data, seed):
     n = data.draw(st.integers(2, 13))
     k = data.draw(st.integers(1, n - 1))
     s = data.draw(st.integers(0, 3))
-    trials = data.draw(st.integers(0, 20))
     arc = arcs(CyclicOrder.identity(n), k)
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(3):
         assert random_matching(n, k, ours) == stdlib_random_matching(n, k, theirs)
         assert random_overlapping_arc_chain(arc, s, ours) == stdlib_random_overlapping_arc_chain(arc, s, theirs)
-        assert cyclic._random_heads(n, ours, trials) == stdlib_random_heads(n, theirs, trials)
         assert ours.getstate() == theirs.getstate()
 
 
@@ -231,7 +226,9 @@ def test_block_layout_sums_the_block_weights_of_every_head(data):
     p = data.draw(st.integers(1, 4))
     arc_sets = random_overlapping_arc_chain(arc, s, random.Random(data.draw(st.integers(0, 2**32))))
     lhs, _, total = cyclic._check_arc_chain(arc, arc_sets, p)
-    assert total == sum(cyclic._block_weights(arc, arc_sets, p)) == n // k * lhs
+    head, *rest = arc_sets
+    per_head = [p * (head & b).bit_count() + sum((bits & b).bit_count() for bits in rest) for b in arc.block_heads]
+    assert total == sum(per_head) == n // k * lhs
 
 
 def test_cyclic_suite_reuses_one_arc_family_per_cell_shape(monkeypatch):
@@ -250,7 +247,6 @@ def test_cyclic_suite_reuses_one_arc_family_per_cell_shape(monkeypatch):
 
 
 def test_sampled_entry_points_refuse_bad_trial_counts():
-    arc = arcs(CyclicOrder.identity(8), 2)
     chain = construction_chain("clique", 4, 2, 1)
     cover = construction_chain("cover", 8, 2, 1)
     for trials in (0, -3, 1.5, True, None):
@@ -260,10 +256,6 @@ def test_sampled_entry_points_refuse_bad_trial_counts():
             verify_random_matching_bound(cover, (1, 1), trials, 0)
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             run_cyclic_suite([(8, 2, 1, 1)], trials, 0)
-    for trials in (-1, 0.0, False):
-        with pytest.raises(ValueError, match="trials must be an integer >= 0"):
-            verify_cyclic_lemma(arc, (0, 0), 1, trials)
-    assert verify_cyclic_lemma(arc, (0, 0), 1, 0)["trials"] == 0
     # trials=0 reaches the sampler instead of standing for the default count
     for name in ("cyclic", "partition", "random-matching"):
         with pytest.raises(ValueError, match="trials must be an integer >= 1, got 0"):
@@ -302,10 +294,10 @@ def test_run_cyclic_suite_matches_public_replay(seed):
         rng = random.Random(seed * 1_000_003 + idx)
         worst = None
         for _ in range(per_cell):
-            lemma = verify_cyclic_lemma(arc, random_overlapping_arc_chain(arc, s, rng), p)
-            violations += not lemma["inequality_holds"]
-            identity_failures += not lemma["identity_holds"]
-            margin = lemma["rhs"] - lemma["lhs"]
+            lhs, rhs, total = cyclic._check_arc_chain(arc, random_overlapping_arc_chain(arc, s, rng), p)
+            violations += lhs > rhs
+            identity_failures += total != n // k * lhs
+            margin = rhs - lhs
             worst = margin if worst is None else min(worst, margin)
         margins.append(worst)
     assert [row["min_margin"] for row in rep["rows"]] == margins

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_downset_count, brute_rainbow_number, brute_upsets, is_downset_direct
+from _brute import brute_downset_count, brute_rainbow_number, brute_upsets, is_downset_direct, sorted_downsets
 from overlap_lab.combinatorics import binom
 from overlap_lab.family import (
     Chain,
@@ -16,8 +16,6 @@ from overlap_lab.family import (
     compress_pair,
     construction_chain,
     cover_family,
-    downset_bitsets,
-    enumerate_shifted_families,
     family_from_dict,
     family_to_dict,
     is_shifted,
@@ -26,6 +24,7 @@ from overlap_lab.family import (
     reduce_to_weighted,
     shift_closure,
     shift_ij,
+    walk_downsets,
     walk_subdownsets,
 )
 from overlap_lab.matching import rainbow_matching_number
@@ -191,7 +190,7 @@ def test_is_shifted_matches_direct_definition():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_shifted_families_small():
-    fams = list(enumerate_shifted_families(3, 2))
+    fams = [Family(3, 2, bits) for bits in sorted_downsets(3, 2)]
     assert [sorted(f.sets()) for f in fams] == [
         [],
         [(1, 2)],
@@ -201,15 +200,14 @@ def test_enumerate_shifted_families_small():
 
 
 def test_enumerate_shifted_families_full_ground():
-    assert len(list(enumerate_shifted_families(4, 4))) == 2
+    assert len(list(walk_downsets(4, 4))) == 2
 
 
 @pytest.mark.parametrize("n,k,count", [(4, 2, 8), (5, 2, 16), (5, 3, 16), (6, 2, 32)])
 def test_downset_counts_against_brute(n, k, count):
-    bitsets = downset_bitsets(n, k)
+    bitsets = list(walk_downsets(n, k))
     assert len(bitsets) == count == brute_downset_count(n, k)
     assert len(set(bitsets)) == len(bitsets)
-    assert bitsets == sorted(bitsets, key=lambda b: (b.bit_count(), b))
     for b in bitsets:
         assert is_downset_direct(b, n, k)
 
@@ -222,7 +220,7 @@ def test_poset_upsets_close_the_cover_relation(n, k):
 def test_downset_count_larger_grid():
     # 2-uniform downsets double with each new point
     for n in range(3, 9):
-        assert len(downset_bitsets(n, 2)) == 2 ** (n - 1)
+        assert len(list(walk_downsets(n, 2))) == 2 ** (n - 1)
 
 
 def test_downset_count_at_capacity_twenty():
@@ -249,13 +247,13 @@ def test_downset_count_at_capacity_twenty():
                 break
             probe ^= low
         count += good
-    assert count == len(downset_bitsets(6, 3))
+    assert count == len(list(walk_downsets(6, 3)))
 
 
 @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (8, 2), (6, 3), (7, 3)])
 def test_peel_walk_yields_each_large_sub_downset_once(n, k):
     # brute filter: every downset inside top with at least t members
-    downs = downset_bitsets(n, k)
+    downs = sorted_downsets(n, k)
     rng = random.Random(f"peel:{n}:{k}")
     tops = [downs[-1], downs[0]] + rng.sample(downs, 6)
     for top in tops:
@@ -293,14 +291,14 @@ def test_corrupt_downset_cache_is_ignored(tmp_path, monkeypatch, corruption):
     # fresh now, so a planted file is neither read nor rewritten.
     from overlap_lab.search import exact_f_shifted
 
-    full = downset_bitsets(6, 2)
+    full = list(walk_downsets(6, 2))
     planted = (
         {"n": 6, "k": 2, "bitsets": full[: len(full) // 2]} if corruption == "half" else full
     )
     cache_file = tmp_path / "downsets-n6-k2.json"
     cache_file.write_text(json.dumps(planted))
     monkeypatch.setenv("OVERLAP_LAB_CACHE", str(tmp_path))
-    assert downset_bitsets(6, 2) == full
+    assert list(walk_downsets(6, 2)) == full
     assert exact_f_shifted(6, 2, 1, (1, 1)).optimum == 15
     assert exact_f_shifted(6, 2, 2, (1, 1, 1)).optimum == 30
     assert json.loads(cache_file.read_text()) == planted

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
-    brute_all_max_rainbow,
     brute_matching_number,
     brute_min_cover_size,
     brute_rainbow_number,
     pairwise_disjoint,
 )
-from overlap_lab.combinatorics import binom, colex_rank, ksets
+from overlap_lab.combinatorics import binom, ksets
 from overlap_lab.family import Chain, Family, construction_chain, cover_family
 from overlap_lab.matching import (
     BipartiteGraph,
@@ -25,7 +24,6 @@ from overlap_lab.matching import (
     min_vertex_cover,
     rainbow,
     rainbow_matching_number,
-    rainbow_matching_witness,
 )
 
 
@@ -126,23 +124,6 @@ def test_has_rainbow_matching_thresholds():
             assert has_rainbow_matching(seq, size) == (size <= value)
 
 
-def test_rainbow_witness_is_lex_least_maximum():
-    rng = random.Random(131)
-    for _ in range(80):
-        seq = [random_family(5, 2, rng, density=0.35) for _ in range(3)]
-        witness = rainbow_matching_witness(seq)
-        assert len(witness) == rainbow_matching_number(seq)
-        used = 0
-        for idx, mask in witness:
-            assert mask in seq[idx]
-            assert not used & mask
-            used |= mask
-        all_max = brute_all_max_rainbow(seq)
-        if all_max:
-            key = lambda w: tuple((i, colex_rank(m)) for i, m in w)
-            assert key(witness) == min(key(w) for w in all_max)
-
-
 @st.composite
 def family_sequences(draw):
     """1-4 families of k-subsets of [n], n <= 6, k <= 3, drawn from a pool of at most
@@ -161,8 +142,6 @@ def test_rainbow_kernel_against_brute(seq):
     value = brute_rainbow_number(seq)
     for t in range(len(seq) + 2):
         assert has_rainbow_matching(seq, t) == (value >= t)
-    key = lambda w: tuple((i, colex_rank(m)) for i, m in w)
-    assert key(rainbow_matching_witness(seq)) == min(map(key, brute_all_max_rainbow(seq)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member
+from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member, sorted_downsets
 from overlap_lab import family, search
 from overlap_lab.bounds import (
     conj1_value,
@@ -22,7 +22,6 @@ from overlap_lab.family import (
     Chain,
     construction_chain,
     cover_family,
-    downset_bitsets,
     poset_upsets,
     reduce_to_weighted,
 )
@@ -240,7 +239,7 @@ def test_shifted_witness_is_shifted():
 def test_closed_form_head_matches_per_member_rule(n, k):
     # every chain B_1 <= ... <= B_s of downsets, s = 0..3
     disj, ups = disjointness(n, k), poset_upsets(n, k)
-    downs = downset_bitsets(n, k)
+    downs = sorted_downsets(n, k)
     chains = [()]
     for s in range(4):
         for rest in chains:
@@ -336,7 +335,7 @@ def test_solvers_agree_where_the_raw_space_is_large(n, k, s, ws):
 
 
 def _conj2_hunt(n, k, s, **budget):
-    return hunt_conjectures("conj2", {"cells": [(n, k, s)]}, **budget)
+    return run_suite("conj2", cells=[(n, k, s)], **budget)
 
 
 @pytest.mark.parametrize(
@@ -502,7 +501,7 @@ def test_max_min_overlapping_is_emc_value():
 @pytest.mark.parametrize("n,k", [(n, k) for k in range(4) for n in range(max(k, 1), 10)])
 def test_max_min_overlapping_against_brute(n, k):
     # value and witness equal the first largest feasible downset in
-    # downset_bitsets order; (9,3) at s <= 2 is too slow for the brute force
+    # sorted_downsets order; (9,3) at s <= 2 is too slow for the brute force
     for s in range(4):
         if (n, k) == (9, 3) and s < 3:
             continue
@@ -575,18 +574,19 @@ def test_max_min_overlapping_walks_like_the_full_refusal(monkeypatch):
 
 
 def test_hunt_conjectures_subgrids():
-    rep = hunt_conjectures("conj1", {"cells": [(4, 2, 1, 2), (6, 2, 2, 1), (5, 1, 1, 3)]})
+    rep = run_suite("conj1", cells=[(4, 2, 1, 2), (6, 2, 2, 1), (5, 1, 1, 3)])
     assert rep["summary"]["violations"] == 0
     assert all("witness" not in r for r in rep["rows"])
-    rep = hunt_conjectures("conj2", {"cells": [(6, 2, 1), (6, 2, 2), (9, 3, 2)]})
+    grid = {"cells": [(6, 2, 1), (6, 2, 2), (9, 3, 2)]}
+    rep = run_suite("conj2", cells=grid["cells"])
     assert rep["summary"]["violations"] == 0
-    with pytest.raises(KeyError):
-        hunt_conjectures("conj3", {"cells": [(6, 2, 1)]})
+    # the name perfbench calls and traces is run_suite on the cells of a grid
+    assert hunt_conjectures("conj2", grid) == rep
 
 
 def test_hunt_conjectures_hands_limit_nodes_to_both_hunts():
     # conj1 gives it to each solver call, conj2 to each hunt (test_default_budget_is_read_at_each_call)
-    assert hunt_conjectures("conj1", {"cells": [(4, 2, 1, 2)]}, limit_nodes=10**5)["summary"]["violations"] == 0
+    assert run_suite("conj1", cells=[(4, 2, 1, 2)], limit_nodes=10**5)["summary"]["violations"] == 0
     # a suite run hands the budget to either hunt, as verify --suite all does
     for name, cell in (("conj1", (4, 2, 1, 2)), ("conj2", (14, 2, 1))):
         with pytest.raises(NodeLimitError):
@@ -598,6 +598,6 @@ def test_oracle_witness_minimizes_cardinality_then_levels():
     # the minimum-cardinality witness is the doubled star
     rec = oracle_f(6, 2, 1, (3, 1))
     assert rec.optimum == 20
-    assert rec.witness.total_cardinality() == 10
+    assert sum(len(f) for f in rec.witness.families) == 10
     assert len(rec.witness.families[0]) == 5
     assert all(len(t) == 2 and 1 in t for t in rec.witness.families[0].sets())
