@@ -67,7 +67,7 @@ def integer_weights(ws: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
 
 
-def solver_weights(entries: Sequence, length: int | None = None) -> Weights:
+def solver_weights(entries: Sequence, length: int) -> Weights:
     """Weight vector for the solvers: a zero prefix is allowed.
 
     Zero-weight leading families contribute nothing to the objective but
@@ -87,26 +87,6 @@ def solver_weights(entries: Sequence, length: int | None = None) -> Weights:
     if any(a < b for a, b in zip(tail, tail[1:])):
         raise ValueError(f"positive weights must be nonincreasing, got {_shown(ws)}")
     return ws
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated formula: name, parameters, exact value, range flags."""
-
-    name: str
-    params: dict
-    value: Fraction | int
-    flags: tuple[str, ...] = ()
-    attained_by: str | None = None
-
-    def to_row(self) -> dict:
-        return {
-            "name": self.name,
-            "params": {p: json_safe(v) for p, v in self.params.items()},
-            "value": json_safe(self.value),
-            "flags": list(self.flags),
-            "attained_by": self.attained_by,
-        }
 
 
 def json_safe(v):
@@ -138,13 +118,12 @@ def thm1_bound(n: int, k: int, p: int, s: int) -> int:
     return max(s * binom(n, k), (p + s) * s * binom(n - 1, k - 1))
 
 
-def g(n: int, k: int, p, s: int, i: int):
+def g(n: int, k: int, p, s: int, i: int) -> Fraction:
     """(p+s)*C(n,k) - (p+i)*C(n-i,k): value of the mixed cover construction at depth i."""
     if i < 0 or i > s:
         raise ValueError(f"need 0 <= i <= s, got i={i}, s={s}")
     p = Fraction(p)
-    val = (p + s) * binom(n, k) - (p + i) * binom(n - i, k)
-    return int(val) if val.denominator == 1 else val
+    return (p + s) * binom(n, k) - (p + i) * binom(n - i, k)
 
 
 def g_argmax(n: int, k: int, p, s: int) -> tuple[int, bool]:
@@ -171,8 +150,8 @@ def u_eval(x, n: int, k: int, p) -> Fraction:
     return (p + x) * total - 1
 
 
-def u_zero(n: int, k: int, p, width: Fraction = Fraction(1, 2**20)) -> tuple[Fraction, Fraction]:
-    """Bracket the unique zero of u on [-p, n-k] by bisection to the given width.
+def u_zero(n: int, k: int, p) -> tuple[Fraction, Fraction]:
+    """Bracket the unique zero of u on [-p, n-k] by bisection to width 2^-20.
 
     u(-p) = -1 exactly, and u is increasing on the interval, hence the zero
     is unique when u(n-k) > 0.  Raises ValueError when there is no sign
@@ -184,7 +163,7 @@ def u_zero(n: int, k: int, p, width: Fraction = Fraction(1, 2**20)) -> tuple[Fra
     uhi = u_eval(hi, n, k, p)
     if not (ulo == -1 and ulo < 0 < uhi):
         raise ValueError(f"no sign change: u({lo})={ulo}, u({hi})={uhi}")
-    while hi - lo > width:
+    while (hi - lo) * 2**20 > 1:
         mid = (lo + hi) / 2
         if u_eval(mid, n, k, p) < 0:
             lo = mid
@@ -193,14 +172,13 @@ def u_zero(n: int, k: int, p, width: Fraction = Fraction(1, 2**20)) -> tuple[Fra
     return lo, hi
 
 
-def thm2_value(n: int, k: int, p, s: int):
+def thm2_value(n: int, k: int, p, s: int) -> Fraction:
     """max{s*C(n,k), (p+s)*(C(n,k) - C(n-s,k))}: the exact optimum for weights (p,1,...,1).
 
     Proven exact for n >= 4*k*k*s.
     """
     p = Fraction(p)
-    val = max(Fraction(s * binom(n, k)), (p + s) * (binom(n, k) - binom(n - s, k)))
-    return int(val) if val.denominator == 1 else val
+    return max(Fraction(s * binom(n, k)), (p + s) * (binom(n, k) - binom(n - s, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +254,14 @@ def bde_check(m: int, s: int, l: int) -> tuple[bool, bool]:
 # conjectured values
 # ---------------------------------------------------------------------------
 
-def conj1_value(n: int, k: int, p, s: int):
+def conj1_value(n: int, k: int, p, s: int) -> Fraction:
     """max of the three candidate optima for weights (p,1,...,1), any n >= (s+1)k."""
     p = Fraction(p)
-    val = max(
+    return max(
         Fraction(s * binom(n, k)),
         (p + s) * binom((s + 1) * k - 1, k),
         (p + s) * (binom(n, k) - binom(n - s, k)),
     )
-    return int(val) if val.denominator == 1 else val
 
 
 def conj2_bound(n: int, k: int, s: int) -> int:
@@ -311,8 +288,8 @@ class _Formula:
     params: tuple[str, ...]
     evaluate: Callable
     in_range: Callable
-    attained: Callable | None = None
-    range_note: str = ""
+    attained: Callable | None
+    range_note: str
 
 
 FORMULAS: dict[str, _Formula] = {
@@ -403,8 +380,11 @@ FORMULAS: dict[str, _Formula] = {
 }
 
 
-def evaluate_bound(name: str, **params) -> BoundReport:
-    """Evaluate a registered formula, flagging out-of-range parameters."""
+def evaluate_bound(name: str, **params) -> dict:
+    """A registered formula's report row: name, params, exact value, range flags, attaining chain.
+
+    Values and params are written through json_safe, so a whole Fraction is an int.
+    """
     if name not in FORMULAS:
         raise KeyError(f"unknown formula {name!r}; known: {sorted(FORMULAS)}")
     spec = FORMULAS[name]
@@ -412,9 +392,10 @@ def evaluate_bound(name: str, **params) -> BoundReport:
     if missing:
         raise ValueError(f"formula {name!r} needs parameters {missing}")
     args = {p: params[p] for p in spec.params}
-    value = spec.evaluate(**args)
-    flags = ()
-    if not spec.in_range(**args):
-        flags = (f"range violated ({spec.range_note})",)
-    attained = spec.attained(**args) if spec.attained else None
-    return BoundReport(name, args, value, flags, attained)
+    return {
+        "name": name,
+        "params": {p: json_safe(v) for p, v in args.items()},
+        "value": json_safe(spec.evaluate(**args)),
+        "flags": [] if spec.in_range(**args) else [f"range violated ({spec.range_note})"],
+        "attained_by": spec.attained(**args) if spec.attained else None,
+    }

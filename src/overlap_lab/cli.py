@@ -66,18 +66,16 @@ def parse_weights(spec: str) -> tuple[Fraction, ...]:
     return ws
 
 
-def _range_arg(spec: str) -> list[int]:
-    try:
-        return parse_range(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _arg(parse):
+    """An argparse type that reports parse's ValueError as a usage error, message unchanged."""
 
+    def convert(spec: str):
+        try:
+            return parse(spec)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-def _weights_arg(spec: str) -> tuple[Fraction, ...]:
-    try:
-        return parse_weights(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
 @functools.cache
@@ -98,16 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_report(p_bounds)
     p_bounds.add_argument("--name", required=True, choices=sorted(_bounds.FORMULAS))
     for axis in BOUNDS_AXES:
-        p_bounds.add_argument(f"--{axis}", type=_range_arg)
-    p_bounds.add_argument("--weights", type=_weights_arg)
+        p_bounds.add_argument(f"--{axis}", type=_arg(parse_range))
+    p_bounds.add_argument("--weights", type=_arg(parse_weights))
 
     p_search = sub.add_parser("search", help="exact extremal search over a grid")
     add_report(p_search)
-    p_search.add_argument("--n", type=_range_arg, required=True)
-    p_search.add_argument("--k", type=_range_arg, required=True)
-    p_search.add_argument("--s", type=_range_arg)
-    p_search.add_argument("--weights", type=_weights_arg)
-    p_search.add_argument("--m", type=_range_arg, help="use weights (m-s, 1, ..., 1)")
+    p_search.add_argument("--n", type=_arg(parse_range), required=True)
+    p_search.add_argument("--k", type=_arg(parse_range), required=True)
+    p_search.add_argument("--s", type=_arg(parse_range))
+    p_search.add_argument("--weights", type=_arg(parse_weights))
+    p_search.add_argument("--m", type=_arg(parse_range), help="use weights (m-s, 1, ..., 1)")
     p_search.add_argument("--solver", choices=("oracle", "shifted", "both"), default="shifted")
     p_search.add_argument("--jobs", type=int, default=1, help="parallel workers for grid cells")
     p_search.add_argument("--limit-nodes", type=int, default=None, help="work budget per solver call")
@@ -144,7 +142,7 @@ class ReportWriter:
     through a temporary file and a rename (a CSV --out only then), else stdout.
     """
 
-    def __init__(self, fmt: str, out: str | None, config: dict, resume: str | None = None):
+    def __init__(self, fmt: str, out: str | None, config: dict, resume: str | None):
         self.fmt = fmt
         self.out = out
         self.config = config
@@ -202,7 +200,7 @@ class ReportWriter:
                     raise ValueError(f"resume file {path!r} holds a row whose cell is not a string")
                 self._done[row["cell"]] = row
 
-    def fill(self, cells, key, compute, jobs: int = 1, valid=lambda row: True):
+    def fill(self, cells, key, compute, valid, jobs: int = 1):
         """Emit and yield each cell's row in order: its finished resumed row, else compute(cell).
 
         A finished resumed row that valid rejects is a usage error, not computed again.
@@ -309,11 +307,11 @@ def cmd_bounds(args) -> int:
 
     def compute(cell: dict) -> dict:
         params = dict(cell, weights=args.weights) if "weights" in cell else cell
-        return {"cell": _canon(cell), **_bounds.evaluate_bound(args.name, **params).to_row()}
+        return {"cell": _canon(cell), **_bounds.evaluate_bound(args.name, **params)}
 
     with ReportWriter(args.format, args.out, config, args.resume) as writer:
         # a closed form is cheap, so a resumed row is checked by computing it again
-        rows = list(writer.fill(cells, _canon, compute, valid=lambda row: row == compute(json.loads(row["cell"]))))
+        rows = list(writer.fill(cells, _canon, compute, lambda row: row == compute(json.loads(row["cell"]))))
         writer.finalize({"rows": len(rows), "status": "pass"})
     return EXIT_PASS
 
@@ -367,7 +365,7 @@ def cmd_search(args) -> int:
     }
     with ReportWriter(args.format, args.out, config, args.resume) as writer:
         done = ("ok", "VIOLATION")
-        rows = writer.fill(cells, lambda c: c["key"], _search_one, args.jobs, lambda r: r.get("status") in done)
+        rows = writer.fill(cells, lambda c: c["key"], _search_one, lambda r: r.get("status") in done, args.jobs)
         statuses = [row["status"] for row in rows]
         bad = len(statuses) - statuses.count("ok")
         writer.finalize({"rows": len(statuses), "violations": bad, "status": "pass" if bad == 0 else "fail"})
@@ -405,7 +403,7 @@ def cmd_verify(args) -> int:
 
     total_viol = 0
     with ReportWriter(args.format, args.out, config, args.resume) as writer:
-        suite_rows = writer.fill(names, lambda name: _canon({"suite": name}), compute, valid=valid)
+        suite_rows = writer.fill(names, lambda name: _canon({"suite": name}), compute, valid)
         for name, row in zip(names, suite_rows):
             summary = row["summary"]
             total_viol += summary.get("violations", 0)

@@ -49,13 +49,13 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def validate_kset(mask: int, n: int, k: int | None = None) -> int:
-    """Check that mask is a well-formed subset of [n] (of size k when given)."""
+def validate_kset(mask: int, n: int, k: int) -> int:
+    """Check that mask is a well-formed k-subset of [n]."""
     if n < 1 or n > MAX_GROUND_SET:
         raise ValueError(f"ground set size {n} outside 1..{MAX_GROUND_SET}")
     if mask < 0 or mask >> n:
         raise ValueError(f"mask {mask:#x} has bits outside ground set [{n}]")
-    if k is not None and mask.bit_count() != k:
+    if mask.bit_count() != k:
         raise ValueError(f"mask has {mask.bit_count()} elements, expected {k}")
     return mask
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bounds import json_safe, solver_weights, weight_vector
+from .bounds import solver_weights, weight_vector
 from .combinatorics import (
     MAX_GROUND_SET,
     binom,
@@ -100,25 +100,16 @@ class Family:
         self._check_params(other)
         return Family(self.n, self.k, self.bits & other.bits)
 
-    __or__ = union
-    __and__ = intersection
-
     def issubset(self, other: "Family") -> bool:
         self._check_params(other)
         return not (self.bits & ~other.bits)
 
-    __le__ = issubset
-
 
 @dataclass(frozen=True)
 class Chain:
-    """Nested families B_0 <= B_1 <= ... <= B_s, optionally with a weight vector.
-
-    Supplied weights must pass bounds.weight_vector, one per family.
-    """
+    """Nested families B_0 <= B_1 <= ... <= B_s."""
 
     families: tuple[Family, ...]
-    weights: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.families:
@@ -128,8 +119,6 @@ class Chain:
             first._check_params(b)
             if not a.issubset(b):
                 raise ValueError("chain families are not nested")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", weight_vector(self.weights, len(self.families)))
 
     @property
     def n(self) -> int:
@@ -143,11 +132,9 @@ class Chain:
     def s(self) -> int:
         return len(self.families) - 1
 
-    def weighted_value(self, weights: Sequence[Fraction | int] | None = None) -> Fraction:
-        """Sum of w_i * |B_i| under the given solver weights (or the stored ones)."""
-        ws = self.weights if weights is None else solver_weights(weights, len(self.families))
-        if ws is None:
-            raise ValueError("no weights supplied")
+    def weighted_value(self, weights: Sequence[Fraction | int]) -> Fraction:
+        """Sum of w_i * |B_i| under the given solver weights."""
+        ws = solver_weights(weights, len(self.families))
         return sum((w * len(f) for w, f in zip(ws, self.families)), Fraction(0))
 
 
@@ -303,7 +290,7 @@ def poset_upsets(n: int, k: int) -> tuple[int, ...]:
 # downset (shifted-family) enumeration
 # ---------------------------------------------------------------------------
 
-def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool] | None = None) -> Iterator[int]:
+def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool]) -> Iterator[int]:
     """Yield the downsets of (C([n],k), shift order) as rank bitsets, by reverse search.
 
     Colex rank is a linear extension of the shift order, so dropping the
@@ -311,9 +298,9 @@ def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool] | None = No
     parent.  The children of D are D | 1<<r for each rank r above D's top
     whose lower covers lie in D; a depth-first walk of this tree from the
     empty downset reaches every downset exactly once, in no particular
-    order.  When given, refuse(D, r) may reject the child D | 1<<r, and its
-    whole subtree is skipped.  The walk sets no budget: a caller that
-    needs one counts what it is given.
+    order.  refuse(D, r) may reject the child D | 1<<r, and then its whole
+    subtree is skipped.  The walk sets no budget: a caller that needs one
+    counts what it is given.
     """
     preds = _poset_preds(n, k)
     succs = _poset_succs(n, k)
@@ -326,7 +313,7 @@ def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool] | None = No
             low = addable & -addable
             addable ^= low
             r = low.bit_length() - 1
-            if refuse is not None and refuse(d, r):
+            if refuse(d, r):
                 continue
             child = d | low
             outside = ~child
@@ -338,9 +325,7 @@ def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool] | None = No
             stack.append((child, addable | grown))
 
 
-def walk_subdownsets(
-    n: int, k: int, top: int, keep: Callable[[int], bool] | None = None
-) -> Iterator[int]:
+def walk_subdownsets(n: int, k: int, top: int, keep: Callable[[int], bool]) -> Iterator[int]:
     """Yield the sub-downsets of the downset `top` as rank bitsets, by reverse search.
 
     The parent of a downset D inside top, D != top, is D | 1<<m for the
@@ -353,11 +338,11 @@ def walk_subdownsets(
     exactly once, and after its parent, so each step peels one member off
     (Avis and Fukuda, "Reverse search for enumeration", 1996).
 
-    When given, keep(D) is asked as D is reached, after the caller has
-    finished with every downset yielded before it; when it declines, D and
-    its whole subtree are skipped.  The subtree holds only sub-downsets of
-    D, so when keep declines every sub-downset of a downset it declines, as
-    a size threshold does, the walk yields exactly the downsets it keeps.
+    keep(D) is asked as D is reached, after the caller has finished with
+    every downset yielded before it; when it declines, D and its whole
+    subtree are skipped.  The subtree holds only sub-downsets of D, so when
+    keep declines every sub-downset of a downset it declines, as a size
+    threshold does, the walk yields exactly the downsets it keeps.
     """
     succs = _poset_succs(n, k)
     removable = 0
@@ -370,7 +355,7 @@ def walk_subdownsets(
     stack = [(top, removable, ())]
     while stack:
         d, removable, below = stack.pop()
-        if keep is not None and not keep(d):
+        if not keep(d):
             continue
         for up, bit in below:
             if not up & d:
@@ -399,30 +384,16 @@ def cover_family(n: int, k: int, s: int) -> Family:
     return Family(n, k, bits)
 
 
-def _clique_family(n: int, k: int, universe: int) -> Family:
-    window = (1 << universe) - 1
-    bits = 0
-    for r, m in enumerate(ksets(n, k)):
-        if not (m & ~window):
-            bits |= 1 << r
-    return Family(n, k, bits)
-
-
 CONSTRUCTION_KINDS = ("empty-then-full", "cover", "clique")
 
 
-def construction_chain(
-    kind: str,
-    n: int,
-    k: int,
-    s: int,
-    weights: Sequence[Fraction | int] | None = None,
-) -> Chain:
+def construction_chain(kind: str, n: int, k: int, s: int) -> Chain:
     """One of the named extremal chains.
 
     empty-then-full: B_0 empty, B_1 = ... = B_s = C([n],k).
     cover:           every B_i = all k-sets meeting {1..s}.
-    clique:          every B_i = all k-sets inside {1..(s+1)k-1}.
+    clique:          every B_i = all k-sets inside {1..(s+1)k-1}, which
+                     are the colex ranks below C((s+1)k-1, k).
     """
     if kind == "empty-then-full":
         fams = (Family.empty(n, k),) + (Family.full(n, k),) * s
@@ -431,10 +402,10 @@ def construction_chain(
     elif kind == "clique":
         if n < (s + 1) * k - 1:
             raise ValueError(f"clique construction needs n >= (s+1)k-1 = {(s + 1) * k - 1}")
-        fams = (_clique_family(n, k, (s + 1) * k - 1),) * (s + 1)
+        fams = (Family(n, k, (1 << binom((s + 1) * k - 1, k)) - 1),) * (s + 1)
     else:
         raise ValueError(f"unknown construction kind {kind!r}; expected one of {CONSTRUCTION_KINDS}")
-    return Chain(fams, weights)
+    return Chain(fams)
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +421,17 @@ def family_from_dict(data: dict) -> Family:
 
 
 def chain_to_dict(chain: Chain) -> dict:
-    out = {
+    return {
         "n": chain.n,
         "k": chain.k,
         "families": [[list(t) for t in f.sets()] for f in chain.families],
     }
-    if chain.weights is not None:
-        out["weights"] = json_safe(chain.weights)
-    return out
 
 
 def chain_from_dict(data: dict) -> Chain:
+    """The chain of a chain file; its optional weights are checked, then dropped."""
     n, k = data["n"], data["k"]
-    fams = tuple(Family.from_sets(n, k, sets) for sets in data["families"])
-    return Chain(fams, data.get("weights"))
+    chain = Chain(tuple(Family.from_sets(n, k, sets) for sets in data["families"]))
+    if data.get("weights") is not None:
+        weight_vector(data["weights"], len(chain.families))
+    return chain

@@ -159,7 +159,7 @@ def _conj1(name, cells, trials, seed, limit_nodes):
     rows = []
     for n, k, s, p in cells:
         rec = _search.exact_f_shifted(n, k, s, (p,) + (1,) * s, limit_nodes=limit_nodes)
-        expected = Fraction(_bounds.conj1_value(n, k, p, s))
+        expected = _bounds.conj1_value(n, k, p, s)
         if rec.optimum == expected:
             status = "ok"
         elif rec.optimum > expected:

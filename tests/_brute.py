@@ -82,7 +82,7 @@ def is_downset_direct(bits: int, n: int, k: int) -> bool:
 
 def sorted_downsets(n: int, k: int) -> list[int]:
     """Every downset walk_downsets yields, sorted by (size, bitset); not a reference for the walk itself."""
-    return sorted(walk_downsets(n, k), key=lambda d: (d.bit_count(), d))
+    return sorted(walk_downsets(n, k, lambda d, r: False), key=lambda d: (d.bit_count(), d))
 
 
 def brute_downset_count(n: int, k: int) -> int:

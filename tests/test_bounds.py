@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from overlap_lab.bounds import (
-    BoundReport,
     bde_check,
     conj1_value,
     conj2_bound,
@@ -47,17 +46,17 @@ def test_weight_vector_validation():
 
 
 def test_solver_weights_zero_prefix():
-    assert solver_weights([0, 1, 1]) == (0, 1, 1)
+    assert solver_weights([0, 1, 1], 3) == (0, 1, 1)
     with pytest.raises(ValueError):
-        solver_weights([0, 0])
+        solver_weights([0, 0], 2)
     with pytest.raises(ValueError):
-        solver_weights([1, 0, 1])  # zero after a positive entry
+        solver_weights([1, 0, 1], 3)  # zero after a positive entry
     with pytest.raises(ValueError):
-        solver_weights([-1, 1])
+        solver_weights([-1, 1], 2)
     for bad in ("1/0", True, float("inf")):
         with pytest.raises(ValueError):
-            solver_weights([bad, 1])
-    assert solver_weights([1, 0]) == (1, 0)  # a trailing zero
+            solver_weights([bad, 1], 2)
+    assert solver_weights([1, 0], 2) == (1, 0)  # a trailing zero
     assert solver_weights(["0", "7/2", 1], 3) == (0, Fraction(7, 2), 1)
     with pytest.raises(ValueError):
         solver_weights([0, 1], 3)
@@ -72,7 +71,7 @@ def test_weight_messages_show_weights_as_written():
     ]
     for validate, ws, shown in cases:
         with pytest.raises(ValueError) as exc:
-            validate(ws)
+            validate(ws, len(ws))
         assert "Fraction(" not in str(exc.value)
         assert str(exc.value).endswith(f"got {shown}")
 
@@ -221,10 +220,10 @@ def test_conjecture_values():
 
 def test_evaluate_bound_flags_and_registry():
     rep = evaluate_bound("hilton", n=3, k=2, m=2)
-    assert rep.flags and "range violated" in rep.flags[0]
-    assert evaluate_bound("hilton", n=6, k=2, m=2).flags == ()
+    assert rep["flags"] and "range violated" in rep["flags"][0]
+    assert evaluate_bound("hilton", n=6, k=2, m=2)["flags"] == []
     rep = evaluate_bound("thm2", n=8, k=2, p=1, s=2)
-    assert rep.value == thm2_value(8, 2, 1, 2) and rep.flags
+    assert rep["value"] == thm2_value(8, 2, 1, 2) and rep["flags"]
     with pytest.raises(KeyError):
         evaluate_bound("nope", n=1)
     with pytest.raises(ValueError):
@@ -233,22 +232,24 @@ def test_evaluate_bound_flags_and_registry():
 
 def test_weight_formula_registry():
     rep = evaluate_bound("thm3", k=2, s=1, weights=(2, 1))
-    assert rep.value == 9 and rep.attained_by == "clique"
+    assert rep["value"] == 9 and rep["attained_by"] == "clique"
     rep = evaluate_bound("thm4", n=4, k=2, weights=(2, 1))
-    assert rep.flags  # below the proven threshold of 6
-    assert evaluate_bound("d", weights=(4, 2, 1)).value == Fraction(14, 3)
-    assert evaluate_bound("bde", m=10, s=3, l=2).value == 1
-    mid = evaluate_bound("u-zero", n=10, k=1, p=4).value
-    assert abs(mid - 3) <= Fraction(1, 2**20)
+    assert rep["flags"]  # below the proven threshold of 6
+    assert evaluate_bound("d", weights=(4, 2, 1))["value"] == "14/3"
+    assert evaluate_bound("bde", m=10, s=3, l=2)["value"] == 1
+    mid = evaluate_bound("u-zero", n=10, k=1, p=4)["value"]
+    assert abs(Fraction(mid) - 3) <= Fraction(1, 2**20)
 
 
 def test_bound_report_row():
-    row = BoundReport("demo", {"n": 4}, Fraction(9, 2), ("flag",), "cover").to_row()
+    row = evaluate_bound("thm2", n=3, k=1, p=Fraction(5, 2), s=1)
     assert row == {
-        "name": "demo",
-        "params": {"n": 4},
-        "value": "9/2",
-        "flags": ["flag"],
+        "name": "thm2",
+        "params": {"n": 3, "k": 1, "p": "5/2", "s": 1},
+        "value": "7/2",
+        "flags": ["range violated (n >= 4k^2s)"],
         "attained_by": "cover",
     }
-    assert BoundReport("demo", {}, Fraction(4, 2)).to_row()["value"] == 2
+    # a whole Fraction is written as an int
+    value = evaluate_bound("thm2", n=4, k=1, p=Fraction(6, 2), s=1)["value"]
+    assert value == 4 and type(value) is int

@@ -654,12 +654,14 @@ def test_public_surface_is_pinned():
 
     assert sorted(overlap_lab.__all__) == [
         "ArcFamily", "BipartiteGraph", "Chain", "CyclicOrder", "ExtremalRecord", "Family", "SUITES", "Suite",
-        "arcs", "bde_check", "binom", "bounds", "colex_rank", "combinatorics", "compress_pair", "conj1_value",
-        "conj2_bound", "construction_chain", "cover_family", "cyclic", "d_vec", "evaluate_bound", "exact_f_shifted",
-        "family", "g", "g_argmax", "gb_emc_bound", "hilton_bound", "hunt_conjectures", "is_overlapping",
-        "is_shifted", "ksets", "matching", "matching_number", "max_bipartite_matching", "min_vertex_cover",
-        "nestify", "oracle_f", "rainbow_matching_number", "reduce_to_weighted", "run_suite", "search",
-        "shift_closure", "shift_ij", "shift_leq", "suites", "thm1_bound", "thm2_value", "thm3_value",
-        "thm4_value", "u_eval", "u_zero", "verify_partition_bound", "verify_random_matching_bound",
+        "arcs", "bde_check", "binom", "colex_rank", "compress_pair", "conj1_value", "conj2_bound",
+        "construction_chain", "cover_family", "d_vec", "evaluate_bound", "exact_f_shifted", "g", "g_argmax",
+        "gb_emc_bound", "hilton_bound", "is_overlapping", "is_shifted", "ksets", "matching_number",
+        "max_bipartite_matching", "min_vertex_cover", "nestify", "oracle_f", "rainbow_matching_number",
+        "reduce_to_weighted", "run_suite", "shift_closure", "shift_ij", "shift_leq", "thm1_bound", "thm2_value",
+        "thm3_value", "thm4_value", "u_eval", "u_zero", "verify_partition_bound", "verify_random_matching_bound",
         "weight_vector",
     ]
+    # every name exported is bound, and the package still loads every submodule
+    assert all(hasattr(overlap_lab, name) for name in overlap_lab.__all__)
+    assert {"bounds", "combinatorics", "cyclic", "family", "matching", "search", "suites"} <= set(vars(overlap_lab))

@@ -53,7 +53,7 @@ def test_mask_roundtrip():
 def test_validate_kset():
     validate_kset(0b101, 3, 2)
     with pytest.raises(ValueError):
-        validate_kset(0b1000, 3)
+        validate_kset(0b1000, 3, 1)
     with pytest.raises(ValueError):
         validate_kset(0b101, 3, 3)
 

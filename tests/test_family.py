@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import brute_downset_count, brute_rainbow_number, brute_upsets, is_downset_direct, sorted_downsets
-from overlap_lab.combinatorics import binom
+from overlap_lab.combinatorics import binom, ksets
 from overlap_lab.family import (
     Chain,
     Family,
@@ -32,6 +32,10 @@ from overlap_lab.matching import rainbow_matching_number
 
 def fam(n, k, *sets):
     return Family.from_sets(n, k, sets)
+
+
+def refuse_none(d, r):
+    return False
 
 
 def random_family(n, k, rng, density=0.4):
@@ -200,12 +204,12 @@ def test_enumerate_shifted_families_small():
 
 
 def test_enumerate_shifted_families_full_ground():
-    assert len(list(walk_downsets(4, 4))) == 2
+    assert len(list(walk_downsets(4, 4, refuse_none))) == 2
 
 
 @pytest.mark.parametrize("n,k,count", [(4, 2, 8), (5, 2, 16), (5, 3, 16), (6, 2, 32)])
 def test_downset_counts_against_brute(n, k, count):
-    bitsets = list(walk_downsets(n, k))
+    bitsets = list(walk_downsets(n, k, refuse_none))
     assert len(bitsets) == count == brute_downset_count(n, k)
     assert len(set(bitsets)) == len(bitsets)
     for b in bitsets:
@@ -220,7 +224,7 @@ def test_poset_upsets_close_the_cover_relation(n, k):
 def test_downset_count_larger_grid():
     # 2-uniform downsets double with each new point
     for n in range(3, 9):
-        assert len(list(walk_downsets(n, 2))) == 2 ** (n - 1)
+        assert len(list(walk_downsets(n, 2, refuse_none))) == 2 ** (n - 1)
 
 
 def test_downset_count_at_capacity_twenty():
@@ -247,7 +251,7 @@ def test_downset_count_at_capacity_twenty():
                 break
             probe ^= low
         count += good
-    assert count == len(list(walk_downsets(6, 3)))
+    assert count == len(list(walk_downsets(6, 3, refuse_none)))
 
 
 @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (8, 2), (6, 3), (7, 3)])
@@ -258,7 +262,7 @@ def test_peel_walk_yields_each_large_sub_downset_once(n, k):
     tops = [downs[-1], downs[0]] + rng.sample(downs, 6)
     for top in tops:
         inside = [d for d in downs if not d & ~top]
-        assert sorted(walk_subdownsets(n, k, top)) == sorted(inside)
+        assert sorted(walk_subdownsets(n, k, top, lambda d: True)) == sorted(inside)
         for t in range(top.bit_count() + 2):
             walked = list(walk_subdownsets(n, k, top, lambda d: d.bit_count() >= t))
             assert sorted(walked) == sorted(d for d in inside if d.bit_count() >= t), (top, t)
@@ -291,14 +295,14 @@ def test_corrupt_downset_cache_is_ignored(tmp_path, monkeypatch, corruption):
     # fresh now, so a planted file is neither read nor rewritten.
     from overlap_lab.search import exact_f_shifted
 
-    full = list(walk_downsets(6, 2))
+    full = list(walk_downsets(6, 2, refuse_none))
     planted = (
         {"n": 6, "k": 2, "bitsets": full[: len(full) // 2]} if corruption == "half" else full
     )
     cache_file = tmp_path / "downsets-n6-k2.json"
     cache_file.write_text(json.dumps(planted))
     monkeypatch.setenv("OVERLAP_LAB_CACHE", str(tmp_path))
-    assert list(walk_downsets(6, 2)) == full
+    assert list(walk_downsets(6, 2, refuse_none)) == full
     assert exact_f_shifted(6, 2, 1, (1, 1)).optimum == 15
     assert exact_f_shifted(6, 2, 2, (1, 1, 1)).optimum == 30
     assert json.loads(cache_file.read_text()) == planted
@@ -318,13 +322,23 @@ def test_cover_family_sizes():
 
 
 def test_construction_chain_values():
-    c1 = construction_chain("empty-then-full", 6, 2, 2, (1, 1, 1))
-    assert c1.weighted_value() == 30
-    c2 = construction_chain("cover", 6, 2, 2, (1, 1, 1))
-    assert c2.weighted_value() == 27
-    c3 = construction_chain("clique", 6, 2, 1, (1, 1))
-    assert c3.weighted_value() == 6
+    c1 = construction_chain("empty-then-full", 6, 2, 2)
+    assert c1.weighted_value((1, 1, 1)) == 30
+    c2 = construction_chain("cover", 6, 2, 2)
+    assert c2.weighted_value((1, 1, 1)) == 27
+    c3 = construction_chain("clique", 6, 2, 1)
+    assert c3.weighted_value((1, 1)) == 6
     assert all(f.sets() == ((1, 2), (1, 3), (2, 3)) for f in c3.families)
+
+
+def test_clique_is_a_colex_prefix():
+    # the k-sets inside [(s+1)k-1], filtered mask by mask
+    for n in range(1, 10):
+        for k in range(1, min(3, n) + 1):
+            for s in range((n + 1) // k):  # (s+1)k - 1 <= n
+                window = (1 << ((s + 1) * k - 1)) - 1
+                inside = Family.from_masks(n, k, [m for m in ksets(n, k) if not m & ~window])
+                assert construction_chain("clique", n, k, s).families == (inside,) * (s + 1), (n, k, s)
 
 
 def test_construction_chain_errors():
@@ -357,12 +371,14 @@ def test_constructions_are_overlapping():
 def test_chain_validates_nesting_and_weights():
     with pytest.raises(ValueError):
         Chain((fam(4, 2, [1, 2]), fam(4, 2, [3, 4])))
-    with pytest.raises(ValueError):
-        Chain((fam(4, 2, [1, 2]), Family.full(4, 2)), (1, 2))
-    with pytest.raises(ValueError):
-        Chain((fam(4, 2, [1, 2]), Family.full(4, 2)), (1, 0))
-    chain = Chain((fam(4, 2, [1, 2]), Family.full(4, 2)), (Fraction(3, 2), 1))
-    assert chain.weighted_value() == Fraction(3, 2) + 6
+    # a chain file's weights are checked as it is read, then dropped
+    chain = Chain((fam(4, 2, [1, 2]), Family.full(4, 2)))
+    data = chain_to_dict(chain)
+    for bad in ([1, 2], [1, 0], [1]):
+        with pytest.raises(ValueError):
+            chain_from_dict(dict(data, weights=bad))
+    assert chain_from_dict(dict(data, weights=["3/2", 1])) == chain_from_dict(dict(data, weights=None)) == chain
+    assert chain.weighted_value(("3/2", 1)) == Fraction(3, 2) + 6
 
 
 def test_family_json_roundtrip():
@@ -373,12 +389,9 @@ def test_family_json_roundtrip():
 
 
 def test_chain_json_roundtrip_exact_rationals():
-    chain = Chain(
-        (fam(5, 2, [1, 2]), fam(5, 2, [1, 2], [1, 3])),
-        (Fraction(7, 3), Fraction(1, 3)),
-    )
+    chain = Chain((fam(5, 2, [1, 2]), fam(5, 2, [1, 2], [1, 3])))
     data = json.loads(json.dumps(chain_to_dict(chain)))
-    assert data["weights"] == ["7/3", "1/3"]
-    back = chain_from_dict(data)
+    assert data == {"n": 5, "k": 2, "families": [[[1, 2]], [[1, 2], [1, 3]]]}
+    back = chain_from_dict(dict(data, weights=["7/3", "1/3"]))
     assert back == chain
-    assert back.weights == (Fraction(7, 3), Fraction(1, 3))
+    assert back.weighted_value(["7/3", "1/3"]) == Fraction(7, 3) + Fraction(2, 3)

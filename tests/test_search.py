@@ -276,7 +276,7 @@ def test_best_construction_closed_form_matches_built_chains():
                 if s:
                     shapes += [(0,) + (1,) * s, (Fraction(5, 2),) + (0,) * s, (9,) + (Fraction(2, 5),) * (s - 1) + (0,)]
                 for ws in shapes:
-                    iw, scale = integer_weights(solver_weights(ws))
+                    iw, scale = integer_weights(solver_weights(ws, s + 1))
                     built = _built_best_construction(n, k, s, ws) * scale
                     assert best_construction(n, k, s, iw) == built, (n, k, s, ws)
 
@@ -307,7 +307,7 @@ def test_matching_cap_falls_back_when_the_hunt_runs_out(monkeypatch):
 
 def test_construction_lower_bound_sandwich():
     for n, k, s, ws in [(6, 2, 1, (1, 1)), (6, 2, 2, (2, 1, 1)), (9, 1, 2, (4, 1, 1))]:
-        iw, scale = integer_weights(solver_weights(ws))
+        iw, scale = integer_weights(solver_weights(ws, s + 1))
         assert best_construction(n, k, s, iw) <= exact_f_shifted(n, k, s, ws).optimum * scale
 
 
