@@ -298,6 +298,8 @@ def _bounds_cells(args) -> list[dict]:
         if pname == "weights":
             values = [[str(w) for w in values]]  # one vector, not an axis
         cells = [dict(c, **{pname: v}) for c in cells for v in values]
+    if "s" in spec.params and "weights" in spec.params and set(args.s) != {len(args.weights) - 1}:
+        raise ValueError(f"--weights fix s = {len(args.weights) - 1}, got --s {args.s}")
     return cells
 
 

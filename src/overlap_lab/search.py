@@ -23,10 +23,13 @@ Two independent routes compute the same optimum:
   is a reverse-search walk that peels one member per step, so no downset
   list is built, and since B_0 holds no s+1 disjoint sets, |B_0| is capped
   by the matching bound M(n,k,s) in a value bound that prunes a candidate
-  together with every sub-downset below it (1 651 nodes on the 19 cells
-  of perfbench's shifted workload, against 4 768 when every downset was
-  listed and tested).  The members of B_1 that B_0 must exclude form an
-  upset of the shift order, so one rainbow call excludes a whole upset.
+  together with every sub-downset below it.  Once a level B_{j+1} holds
+  every k-set inside [(s+1)k], B_0 holds no j+1 disjoint sets, and the cap
+  drops to M(n,k,j) (1 196 nodes on the 19 cells of perfbench's shifted
+  workload, against 1 651 with M(n,k,s) at every level and 4 768 when
+  every downset was listed and tested).  The members of B_1 that B_0 must
+  exclude form an upset of the shift order, so one rainbow call excludes
+  a whole upset.
 
 Both ask the rainbow question through matching.rainbow over the cached
 matching.disjointness table, and both open and close in _solver_frame
@@ -45,6 +48,7 @@ from typing import Callable, Sequence
 
 from . import bounds as _bounds
 from . import family as _family
+from . import matching as _matching
 from .combinatorics import binom, iter_bits, ksets
 from .family import (
     Chain,
@@ -56,7 +60,7 @@ from .family import (
     walk_downsets,
     walk_subdownsets,
 )
-from .matching import disjointness, has_matching_of_size, is_overlapping, rainbow
+from .matching import disjointness, has_matching_of_size, rainbow
 
 # kept only because perfbench's frontier ladders catch this name
 InstanceTooLargeError = NodeLimitError
@@ -120,7 +124,11 @@ def _solver_frame(
     limit_nodes or, when that is None, family.WORK_LIMIT_DEFAULT as it
     stands at this call.
     finish(best_val, best_chain, nodes) returns the ExtremalRecord of
-    optimum best_val / L, with the witness chain of bitsets revalidated.
+    optimum best_val / L, with the witness chain of bitsets revalidated:
+    Chain checks the nesting, and matching's own kernel asks for a full
+    rainbow matching over the cached disjointness table (a nested chain is
+    already in the order has_rainbow_matching sorts to, and the kernel picks
+    only members, so the table need not be cut to them).
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -135,7 +143,7 @@ def _solver_frame(
         witness = Chain(tuple(Family(n, k, b) for b in best_chain))
         optimum = Fraction(best_val, scale)
         record = ExtremalRecord(n, k, s, ws, optimum, witness, solver, nodes)
-        if not is_overlapping(witness):
+        if _matching.rainbow(best_chain, _matching.disjointness(n, k)) is not None:
             raise AssertionError("solver returned a non-overlapping witness")
         if witness.weighted_value(ws) != optimum:
             raise AssertionError("witness value does not match reported optimum")
@@ -414,18 +422,33 @@ def exact_f_shifted(
     of each excluded rank.
 
     B_0 lies in every level, so it holds no s+1 pairwise disjoint sets and
-    |B_0| <= M(n,k,s) (_matching_cap).  A candidate d at level j, of size
-    z, bounds every completion by val + (w_j + ... + w_0) z - w_0 max(z - M, 0).
-    That bound does not decrease with z, so a candidate below the
-    incumbent prunes its whole subtree of the walk.  nodes_explored counts
-    the candidates tested against the bound, refused ones included, and
+    |B_0| <= M(n,k,s) (_matching_cap).  The cap tightens level by level:
+    if n >= (s+1)k, 1 <= j < s and B_{j+1} holds the clique, every k-set
+    inside [(s+1)k] (the colex prefix of C((s+1)k, k) ranks), then B_0
+    holds no j+1 pairwise disjoint sets, so |B_0| <= M(n,k,j).  For j+1
+    disjoint members of B_0 could stand at levels 0..j, since B_0 lies in
+    every level, and their union leaves at least (s-j)k elements of
+    [(s+1)k] free, as in the hunt's window; s-j disjoint k-sets of those
+    are in the clique, so they could stand at levels j+1..s, and the chain
+    would have a full rainbow matching.  So the walk at level j takes
+    cap = min(M(n,k,s), M(n,k,j)) once B_{j+1} holds the clique, and
+    M(n,k,s) otherwise.  A candidate d at level j, of size z, bounds every
+    completion by val + (w_j + ... + w_0) z - w_0 max(z - cap, 0).  That
+    bound does not decrease with z, so a candidate below the incumbent
+    prunes its whole subtree of the walk.  nodes_explored counts the
+    candidates tested against the bound, refused ones included, and
     limit_nodes (family.WORK_LIMIT_DEFAULT when None) caps them
-    (NodeLimitError) and the downsets the hunt for M may visit; a hunt
-    that runs out leaves the cap at C(n,k).  (20,2,(3,1)) closes in
-    37 929 nodes and about 0.1 s, (10,3,(1,1)) in 18 827 and 0.06 s and
-    (12,2,(1,1,1)) in 3 844 and 0.015 s; listing, sorting and testing every
-    downset took 524 288, 252 586 and 566 543 nodes and about 3, 1.2 and
-    0.4 s (2-core host, Python 3.11).
+    (NodeLimitError) and the downsets each hunt for an M may visit; a
+    hunt that runs out leaves its cap at C(n,k).  (20,2,(3,1)) closes in
+    37 929 nodes and about 0.1 s, (10,3,(1,1)) in 18 827 and 0.06 s,
+    (12,2,(1,1,1)) in 355 and (12,2,(3,1,1)) in 36 503 and 0.13 s, where
+    M(n,k,s) at every level took 3 844 and 610 989 nodes (1.4-2.1 s);
+    listing, sorting and testing every downset took the first three
+    524 288, 252 586 and 566 543 nodes.  (16,2,(3,1,1)) closes in
+    419 707 nodes (1.3-1.4 s), and (32,2,(1,1,1)), where the main
+    theorem's range n >= 4k^2s starts, in 48 060 (0.35-0.55 s); with
+    M(n,k,s) at every level both ran past 3*10^6 nodes (2-core host,
+    Python 3.11).
 
     Equals oracle_f whenever both run (the compression and shifting
     reductions preserve the optimum); that equality is enforced by tests
@@ -436,8 +459,15 @@ def exact_f_shifted(
     ups = poset_upsets(n, k)
     prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]
     capacity = binom(n, k)
-    # a zero w_0 leaves the cap out of every bound
+    # a zero w_0 leaves the caps out of every bound
     cap = _matching_cap(n, k, s, budget) if s and lead0 == 0 else capacity
+    # level_cap[j]: the cap at level j once B_{j+1} holds the clique, every
+    # k-set inside [(s+1)k]
+    level_cap = [cap] * (s + 1)
+    if lead0 == 0 and n >= (s + 1) * k:
+        for j in range(1, s):
+            level_cap[j] = min(cap, _matching_cap(n, k, j, budget))
+    clique = (1 << binom((s + 1) * k, k)) - 1
     w0 = iw[0]
 
     best_card: int | None = None
@@ -466,6 +496,7 @@ def exact_f_shifted(
             return
         slope = prefix_w[j]
         wj = iw[j]
+        cap_j = level_cap[j] if j < s and not clique & ~chain_bits[j + 1] else cap
 
         def admit(d: int) -> bool:
             # the bound; it does not decrease with size, so a refusal prunes the subtree
@@ -474,17 +505,17 @@ def exact_f_shifted(
             if nodes > budget:
                 raise NodeLimitError(f"shifted search exceeded {budget} nodes")
             size = d.bit_count()
-            return val + slope * size - w0 * (size - cap if size > cap else 0) >= best_val
+            return val + slope * size - w0 * (size - cap_j if size > cap_j else 0) >= best_val
 
         top = chain_bits[j + 1] if j < s else (1 << capacity) - 1
         for d in walk_subdownsets(n, k, top, admit):
             size = d.bit_count()
             card2 = card + size
-            if best_card is not None and val + slope * size - w0 * (size - cap if size > cap else 0) == best_val:
+            if best_card is not None and val + slope * size - w0 * (size - cap_j if size > cap_j else 0) == best_val:
                 # a value tie fills the first positive-weight level with
-                # min(size, M) members, so every level up to j holds as
+                # min(size, cap_j) members, so every level up to j holds as
                 # many, and leaves each zero-weight head level empty
-                if card2 + (j - lead0) * min(size, cap) > best_card:
+                if card2 + (j - lead0) * min(size, cap_j) > best_card:
                     continue
             chain_bits[j] = d
             if j > 1 or lead0:

@@ -384,6 +384,21 @@ def test_weight_errors_print_weights_as_written(capsys):
     assert err == "error: weights must be positive, got (1, 0)\n"
 
 
+def test_thm3_refuses_an_s_its_weights_do_not_fix(tmp_path, capsys):
+    # refused before any row is computed: no --out is written, and a file
+    # already there keeps its bytes
+    out = tmp_path / "t.json"
+    argv = ["bounds", "--name", "thm3", "--k", "2", "--s", "1..2", "--weights", "2,1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --weights fix s = 1, got --s [1, 2]\n"
+    assert not out.exists()
+    out.write_text("kept")
+    assert main(argv) == 2
+    assert out.read_text() == "kept"
+    assert main([*argv[:6], "1", *argv[7:]]) == 0
+    assert [row["params"]["s"] for row in json.loads(out.read_text())["rows"]] == [1]
+
+
 @pytest.mark.parametrize("solver", ["oracle", "shifted", "both"])
 def test_search_rejects_k_zero(solver, tmp_path, capsys):
     argv = ["search", "--n", "3", "--k", "0", "--s", "1", "--weights", "1,1", "--solver", solver]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member, sorted_downsets
-from overlap_lab import family, search
+from overlap_lab import family, matching, search
 from overlap_lab.bounds import (
     conj1_value,
     conj2_bound,
@@ -387,27 +387,93 @@ def test_oracle_kernel_calls(n, k, s, ws, calls, monkeypatch):
 
 @pytest.mark.parametrize(
     "n,k,s,ws,nodes",
-    [(12, 2, 2, (1, 1, 1), 3844), (9, 3, 1, (2, 1), 19509), (8, 2, 2, (5, 0, 0), 1698), (8, 2, 3, (2, 1, 1, 0), 1399)],
+    [(12, 2, 2, (1, 1, 1), 355), (9, 3, 1, (2, 1), 19509), (8, 2, 2, (5, 0, 0), 633), (8, 2, 3, (2, 1, 1, 0), 1113)],
 )
 def test_shifted_node_counts(n, k, s, ws, nodes):
     # the capped bound sets where each walk stops, and with trailing zero
     # weights a value tie is pruned by cardinality, so a looser bound or a
-    # lost tie prune moves the count
+    # lost tie prune moves the count; with M(n,k,s) at every level, the
+    # s >= 2 cells took 3 844, 1 698 and 1 399 nodes
     assert exact_f_shifted(n, k, s, ws).nodes_explored == nodes
 
 
 def test_node_limits():
     with pytest.raises(NodeLimitError):
         oracle_f(6, 2, 1, (2, 1), limit_nodes=10)
-    # (7,2,2,(1,1,1)) tests 206 candidates; no downset list is built, so even
+    # (7,2,2,(1,1,1)) tests 105 candidates; no downset list is built, so even
     # a budget too small for the hunt of M stops at the node count
-    for limit in (5, 100, 205):
+    for limit in (5, 100, 104):
         with pytest.raises(NodeLimitError):
             exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=limit)
-    assert exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=206).nodes_explored == 206
+    assert exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=105).nodes_explored == 105
     # at s = 0 B_0 comes in closed form and no candidate is tested
     rec = exact_f_shifted(6, 2, 0, (1,), limit_nodes=5)
     assert (rec.optimum, rec.nodes_explored) == (0, 0)
+
+
+def _level_cap_weights(s):
+    # all-ones, head-heavy, rational and trailing-zero
+    return [
+        (1,) * (s + 1),
+        (5,) + (1,) * s,
+        (Fraction(7, 3),) + (Fraction(1, 2),) * (s - 1) + (Fraction(1, 3),),
+        (3,) + (1,) * (s - 1) + (0,),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,k,s,ws",
+    [
+        (n, k, s, ws)
+        for n, k, s in [(6, 1, 2), (7, 1, 2), (6, 2, 2), (6, 1, 3), (7, 1, 3), (8, 1, 3)]
+        for ws in _level_cap_weights(s)
+    ]
+    + [(7, 2, 2, (3, 1, 0))],
+)
+def test_level_cap_agrees_with_oracle(n, k, s, ws):
+    # n >= (s+1)k, so once B_{j+1} holds every k-set inside [(s+1)k] the
+    # shifted solver caps |B_0| by M(n,k,j), j < s; the oracle has no cap.
+    # On these cells a clique one k-set short, or the cap taken without the
+    # clique test, loses the optimum or the witness
+    a = check_record(oracle_f(n, k, s, ws))
+    b = check_record(exact_f_shifted(n, k, s, ws))
+    assert (a.optimum, a.witness) == (b.optimum, b.witness)
+
+
+def test_level_cap_closes_the_thm2_range_start():
+    # n = 4k^2s starts the range of the main theorem; with M(n,k,s) at every
+    # level the cell ran past 3*10^6 nodes
+    rec = check_record(exact_f_shifted(32, 2, 2, (1, 1, 1), limit_nodes=100_000))
+    assert rec.optimum == thm2_value(32, 2, 1, 2) == 992
+
+
+@pytest.mark.parametrize("solver, args", [(oracle_f, (6, 2, 1, (2, 1))), (exact_f_shifted, (7, 2, 2, (1, 1, 1)))])
+def test_witness_recheck_builds_no_table(solver, args, monkeypatch):
+    # the recheck asks the kernel over the cached disjointness table, so a
+    # call whose (n, k) table and matching cap are known builds none
+    closed = solver(*args)
+    built = []
+    monkeypatch.setattr(matching, "_disjoint_within", lambda *a: built.append(a))
+    assert solver(*args) == closed
+    assert built == []
+
+
+@pytest.mark.parametrize("n,k,s,ws,calls", [(12, 2, 2, (3, 1, 1), 29763), (12, 2, 1, (3, 1), 1059)])
+def test_shifted_kernel_calls(n, k, s, ws, calls, monkeypatch):
+    # top-level rainbow calls of the closed-form head, with M memoized by a
+    # first call; with M(n,k,s) at every level (12,2,2,(3,1,1)) took 575 894
+    monkeypatch.setattr(search, "_MATCHING_CAPS", {})
+    exact_f_shifted(n, k, s, ws)
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return rainbow(*args)
+
+    monkeypatch.setattr(search, "rainbow", counting)
+    exact_f_shifted(n, k, s, ws)
+    assert count == calls
 
 
 @pytest.mark.parametrize(
