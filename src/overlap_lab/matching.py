@@ -7,8 +7,11 @@ table (for each rank, the bitset of ranks whose k-sets miss it) turns that
 into plain integer backtracking.  The Family functions are thin wrappers:
 a matching of size t in one family is a rainbow matching of t copies of
 it, and they build the table over their members only, so their memory
-follows the families rather than C(n, k)^2 bits.  The bipartite solver is
-plain augmenting paths with the alternating-reachability minimum cover.
+follows the families rather than C(n, k)^2 bits.  Before the kernel, they
+try to settle a "no" by a short certificate (_no_matching): too few
+elements in the members, or a few elements that meet every member.  The
+bipartite solver is plain augmenting paths with the
+alternating-reachability minimum cover.
 """
 from __future__ import annotations
 
@@ -21,18 +24,32 @@ from .combinatorics import binom, iter_bits, ksets
 from .family import Chain, Family
 
 
+@lru_cache(maxsize=None)
+def _element_holders(n: int, k: int) -> tuple[int, ...]:
+    """Entry e: the bitset of colex ranks whose k-subsets of [n] hold element e+1.
+
+    In colex order the k-subsets of [n-1] come first, then those holding n
+    in the order of their other k-1 elements, so the table is built from
+    the tables of (n-1, k) and (n-1, k-1) with one shift per element.
+    """
+    if k == 0 or n < k:
+        return (0,) * n
+    low = binom(n - 1, k)
+    rest = _element_holders(n - 1, k - 1)
+    return tuple(h | r << low for h, r in zip(_element_holders(n - 1, k), rest)) + (
+        ((1 << binom(n - 1, k - 1)) - 1) << low,
+    )
+
+
 def _disjoint_within(n: int, k: int, within: int) -> dict[int, int]:
     """For each rank r in `within`, the bitset of ranks in `within` whose k-sets miss rank r's."""
     table = ksets(n, k)
-    meets = [0] * n  # meets[e]: ranks in `within` whose k-set holds element e
-    for r in iter_bits(within):
-        for e in iter_bits(table[r]):
-            meets[e] |= 1 << r
+    holders = _element_holders(n, k)
     out = {}
     for r in iter_bits(within):
         hit = 0
         for e in iter_bits(table[r]):
-            hit |= meets[e]
+            hit |= holders[e]
         out[r] = within & ~hit
     return out
 
@@ -60,8 +77,11 @@ def rainbow(
     `is None`.  disj[r] is the bitset of ranks disjoint from rank r.  Equal
     neighbours may swap their picks, so the later one takes a rank no
     smaller than the earlier one's (not strictly larger: at k = 0 the empty
-    set is disjoint from itself).  start and floor carry the recursion: the
-    index being placed and the ranks it may take.
+    set is disjoint from itself).  The picks are the lexicographically least
+    tuple with these properties: each index takes the lowest rank that
+    leaves the rest solvable.  start and floor carry the recursion: the
+    index being placed and the ranks it may take; the last index is placed
+    without a call.
     """
     last = len(cands) - 1
     if start > last:
@@ -70,6 +90,17 @@ def rainbow(
     if start == last:
         return ((cand & -cand).bit_length() - 1,) if cand else None
     same = cands[start + 1] == cands[start]
+    if start + 1 == last:
+        # the last pick needs no call: the lowest rank left in its candidates
+        tail = cands[last] & avail
+        while cand:
+            low = cand & -cand
+            r = low.bit_length() - 1
+            hit = tail & disj[r] & (-low if same else -1)
+            if hit:
+                return (r, (hit & -hit).bit_length() - 1)
+            cand ^= low
+        return None
     while cand:
         low = cand & -cand
         r = low.bit_length() - 1
@@ -80,12 +111,24 @@ def rainbow(
     return None
 
 
-def _member_disjointness(fams: Sequence[Family]) -> dict[int, int]:
-    """The disjointness table restricted to the members of the families (which share (n, k))."""
-    union = 0
-    for f in fams:
-        union |= f.bits
-    return _disjoint_within(fams[0].n, fams[0].k, union)
+def _no_matching(n: int, k: int, bits: int, size: int) -> bool:
+    """True only if it proves that the k-sets of the ranks in bits hold no `size` pairwise disjoint ones.
+
+    Two proofs, neither complete, so False proves nothing.  Support: a
+    matching of `size` k-sets covers size*k elements, so fewer elements
+    occurring in the members rule it out.  Transversal: if size-1 elements
+    meet every member, each member of a matching would hold its own one of
+    them; the elements are picked greedily, each the one held by the most
+    members not yet met.  Sound at k = 0 too, where both fail for a
+    nonempty family: the empty set holds no element.
+    """
+    held = [h & bits for h in _element_holders(n, k)]
+    if sum(1 for h in held if h) < size * k:
+        return True
+    left = bits
+    for _ in range(size - 1):
+        left &= ~max((h & left for h in held), key=int.bit_count, default=0)
+    return not left
 
 
 def matching_number(fam: Family) -> int:
@@ -97,15 +140,21 @@ def matching_number(fam: Family) -> int:
 
 
 def has_matching_of_size(fam: Family, size: int) -> bool:
-    """True iff the family contains `size` pairwise disjoint members."""
+    """True iff the family contains `size` pairwise disjoint members.
+
+    A "no" that _no_matching proves (a family whose members cover fewer
+    than size*k elements, or that size-1 elements meet, as the cover
+    construction) takes no kernel call; otherwise the kernel decides.
+    """
     if size <= 0:
         return True
-    if fam.k == 0:
+    n, k, bits = fam.n, fam.k, fam.bits
+    if k == 0:
         # the empty set misses itself but is a single member
         return size <= len(fam)
-    if size > fam.n // fam.k:
+    if _no_matching(n, k, bits, size):
         return False
-    return rainbow((fam.bits,) * size, _member_disjointness((fam,))) is not None
+    return rainbow((bits,) * size, _disjoint_within(n, k, bits)) is not None
 
 
 def _common_params(fams: Sequence[Family]) -> tuple[int, int]:
@@ -127,13 +176,23 @@ def rainbow_matching_number(fams: Sequence[Family]) -> int:
 
 
 def has_rainbow_matching(fams: Sequence[Family], size: int) -> bool:
-    """True iff `size` distinct indices admit pairwise disjoint representatives."""
+    """True iff `size` distinct indices admit pairwise disjoint representatives.
+
+    Any `size` of the families have their members in the union of all, so
+    a "no" that _no_matching proves on the union holds for every choice of
+    indices and takes no kernel call; otherwise the kernel tries each choice.
+    """
     if size <= 0:
         return True
     n, k = _common_params(fams)
-    if size > len(fams) or (k and size > n // k):
+    if size > len(fams):
         return False
-    disj = _member_disjointness(fams)
+    union = 0
+    for f in fams:
+        union |= f.bits
+    if _no_matching(n, k, union, size):
+        return False
+    disj = _disjoint_within(n, k, union)
     # smallest families first: their representatives are the scarcest;
     # sorting also makes equal families neighbours
     bits = sorted((f.bits for f in fams), key=lambda b: (b.bit_count(), b))

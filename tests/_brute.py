@@ -54,6 +54,22 @@ def brute_rainbow_number(fams) -> int:
     return 0
 
 
+def brute_least_rainbow(cands, n: int, k: int, avail: int = -1) -> tuple[int, ...] | None:
+    """The lexicographically least picks of the kernel's contract, or None if there are none.
+
+    picks[i] is a rank in cands[i] & avail, the picked k-sets are pairwise
+    disjoint, and equal neighbouring candidate sets take non-decreasing
+    ranks; product yields the tuples in lexicographic order.
+    """
+    table = ksets(n, k)
+    pools = [[r for r in range(len(table)) if (c & avail) >> r & 1] for c in cands]
+    for picks in product(*pools):
+        ordered = all(a <= b for a, b, x, y in zip(picks, picks[1:], cands, cands[1:]) if x == y)
+        if ordered and pairwise_disjoint(table[r] for r in picks):
+            return picks
+    return None
+
+
 def brute_min_cover_size(g: BipartiteGraph) -> int:
     """Exact minimum vertex cover by enumerating left-side subsets."""
     nl = len(g.left)

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
+    brute_least_rainbow,
     brute_matching_number,
     brute_min_cover_size,
     brute_rainbow_number,
@@ -14,6 +16,7 @@ from overlap_lab.combinatorics import binom, ksets
 from overlap_lab.family import Chain, Family, construction_chain, cover_family
 from overlap_lab.matching import (
     BipartiteGraph,
+    _no_matching,
     cover_is_valid,
     disjointness,
     has_matching_of_size,
@@ -158,6 +161,53 @@ def test_rainbow_returns_its_matching(seq, data):
             assert (f.bits & avail) >> r & 1
         assert pairwise_disjoint(ksets(n, k)[r] for r in picks)
     assert rainbow((), disjointness(n, k)) == ()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(family_sequences(), st.data())
+def test_rainbow_returns_the_least_picks(seq, data):
+    # each index takes the lowest rank that leaves the rest solvable, and
+    # equal neighbours take non-decreasing ranks, the last pick included
+    n, k = seq[0].n, seq[0].k
+    cands = [f.bits for f in seq]
+    for avail in (-1, data.draw(st.integers(-1, (1 << binom(n, k)) - 1))):
+        assert rainbow(cands, disjointness(n, k), avail) == brute_least_rainbow(cands, n, k, avail)
+
+
+def _certificate_families(n, k):
+    # the empty family, the covers (t elements meet every member) and the
+    # clique prefixes on size*k - 1 and size*k elements, then their unions
+    base = [Family.empty(n, k)] + [cover_family(n, k, t) for t in range(min(n, 3) + 1)]
+    for size in (1, 2, 3):
+        for m in (size * k - 1, size * k):
+            if k <= m <= n:
+                base.append(Family(n, k, (1 << binom(m, k)) - 1))
+    return base + [a.union(b) for a, b in combinations(base[1:], 2)]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for k in (1, 2, 3) for n in range(max(k, 2), 8)])
+def test_matching_certificates_against_brute(n, k):
+    fams = _certificate_families(n, k)
+    for f in fams:
+        value = brute_matching_number(f)
+        assert matching_number(f) == value
+        for size in range(n // k + 2):
+            assert has_matching_of_size(f, size) == (size <= value), (f, size)
+    for a, b in combinations(fams[:8], 2):
+        for seq in ([a, b], [a, a, b], [b, a, b]):
+            value = brute_rainbow_number(seq)
+            for size in range(len(seq) + 2):
+                assert has_rainbow_matching(seq, size) == (size <= value), (seq, size)
+
+
+def test_matching_certificates_prove_the_constructions():
+    # the support proof settles a clique on size*k - 1 elements, the
+    # transversal one a cover by size - 1 elements, each with no kernel call
+    for n, k, size in [(7, 2, 3), (8, 3, 2), (13, 2, 4), (12, 3, 3)]:
+        assert _no_matching(n, k, (1 << binom(size * k - 1, k)) - 1, size)
+        assert _no_matching(n, k, cover_family(n, k, size - 1).bits, size)
+        assert not _no_matching(n, k, (1 << binom(size * k, k)) - 1, size)
+        assert not _no_matching(n, k, cover_family(n, k, size).bits, size)
 
 
 @pytest.mark.parametrize(

@@ -387,13 +387,20 @@ def test_oracle_kernel_calls(n, k, s, ws, calls, monkeypatch):
 
 @pytest.mark.parametrize(
     "n,k,s,ws,nodes",
-    [(12, 2, 2, (1, 1, 1), 355), (9, 3, 1, (2, 1), 19509), (8, 2, 2, (5, 0, 0), 633), (8, 2, 3, (2, 1, 1, 0), 1113)],
+    [
+        (12, 2, 2, (1, 1, 1), 355),
+        (9, 3, 1, (2, 1), 19509),
+        (8, 2, 2, (5, 0, 0), 633),
+        (8, 2, 3, (2, 1, 1, 0), 1113),
+        (10, 2, 3, (1, 1, 1, 1), 810),
+    ],
 )
 def test_shifted_node_counts(n, k, s, ws, nodes):
     # the capped bound sets where each walk stops, and with trailing zero
     # weights a value tie is pruned by cardinality, so a looser bound or a
     # lost tie prune moves the count; with M(n,k,s) at every level, the
-    # s >= 2 cells took 3 844, 1 698 and 1 399 nodes
+    # s >= 2 cells took 3 844, 1 698 and 1 399 nodes, and with the clique
+    # read on B_{j+1} alone (10,2,3,(1,1,1,1)) took 2 083
     assert exact_f_shifted(n, k, s, ws).nodes_explored == nodes
 
 
@@ -428,7 +435,7 @@ def _level_cap_weights(s):
         for n, k, s in [(6, 1, 2), (7, 1, 2), (6, 2, 2), (6, 1, 3), (7, 1, 3), (8, 1, 3)]
         for ws in _level_cap_weights(s)
     ]
-    + [(7, 2, 2, (3, 1, 0))],
+    + [(7, 2, 2, (3, 1, 0)), (5, 1, 4, (1, 1, 1, 1, 1)), (6, 1, 4, (2, 1, 1, 1, 1)), (9, 1, 4, (5, 1, 1, 1, 1))],
 )
 def test_level_cap_agrees_with_oracle(n, k, s, ws):
     # n >= (s+1)k, so once B_{j+1} holds every k-set inside [(s+1)k] the
@@ -438,6 +445,16 @@ def test_level_cap_agrees_with_oracle(n, k, s, ws):
     a = check_record(oracle_f(n, k, s, ws))
     b = check_record(exact_f_shifted(n, k, s, ws))
     assert (a.optimum, a.witness) == (b.optimum, b.witness)
+
+
+@pytest.mark.parametrize("ws", [(1, 1, 1, 1), (2, 1, 1, 1)])
+def test_level_cap_from_a_higher_level_meets_thm3(ws):
+    # at (8,2,3) the cap at level j comes from the lowest B_{i+1}, i >= j,
+    # that holds the clique; the oracle does not close these cells within
+    # 10^7 nodes, so the optimum is checked against the exact value at
+    # n = (s+1)k
+    rec = check_record(exact_f_shifted(8, 2, 3, ws))
+    assert rec.optimum == thm3_value(2, 3, ws)
 
 
 def test_level_cap_closes_the_thm2_range_start():
@@ -573,6 +590,24 @@ def test_max_min_overlapping_against_brute(n, k):
             continue
         value, fam = max_min_overlapping(n, k, s)
         assert (value, fam.bits) == brute_max_min_overlapping(n, k, s)
+
+
+def test_hunt_witness_recheck_takes_no_kernel_call(monkeypatch):
+    # the (13,2,3) witness is the cover by three elements, so the recheck's
+    # "no 4 disjoint members" is settled by the transversal certificate
+    calls = []
+    kernel = matching.rainbow
+
+    def spy(cands, disj, avail=-1, start=0, floor=-1):
+        # the refusals call search's own binding, whose recursion (start > 0) lands here
+        if start == 0:
+            calls.append(cands)
+        return kernel(cands, disj, avail, start, floor)
+
+    monkeypatch.setattr(matching, "rainbow", spy)
+    value, fam = max_min_overlapping(13, 2, 3)
+    assert (value, fam) == (conj2_bound(13, 2, 3), cover_family(13, 2, 3))
+    assert calls == []
 
 
 def test_max_min_overlapping_visits_only_feasible_downsets():
