@@ -213,7 +213,10 @@ def random_overlapping_arc_chain(
     with a per-trial random density, so sparse and near-critical instances
     both appear; non-overlapping draws are rejected and redrawn.  Each draw
     is tested on the head bitsets directly, so none builds a Family.
+    An s < 0 leaves no level to draw into, so it is a ValueError.
     """
+    if s < 0:
+        raise ValueError(f"need s >= 0, got s={s}")
     head_bits, head_disj = arc.head_bits, arc.head_disjointness
     m = s + 1
     draw, getrandbits, width = rng.random, rng.getrandbits, m.bit_length()

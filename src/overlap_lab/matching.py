@@ -4,14 +4,14 @@ Every matching question here is one rainbow question, answered by one
 kernel: given a sequence of candidate bitsets over colex ranks, pick one
 member from each so that the picks are pairwise disjoint.  A disjointness
 table (for each rank, the bitset of ranks whose k-sets miss it) turns that
-into plain integer backtracking.  The Family functions are thin wrappers:
-a matching of size t in one family is a rainbow matching of t copies of
-it, and they build the table over their members only, so their memory
-follows the families rather than C(n, k)^2 bits.  Before the kernel, they
-try to settle a "no" by a short certificate (_no_matching): too few
-elements in the members, or a few elements that meet every member.  The
-bipartite solver is plain augmenting paths with the
-alternating-reachability minimum cover.
+into plain integer backtracking.  The Family functions take one path: t
+disjoint members of one family are a rainbow matching of t copies of it
+(the paper's case A_1 = ... = A_m, the Erdos Matching Conjecture).  It
+builds the table over the members only, so its memory follows the
+families rather than C(n, k)^2 bits, and first tries to settle a "no" by
+a short certificate (_no_matching): too few elements in the members, or a
+few elements that meet every member.  One augmenting-path pass gives the
+bipartite maximum matching and the alternating-reachability minimum cover.
 """
 from __future__ import annotations
 
@@ -74,14 +74,16 @@ def rainbow(
 
     picks[i] lies in cands[i] & avail and the picks are pairwise disjoint;
     an empty cands gives (), which is a success but falsy, so callers test
-    `is None`.  disj[r] is the bitset of ranks disjoint from rank r.  Equal
-    neighbours may swap their picks, so the later one takes a rank no
-    smaller than the earlier one's (not strictly larger: at k = 0 the empty
-    set is disjoint from itself).  The picks are the lexicographically least
-    tuple with these properties: each index takes the lowest rank that
-    leaves the rest solvable.  start and floor carry the recursion: the
-    index being placed and the ranks it may take; the last index is placed
-    without a call.
+    `is None`.  disj[r] is the bitset of ranks disjoint from rank r.  Each
+    index tries its ranks lowest first, so the picks are the
+    lexicographically least matching the search admits.  Equal neighbours
+    take non-decreasing ranks (at k = 0 the empty set misses itself); this
+    floor only prunes, since sorting a run of equal candidates in any
+    matching gives a matching no larger, so the least one meets every
+    floor.  The last index, placed without a call, skips its floor: that
+    admits more tuples but none below the least, so the answer, and None
+    when there is none, stays the same.  start and floor carry the
+    recursion: the index being placed and the ranks it may take.
     """
     last = len(cands) - 1
     if start > last:
@@ -89,18 +91,18 @@ def rainbow(
     cand = cands[start] & avail & floor
     if start == last:
         return ((cand & -cand).bit_length() - 1,) if cand else None
-    same = cands[start + 1] == cands[start]
     if start + 1 == last:
         # the last pick needs no call: the lowest rank left in its candidates
         tail = cands[last] & avail
         while cand:
             low = cand & -cand
             r = low.bit_length() - 1
-            hit = tail & disj[r] & (-low if same else -1)
+            hit = tail & disj[r]
             if hit:
                 return (r, (hit & -hit).bit_length() - 1)
             cand ^= low
         return None
+    same = cands[start + 1] == cands[start]
     while cand:
         low = cand & -cand
         r = low.bit_length() - 1
@@ -142,19 +144,14 @@ def matching_number(fam: Family) -> int:
 def has_matching_of_size(fam: Family, size: int) -> bool:
     """True iff the family contains `size` pairwise disjoint members.
 
-    A "no" that _no_matching proves (a family whose members cover fewer
-    than size*k elements, or that size-1 elements meet, as the cover
-    construction) takes no kernel call; otherwise the kernel decides.
+    This is the rainbow question on `size` copies of the family, so it
+    takes has_rainbow_matching's path: the same certificates, one member
+    table and one kernel call.  Only k = 0 differs: the empty set misses
+    itself but is a single member.
     """
-    if size <= 0:
-        return True
-    n, k, bits = fam.n, fam.k, fam.bits
-    if k == 0:
-        # the empty set misses itself but is a single member
+    if fam.k == 0:
         return size <= len(fam)
-    if _no_matching(n, k, bits, size):
-        return False
-    return rainbow((bits,) * size, _disjoint_within(n, k, bits)) is not None
+    return has_rainbow_matching((fam,) * size, size)
 
 
 def _common_params(fams: Sequence[Family]) -> tuple[int, int]:
@@ -225,8 +222,8 @@ class BipartiteGraph:
                 raise ValueError("edge endpoints outside right side")
 
 
-def max_bipartite_matching(g: BipartiteGraph) -> tuple[tuple[int, int], ...]:
-    """Maximum matching as (left index, right index) pairs, via augmenting paths."""
+def _augmenting_paths(g: BipartiteGraph) -> tuple[list[int], list[int]]:
+    """A maximum matching as match_l, match_r: each vertex's partner index, -1 if unmatched."""
     nl, nr = len(g.left), len(g.right)
     match_l = [-1] * nl
     match_r = [-1] * nr
@@ -243,7 +240,12 @@ def max_bipartite_matching(g: BipartiteGraph) -> tuple[tuple[int, int], ...]:
 
     for u in range(nl):
         augment(u, [False] * nr)
-    return tuple((u, match_l[u]) for u in range(nl) if match_l[u] >= 0)
+    return match_l, match_r
+
+
+def max_bipartite_matching(g: BipartiteGraph) -> tuple[tuple[int, int], ...]:
+    """Maximum matching as (left index, right index) pairs, via augmenting paths."""
+    return tuple((u, v) for u, v in enumerate(_augmenting_paths(g)[0]) if v >= 0)
 
 
 def min_vertex_cover(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -253,12 +255,7 @@ def min_vertex_cover(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...
     unreached left side plus the reached right side.
     """
     nl, nr = len(g.left), len(g.right)
-    matching = max_bipartite_matching(g)
-    match_l = [-1] * nl
-    match_r = [-1] * nr
-    for u, v in matching:
-        match_l[u] = v
-        match_r[v] = u
+    match_l, match_r = _augmenting_paths(g)
 
     reach_l = [match_l[u] < 0 for u in range(nl)]
     reach_r = [False] * nr

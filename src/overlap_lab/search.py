@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import bounds as _bounds
@@ -372,32 +373,24 @@ def _closed_form_head(rest: Sequence[int], disj: Sequence[int], ups: Sequence[in
     return head
 
 
-# per (n, k, s): M, and the least budget a hunt for it has closed within
-_MATCHING_CAPS: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _matching_cap(n: int, k: int, s: int, budget: int) -> int:
     """M(n,k,s), the most k-sets of [n] with no s+1 pairwise disjoint; C(n,k) if the hunt runs out.
 
     Below n = (s+1)k no s+1 k-sets are disjoint, and at s = 1 M is the
     Erdos-Ko-Rado value C(n-1,k-1).  Otherwise max_min_overlapping hunts it
-    under the budget.  Only a hunt that closes is remembered, with its
-    budget, and a remembered M serves only budgets at least that large, so
-    the answer never depends on earlier calls.
+    under the budget.  The answer is a function of the arguments alone, so
+    it is cached per argument tuple, the budget included: a hunt that ran
+    out under one budget does not stand for another.
     """
     if n < (s + 1) * k:
         return binom(n, k)
     if s == 1:
         return binom(n - 1, k - 1)
-    known = _MATCHING_CAPS.get((n, k, s))
-    if known is not None and budget >= known[1]:
-        return known[0]
     try:
-        cap = max_min_overlapping(n, k, s, limit_nodes=budget)[0]
+        return max_min_overlapping(n, k, s, limit_nodes=budget)[0]
     except NodeLimitError:
         return binom(n, k)
-    _MATCHING_CAPS[n, k, s] = (cap, budget)
-    return cap
 
 
 def exact_f_shifted(
@@ -627,8 +620,8 @@ def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = Non
     return best_size, fam
 
 
-def hunt_conjectures(name: str, grid: dict, *, limit_nodes: int | None = None) -> dict:
+def hunt_conjectures(name: str, grid: dict) -> dict:
     """suites.run_suite(name) on the cells grid["cells"]; kept for perfbench, which calls and traces this name."""
     from .suites import run_suite  # suites imports this module
 
-    return run_suite(name, cells=grid["cells"], limit_nodes=limit_nodes)
+    return run_suite(name, cells=grid["cells"])

@@ -423,6 +423,31 @@ def test_limit_stopped_run_keeps_header_for_resume(tmp_path, capsys):
     assert main(["verify", "--suite", "thm1", "--resume", str(out), "--out", str(tmp_path / "done.json")]) == 0
 
 
+def test_verify_all_resume_computes_only_the_unfinished_suite(monkeypatch, tmp_path):
+    # the limit stops the run in conj2, after ten finished suites; the resume
+    # reads them back from the JSON-lines stream and computes conj2 alone
+    from overlap_lab import cli
+    from overlap_lab.suites import SUITES
+
+    out = tmp_path / "a.json"
+    argv = ["verify", "--suite", "all", "--seed", "42", "--ci"]
+    assert main([*argv, "--limit-nodes", "20000", "--out", str(out)]) == 3
+    header, *rows = map(json.loads, out.read_text().splitlines())
+    assert "config" in header
+    assert [row["suite"] for row in rows] == list(SUITES)[:-1]
+    ran = []
+    real = cli.run_suite
+
+    def spy(name, **kwargs):
+        ran.append(name)
+        return real(name, **kwargs)
+
+    monkeypatch.setattr(cli, "run_suite", spy)
+    assert main([*argv, "--resume", str(out), "--out", str(out)]) == 0
+    assert ran == ["conj2"]
+    assert [row["suite"] for row in json.loads(out.read_text())["rows"]] == list(SUITES)
+
+
 def test_limit_validation():
     assert main(["search", "--n", "4", "--k", "2", "--weights", "1,1", "--jobs", "0"]) == 2
     assert main(["verify", "--suite", "bde", "--trials", "-3"]) == 2

@@ -273,6 +273,21 @@ def test_random_chain_sampler_output_contract():
         assert is_overlapping(arc_chain_families(arc, arc_sets))
 
 
+def test_sampler_refuses_negative_s_before_drawing():
+    # s = -1 leaves no level: the level draw getrandbits(0) is always 0, so a
+    # sampler that drew first would spin forever
+    class NoDraws(random.Random):
+        def random(self):
+            raise AssertionError("the sampler drew before refusing s")
+
+        getrandbits = random
+
+    with pytest.raises(ValueError, match="need s >= 0, got s=-1"):
+        random_overlapping_arc_chain(arcs(CyclicOrder.identity(9), 2), -1, NoDraws(1))
+    with pytest.raises(ValueError, match="need s >= 0, got s=-1"):
+        run_suite("cyclic", cells=[(9, 2, -1, 1)], trials=3, seed=1)
+
+
 def test_run_cyclic_suite_deterministic():
     cells = [(9, 2, 2, 1), (8, 2, 1, 2)]
     one = run_cyclic_suite(cells, 60, seed=9)

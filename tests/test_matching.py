@@ -139,27 +139,40 @@ def family_sequences(draw):
     return [Family(n, k, pool[i]) for i in picks]
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
-@given(family_sequences())
-def test_rainbow_kernel_against_brute(seq):
-    value = brute_rainbow_number(seq)
-    for t in range(len(seq) + 2):
-        assert has_rainbow_matching(seq, t) == (value >= t)
-
-
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
-@given(family_sequences(), st.data())
-def test_rainbow_returns_its_matching(seq, data):
+def _check_kernel_answer(seq, avail, picks):
+    # None exactly when no full rainbow matching exists in avail; otherwise a
+    # matching whose last pick is the lowest rank the others leave it
     n, k = seq[0].n, seq[0].k
-    avail = data.draw(st.integers(-1, (1 << binom(n, k)) - 1))
-    picks = rainbow([f.bits for f in seq], disjointness(n, k), avail)
+    table = ksets(n, k)
     value = brute_rainbow_number([Family(n, k, f.bits & avail) for f in seq])
     assert (picks is None) == (value < len(seq))
     if picks is not None:
         assert len(picks) == len(seq)
         for r, f in zip(picks, seq):
             assert (f.bits & avail) >> r & 1
-        assert pairwise_disjoint(ksets(n, k)[r] for r in picks)
+        assert pairwise_disjoint(table[r] for r in picks)
+        last = seq[-1].bits & avail
+        left = [r for r in range(len(table)) if last >> r & 1 and pairwise_disjoint(table[q] for q in (*picks[:-1], r))]
+        assert picks[-1] == left[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(family_sequences())
+def test_rainbow_kernel_against_brute(seq):
+    value = brute_rainbow_number(seq)
+    for t in range(len(seq) + 2):
+        assert has_rainbow_matching(seq, t) == (value >= t)
+    n, k = seq[0].n, seq[0].k
+    _check_kernel_answer(seq, -1, rainbow([f.bits for f in seq], disjointness(n, k)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(family_sequences(), st.data())
+def test_rainbow_returns_its_matching(seq, data):
+    n, k = seq[0].n, seq[0].k
+    cands = [f.bits for f in seq]
+    for avail in (-1, data.draw(st.integers(-1, (1 << binom(n, k)) - 1))):
+        _check_kernel_answer(seq, avail, rainbow(cands, disjointness(n, k), avail))
     assert rainbow((), disjointness(n, k)) == ()
 
 
@@ -192,7 +205,8 @@ def test_matching_certificates_against_brute(n, k):
         value = brute_matching_number(f)
         assert matching_number(f) == value
         for size in range(n // k + 2):
-            assert has_matching_of_size(f, size) == (size <= value), (f, size)
+            # for k >= 1, size disjoint members of f are a rainbow matching of size copies of f
+            assert has_matching_of_size(f, size) == has_rainbow_matching((f,) * size, size) == (size <= value), (f, size)
     for a, b in combinations(fams[:8], 2):
         for seq in ([a, b], [a, a, b], [b, a, b]):
             value = brute_rainbow_number(seq)

@@ -281,8 +281,8 @@ def test_best_construction_closed_form_matches_built_chains():
                     assert best_construction(n, k, s, iw) == built, (n, k, s, ws)
 
 
-def test_matching_cap_closed_forms_equal_the_hunt(monkeypatch):
-    monkeypatch.setattr(search, "_MATCHING_CAPS", {})
+def test_matching_cap_closed_forms_equal_the_hunt():
+    _matching_cap.cache_clear()
     for k in range(1, 9):
         for n in range(k, 57):
             if binom(n, k) > 56:
@@ -293,16 +293,16 @@ def test_matching_cap_closed_forms_equal_the_hunt(monkeypatch):
 
 def test_matching_cap_falls_back_when_the_hunt_runs_out(monkeypatch):
     # M(7,2,2) = 11 takes a hunt over 29 downsets; one fewer leaves the cap at
-    # C(7,2), whatever earlier calls found
-    monkeypatch.setattr(search, "_MATCHING_CAPS", {})
+    # C(7,2), and a larger budget afterwards still finds M
+    _matching_cap.cache_clear()
     assert _matching_cap(7, 2, 2, 28) == 21
-    assert search._MATCHING_CAPS == {}
     assert _matching_cap(7, 2, 2, 1000) == 11
     assert _matching_cap(7, 2, 2, 28) == 21
     assert _matching_cap(7, 2, 2, 29) == 11
-    assert search._MATCHING_CAPS == {(7, 2, 2): (11, 29)}
+    # a repeated (n, k, s, budget) makes no hunt
     monkeypatch.setattr(search, "max_min_overlapping", None)
-    assert _matching_cap(7, 2, 2, 500) == 11
+    assert _matching_cap(7, 2, 2, 29) == 11
+    assert _matching_cap(7, 2, 2, 28) == 21
 
 
 def test_construction_lower_bound_sandwich():
@@ -347,7 +347,7 @@ def _conj2_hunt(n, k, s, **budget):
         (max_min_overlapping, (8, 2, 2), 37),
         (_conj2_hunt, (8, 2, 2), 37),
     ],
-    ids=["oracle_f", "exact_f_shifted", "max_min_overlapping", "hunt_conjectures"],
+    ids=["oracle_f", "exact_f_shifted", "max_min_overlapping", "conj2_suite"],
 )
 def test_default_budget_is_read_at_each_call(search_fn, args, work, monkeypatch):
     closed = search_fn(*args)
@@ -479,7 +479,7 @@ def test_witness_recheck_builds_no_table(solver, args, monkeypatch):
 def test_shifted_kernel_calls(n, k, s, ws, calls, monkeypatch):
     # top-level rainbow calls of the closed-form head, with M memoized by a
     # first call; with M(n,k,s) at every level (12,2,2,(3,1,1)) took 575 894
-    monkeypatch.setattr(search, "_MATCHING_CAPS", {})
+    _matching_cap.cache_clear()
     exact_f_shifted(n, k, s, ws)
     count = 0
 
