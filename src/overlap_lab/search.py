@@ -8,14 +8,20 @@ Two independent routes compute the same optimum:
   keeps the lowest entry level at which it can still join, rechecked only
   when a disjoint set is placed, so a node tries its feasible levels with
   no rainbow call and bounds the value by every later set's own best level
-  (5 129 nodes on the 23 cells of perfbench's oracle workload, against
-  183 795 when only the starting incumbent pruned).  The levels are kept
-  as one bitset of sets per level, and a recheck lifts every set that
-  misses one rainbow matching of a level's rivals with no call of its
-  own.  The rivals' question does not depend on the level the placed set tries, so
-  a node asks each rival set once and each (rival set, set) pair at most
-  once (3 399 top-level rainbow calls on that workload, against 7 225 when
-  every level asked again and 31 746 at one call per set and level).
+  (183 795 nodes on the 23 cells of perfbench's oracle workload when only
+  the starting incumbent pruned, 5 129 with forward checking).  The
+  levels are kept as one bitset of sets per level, and a recheck lifts
+  every set that misses one rainbow matching of a level's rivals with no
+  call of its own.  The rivals' question does not depend on the level the
+  placed set tries, so a node asks each rival set once and each (rival
+  set, set) pair at most once (3 399 top-level rainbow calls on that
+  workload, against 7 225 when every level asked again and 31 746 at one
+  call per set and level).  Permuting [n] keeps value, cardinality and
+  overlap, so a map that some transposition of [n] sends to a
+  lex-smaller one is cut as soon as its prefix shows it (lex-leader
+  symmetry breaking); the canonical witness is the lex-least map of its
+  orbit and is never cut (890 nodes and 233 top-level rainbow calls on
+  that workload).
 
 * exact_f_shifted enumerates nested chains of shifted families top-down
   (B_s over all downsets of the shift order, each of B_{s-1}..B_1 over
@@ -157,6 +163,55 @@ def _solver_frame(
 # oracle: entry-level maps over all nested chains
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _transposition_moves(n: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Entry t: the pairs (r, image) moved by each transposition that maps rank t's k-set to a lower rank.
+
+    Those are the transpositions (a, b) with a < b, b in the k-set and a
+    outside it.  Each one's pairs are the k-sets r that hold a but not b,
+    with the rank of the image (r with b for a, a higher rank), in rank
+    order.  Swapping a for b leaves the symmetric difference of two such
+    sets as it was, so it keeps their colex order, and the images rise
+    with the ranks.  Each tuple of pairs is shared by every entry that
+    lists it.
+    """
+    sets = ksets(n, k)
+    rank = {x: r for r, x in enumerate(sets)}
+    moved: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for r, x in enumerate(sets):
+        for a in iter_bits(x):
+            for b in range(a + 1, n):
+                if not x >> b & 1:
+                    moved.setdefault((a, b), []).append((r, rank[x ^ (1 << a | 1 << b)]))
+    pairs = {ab: tuple(p) for ab, p in moved.items()}
+    return tuple(tuple(pairs[a, b] for b in iter_bits(x) for a in range(b) if not x >> a & 1) for x in sets)
+
+
+def _lex_floor(moves: Sequence[Sequence[tuple[int, int]]], entry: Sequence[int], pos: int) -> int:
+    """The least level of rank pos at which no transposition of moves maps entry[0..pos] to a lex-smaller sequence.
+
+    moves is entry pos of _transposition_moves; entry[pos] is not read.
+    Walking a transposition's pairs in rank order, the first pair whose
+    rank and image hold different levels decides, and the image sequence
+    is smaller when the image's level is lower.  The images rise, so the
+    pairs before the one with image pos have both levels assigned, and
+    the pairs after it do not.  If one before it differs, the
+    transposition was decided at an earlier rank (and on a path explore
+    keeps, its image was larger); if all tie, the level at pos must be at
+    least the level of the rank that pos's k-set maps to.
+    """
+    floor = 0
+    for pairs in moves:
+        for r, t in pairs:
+            if t == pos:
+                if entry[r] > floor:
+                    floor = entry[r]
+                break
+            if entry[t] != entry[r]:
+                break
+    return floor
+
+
 def oracle_f(
     n: int,
     k: int,
@@ -198,12 +253,41 @@ def oracle_f(
     it leaves out lvl = level = s, where pos would have to stand at s+1.
     The value bound is val + sum of contrib[cap] over the unassigned
     ranks, and a value tie is bounded by the least cardinality worth each
-    cap.  It closes (7,2,1,(3,1)) in 435 nodes and (6,3,1,(1,1)) in
-    88 583 (0.11-0.21 s, with 29 524 top-level rainbow calls, against
-    88 572 calls and 0.16-0.31 s when every level asked again, and
-    177 144 at one call per rank and level); with the starting incumbent
-    as the only prune they took 453 974 and 12.1 M nodes (0.75 and 22 s
-    on a 2-core host, Python 3.11).
+    cap.
+
+    The search also cuts by lex-leader symmetry breaking (Crawford,
+    Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
+    problems", 1996), over transpositions of [n] only.  A permutation p of
+    [n] maps a map sigma to sigma.p, which gives each k-set A the level
+    sigma gives p(A); it keeps sizes and disjointness, so sigma.p is as
+    overlapping as sigma and has its value and cardinality.  Maps are
+    compared as level sequences in rank order (levels 0 < ... < s <
+    never).  If sigma.t < sigma for a transposition t, the first rank
+    where they differ decides, and once explore has assigned that rank and
+    its image, every completion of the prefix has the same smaller image:
+    the subtree holds no map that is least in its orbit.  _lex_floor gives
+    the least level at pos that no transposition cuts; the transpositions
+    that can first show a difference at pos are those that carry pos's
+    k-set to a lower rank (_transposition_moves).  The floor bounds pos
+    like its cap: the levels below it are never tried, so they cost no
+    recheck and no node, and the value bound counts pos at it.  The
+    witness is unchanged: the key-least optimum, of least cardinality and
+    then least entry levels, is least in its own orbit, since every member
+    has its value and cardinality, so no cut removes it, and explore still
+    meets maps in lex order and takes it first.  The cut uses nothing of
+    exact_f_shifted's reductions, no shifting, compression or matching
+    cap, only that S_n acts on the k-sets, so the two solvers stay
+    independent.
+
+    It closes (7,2,1,(3,1)) in 74 nodes, (6,3,1,(1,1)) in 2 278 (772
+    top-level rainbow calls) and (7,2,2,(1,1,1)) in 3 662, where forward
+    checking alone took 435, 88 583 (29 524 calls) and 75 430, and the
+    starting incumbent alone 453 974 and 12.1 M for the first two.
+    (10,3,1,(1,1)) closes in 7 155 nodes and 0.02 s and (8,2,2,(3,1,1))
+    in 14 496 and 0.06 s (1.76 M and 1.94 M nodes, 5 and 10 s, without
+    the cut), and (10,2,2,(1,1,1)) in 9 404 and 0.04 s and
+    (12,3,1,(1,1)) in 32 905 and 0.1 s, where without the cut both ran
+    past 2*10^6 nodes (2-core host, Python 3.11).
     """
     iw, lead0, best_val, budget, finish = _solver_frame("oracle", n, k, s, weights, limit_nodes)
     capacity = binom(n, k)
@@ -231,6 +315,9 @@ def oracle_f(
                 plan[level].append((lvl, tuple(i for i in range(s + 1) if i != lvl and i != stand)))
 
     fam_bits = [0] * (s + 1)
+    # entry[r]: the level rank r entered at (s+1 for never), for r < pos
+    entry = [0] * capacity
+    moves = _transposition_moves(n, k)
     best_card: int | None = None
     best_chain: tuple[int, ...] | None = None
     nodes = 0
@@ -245,20 +332,24 @@ def oracle_f(
             if val > best_val or (val == best_val and (best_card is None or card < best_card)):
                 best_val, best_card, best_chain = val, card, tuple(fam_bits)
             return
-        potential = val + rest_val
-        if potential < best_val:
-            return
-        if potential == best_val and best_card is not None and card + rest_card >= best_card:
-            # a value tie gives every later set its cap's contribution at the
-            # least cardinality, and cannot beat the incumbent; first-found
-            # ties are key-least
-            return
         bit = 1 << pos
         low = first
         while not at[low] & bit:
             low += 1
         rest_val -= contrib[low]
         rest_card -= tie_card[low]
+        # a level below the floor would give the prefix a lex-smaller image
+        # under a transposition, so the floor bounds pos like its cap; it is
+        # at most s+1, so never is always open
+        low = max(low, _lex_floor(moves[pos], entry, pos))
+        potential = val + contrib[low] + rest_val
+        if potential < best_val:
+            return
+        if potential == best_val and best_card is not None and card + tie_card[low] + rest_card >= best_card:
+            # a value tie gives every later set its cap's contribution at the
+            # least cardinality, and cannot beat the incumbent; first-found
+            # ties are key-least
+            return
         avail = disj[pos]
         later = avail >> (pos + 1) << (pos + 1)
         # per rival index tuple: None (no matching) or [rise, stay], the later
@@ -266,6 +357,7 @@ def oracle_f(
         # the memo lives for this node only
         memo: dict[tuple[int, ...], list[int] | None] = {}
         for level in range(low, s + 1):
+            entry[pos] = level
             for i in range(level, s + 1):
                 fam_bits[i] |= bit
             # Recheck the later sets disjoint from pos.  A set r may enter at
@@ -323,6 +415,7 @@ def oracle_f(
             at[:] = saved
             for i in range(level, s + 1):
                 fam_bits[i] &= ~bit
+        entry[pos] = s + 1
         explore(pos + 1, val, card, rest_val, rest_card)
 
     explore(0, 0, 0, capacity * contrib[first], capacity * tie_card[first])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, permutations, product
 from operator import or_
 
 from overlap_lab.bounds import thm4_threshold
@@ -153,6 +153,16 @@ def brute_chain_optimum(n: int, k: int, s: int, weights) -> tuple[Fraction, tupl
             if best is None or key < best[0]:
                 best = (key, tuple(fams))
     return -best[0][0], best[1]
+
+
+def rank_permutations(n: int, k: int, *, transpositions: bool = False) -> list[tuple[int, ...]]:
+    """For each permutation p of [n] (only the transpositions if asked), entry r: the colex rank of p's image of rank r's k-set."""
+    table = ksets(n, k)
+    rank = {x: r for r, x in enumerate(table)}
+    perms = permutations(range(n))
+    if transpositions:
+        perms = (p for p in perms if sum(e != i for i, e in enumerate(p)) == 2)
+    return [tuple(rank[sum(1 << p[e] for e in iter_bits(x))] for x in table) for p in perms]
 
 
 def brute_max_min_overlapping(n: int, k: int, s: int) -> tuple[int, int]:

@@ -1,12 +1,19 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _brute import brute_max_min_overlapping, brute_rainbow_number, head_per_member, sorted_downsets
+from _brute import (
+    brute_max_min_overlapping,
+    brute_rainbow_number,
+    head_per_member,
+    rank_permutations,
+    sorted_downsets,
+)
 from overlap_lab import family, matching, search
 from overlap_lab.bounds import (
     conj1_value,
@@ -325,10 +332,23 @@ def test_thm2_k1_equality_point():
 
 @pytest.mark.parametrize(
     "n,k,s,ws",
-    [(8, 2, 1, (2, 1)), (9, 2, 1, (3, 1)), (7, 2, 2, (1, 1, 1))],
+    [
+        (8, 2, 1, (2, 1)),
+        (9, 2, 1, (3, 1)),
+        (7, 2, 2, (1, 1, 1)),
+        # without the lex-leader floor the oracle took 120 738, 151 495,
+        # 1 764 878, 1 894 131 and 1 944 438 nodes on the next five, and
+        # ran past 2*10^6 on the last
+        (7, 3, 1, (1, 1)),
+        (8, 2, 2, (1, 1, 1)),
+        (10, 3, 1, (1, 1)),
+        (9, 3, 1, (3, 1)),
+        (8, 2, 2, (3, 1, 1)),
+        (10, 2, 2, (1, 1, 1)),
+    ],
 )
 def test_solvers_agree_where_the_raw_space_is_large(n, k, s, ws):
-    # (s+2)^C(n,k) > 2^36 on each cell, yet the oracle closes it in under 80 000 nodes
+    # (s+2)^C(n,k) > 2^36 on each cell, yet the oracle closes it in under 15 000 nodes
     a = check_record(oracle_f(n, k, s, ws))
     b = check_record(exact_f_shifted(n, k, s, ws))
     assert (a.optimum, a.witness.families) == (b.optimum, b.witness.families)
@@ -341,7 +361,7 @@ def _conj2_hunt(n, k, s, **budget):
 @pytest.mark.parametrize(
     "search_fn, args, work",
     [
-        (oracle_f, (6, 2, 1, (2, 1)), 266),
+        (oracle_f, (6, 2, 1, (2, 1)), 55),
         (exact_f_shifted, (6, 2, 1, (2, 1)), 27),
         # (8,2,2) has 37 downsets of matching number at most 2
         (max_min_overlapping, (8, 2, 2), 37),
@@ -361,18 +381,21 @@ def test_default_budget_is_read_at_each_call(search_fn, args, work, monkeypatch)
 
 @pytest.mark.parametrize(
     "n,k,s,ws,nodes",
-    [(7, 2, 1, (3, 1), 435), (12, 1, 3, (1, 1, 1, 1), 1237), (6, 3, 1, (1, 1), 88583), (7, 2, 2, (1, 1, 1), 75430)],
+    [(7, 2, 1, (3, 1), 74), (12, 1, 3, (1, 1, 1, 1), 115), (6, 3, 1, (1, 1), 2278), (7, 2, 2, (1, 1, 1), 3662)],
 )
 def test_oracle_node_counts(n, k, s, ws, nodes):
-    # the caps set the value bound, so a cap that rises too early or too late moves the count
+    # the caps set the value bound, so a cap that rises too early or too late
+    # moves the count, and so does a lex-leader floor that cuts too little;
+    # without the floor the cells took 435, 1 237, 88 583 and 75 430 nodes
     assert oracle_f(n, k, s, ws).nodes_explored == nodes
 
 
-@pytest.mark.parametrize("n,k,s,ws,calls", [(12, 1, 3, (1, 1, 1, 1), 1161), (6, 3, 1, (1, 1), 29524)])
+@pytest.mark.parametrize("n,k,s,ws,calls", [(12, 1, 3, (1, 1, 1, 1), 69), (6, 3, 1, (1, 1), 772)])
 def test_oracle_kernel_calls(n, k, s, ws, calls, monkeypatch):
     # a node asks each rival set once, and each (rival set, rank) at most once,
-    # whatever level it tries; asked again at every level the same cells took
-    # 2 361 and 88 572 top-level calls
+    # whatever level it tries, and a level below the lex-leader floor asks
+    # nothing; without the floor the same cells took 1 161 and 29 524
+    # top-level calls, and asked again at every level 2 361 and 88 572
     count = 0
 
     def counting(*args):
@@ -383,6 +406,52 @@ def test_oracle_kernel_calls(n, k, s, ws, calls, monkeypatch):
     monkeypatch.setattr(search, "rainbow", counting)
     oracle_f(n, k, s, ws)
     assert count == calls
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3), (7, 2), (7, 4)])
+def test_transposition_moves_match_the_permutations(n, k):
+    # entry t lists each transposition that maps rank t's k-set lower, with
+    # the pairs (r, image) it moves, r < image, in rank order; the images
+    # rise, so the pair with image t ends the pairs _lex_floor can read
+    size = binom(n, k)
+    moves = search._transposition_moves(n, k)
+    swaps = rank_permutations(n, k, transpositions=True)
+    for t in range(size):
+        want = sorted(tuple((r, q[r]) for r in range(size) if r < q[r]) for q in swaps if q[t] < t)
+        assert sorted(moves[t]) == want
+        for pairs in moves[t]:
+            assert [b for _, b in pairs] == sorted(b for _, b in pairs)
+
+
+@pytest.mark.parametrize(
+    "n,k,s", [(n, 1, s) for n in range(2, 7) for s in (1, 2)] + [(3, 2, 1), (3, 2, 2), (4, 2, 1), (4, 2, 2), (5, 2, 1)]
+)
+def test_lex_floor_cuts_exactly_the_maps_a_transposition_makes_smaller(n, k, s):
+    # every map of the k-sets to levels 0..s+1, read rank by rank as explore
+    # reads it: a map is cut at the first rank whose level is below the floor
+    size = binom(n, k)
+    moves = search._transposition_moves(n, k)
+    perms = rank_permutations(n, k)
+    swaps = rank_permutations(n, k, transpositions=True)
+    seen = set()
+    leaders = survivors = 0
+    for sigma in product(range(s + 2), repeat=size):
+        # maps come in lex order, so the first one met of each orbit under S_n is its least
+        leader = sigma not in seen
+        if leader:
+            leaders += 1
+            seen.update(tuple(sigma[r] for r in q) for q in perms)
+        cut = any(sigma[pos] < search._lex_floor(moves[pos], sigma, pos) for pos in range(size))
+        # a map is cut exactly when some transposition gives it a lex-smaller image
+        assert cut == any(tuple(sigma[r] for r in q) < sigma for q in swaps), sigma
+        if cut:
+            assert not leader, sigma
+        else:
+            survivors += 1
+    assert survivors < (s + 2) ** size
+    if k == 1:
+        # at k = 1 the transpositions keep exactly one map per orbit, the nondecreasing one
+        assert survivors == leaders
 
 
 @pytest.mark.parametrize(
@@ -685,7 +754,7 @@ def test_hunt_conjectures_subgrids():
     assert hunt_conjectures("conj2", grid) == rep
 
 
-def test_hunt_conjectures_hands_limit_nodes_to_both_hunts():
+def test_run_suite_hands_limit_nodes_to_both_hunts():
     # conj1 gives it to each solver call, conj2 to each hunt (test_default_budget_is_read_at_each_call)
     assert run_suite("conj1", cells=[(4, 2, 1, 2)], limit_nodes=10**5)["summary"]["violations"] == 0
     # a suite run hands the budget to either hunt, as verify --suite all does
