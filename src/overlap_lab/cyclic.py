@@ -8,15 +8,15 @@ t-matching bound.  Every randomized report carries its seed and trial
 count; identical seeds reproduce identical reports.
 
 The arc-chain lemma has one check, `_check_arc_chain`, which
-`run_cyclic_suite` runs on every sampled chain.  It works on bitsets over
-head positions, in ints: the tables it needs (the disjointness of the
-arcs' colex ranks, the ranks of each nibble of heads and the block
-matchings laid out for one popcount per level) are cached once per
-`ArcFamily`, and the suite keeps one
-identity `ArcFamily` per (n, k), so a sampled chain builds no `Chain`,
-`Family` or `Fraction`.  A sampled matching only finds its pattern of
-entry levels; what depends on the pattern alone is computed once per
-distinct pattern.
+`run_cyclic_suite` runs on every sampled chain.  An arc chain is only
+ever a tuple of bitsets over head positions, checked in ints: the tables
+the check needs (the arcs' disjointness derived from head positions alone,
+and the block matchings laid out for one popcount per level) are cached
+once per `ArcFamily`, and none depends on C(n,k), so any n up to 64 runs.
+The suite keeps one identity `ArcFamily` per (n, k), so a sampled chain
+builds no `Chain`, `Family` or `Fraction`.  A sampled matching only finds
+its pattern of entry levels; what depends on the pattern alone is
+computed once per distinct pattern.
 
 A number below m is drawn inline as `getrandbits(m.bit_length())`, drawn
 again while it is >= m: the words `randrange(m)` and `shuffle` use on
@@ -42,9 +42,9 @@ from operator import or_
 from typing import Iterator, Sequence
 
 from .bounds import integer_weights, thm4_threshold, weight_vector
-from .combinatorics import binom, colex_rank, iter_bits, mask_from_elements, validate_kset
-from .family import Chain, Family
-from .matching import BipartiteGraph, _disjoint_within, is_overlapping, min_vertex_cover, rainbow
+from .combinatorics import binom, mask_from_elements
+from .family import Chain
+from .matching import BipartiteGraph, is_overlapping, min_vertex_cover, rainbow
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,13 @@ class CyclicOrder:
 
 @dataclass(frozen=True)
 class ArcFamily:
-    """The n arcs of length k on a cyclic order, indexed by head position."""
+    """The n arcs of length k on a cyclic order, indexed by head position.
+
+    Arc h is the k-set of the elements at positions h..h+k-1 (mod n).  A
+    sub-family of arcs is a bitset over heads; the sampler tests it on
+    head_disjointness (from the masks), the recheck on
+    position_disjointness (from the positions).
+    """
 
     sigma: CyclicOrder
     k: int
@@ -79,11 +85,6 @@ class ArcFamily:
         return len(self.masks)
 
     @cached_property
-    def ranks(self) -> tuple[int, ...]:
-        """Entry i: the colex rank of arc i among the k-subsets of [n]."""
-        return tuple(colex_rank(validate_kset(mask, self.sigma.n, self.k)) for mask in self.masks)
-
-    @cached_property
     def head_disjointness(self) -> tuple[int, ...]:
         """Entry i: the bitset of heads whose arcs miss arc i."""
         return tuple(
@@ -91,26 +92,15 @@ class ArcFamily:
         )
 
     @cached_property
-    def rank_disjointness(self) -> dict[int, int]:
-        """The disjointness table of the arcs' colex ranks, each entry restricted to those ranks."""
-        return _disjoint_within(self.sigma.n, self.k, sum(1 << r for r in self.ranks))
+    def position_disjointness(self) -> tuple[int, ...]:
+        """Entry h: the bitset of heads j whose arcs miss arc h, from positions alone.
 
-    @cached_property
-    def rank_nibbles(self) -> tuple[tuple[int, ...], ...]:
-        """Entry q: the rank bitsets of the 16 subsets of heads 4q..4q+3, indexed by those heads' bits."""
-        out = []
-        for q in range(0, len(self.ranks), 4):
-            quad = [1 << r for r in self.ranks[q : q + 4]]
-            out.append(tuple(sum(bit for b, bit in enumerate(quad) if x >> b & 1) for x in range(16)))
-        return tuple(out)
-
-    def rank_bits(self, heads: int) -> int:
-        """The bitset of the colex ranks of the arcs whose heads are in `heads`."""
-        bits = 0
-        for table in self.rank_nibbles:
-            bits |= table[heads & 15]
-            heads >>= 4
-        return bits
+        Arcs h and j miss each other iff (j - h) mod n >= k and
+        (h - j) mod n >= k.  The masks are not read, so this table checks
+        head_disjointness independently.
+        """
+        n, k = self.sigma.n, self.k
+        return tuple(sum(1 << j for j in range(n) if (j - h) % n >= k and (h - j) % n >= k) for h in range(n))
 
     @cached_property
     def head_bits(self) -> tuple[int, ...]:
@@ -156,25 +146,14 @@ def _check_trials(trials: int) -> int:
 # arc chains
 # ---------------------------------------------------------------------------
 
-def arc_chain_families(arc: ArcFamily, arc_sets: Sequence[int]) -> Chain:
-    """Build a Chain from bitsets over arc head positions (nested, ascending)."""
-    ranks = arc.ranks
-    fams = []
-    for heads in arc_sets:
-        bits = 0
-        for i in iter_bits(heads):
-            bits |= 1 << ranks[i]
-        fams.append(Family(arc.sigma.n, arc.k, bits))
-    return Chain(tuple(fams))
-
-
 def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[int, int, int]:
     """The arc-chain lemma on head bitsets, in ints: (lhs, rhs, block weight summed over all n heads).
 
     Raises ValueError unless p is an int >= 1 (a bool is not), the chain
     has a level, every head lies in 0..n-1, the chain is nested,
     n >= (k+1)s and the chain is overlapping; the cheap checks run before
-    the overlap recheck, which is the kernel on the arcs' colex ranks.
+    the overlap recheck, which is the kernel on the head bitsets over
+    position_disjointness, a table derived apart from the sampler's.
     The lhs p|B_0| + |B_1| + ... + |B_s| is also e(X, Y), the total degree.
     The inequality is lhs <= rhs = max{ns, (p+s)ks}; the exact head-average
     identity, that e(M_h, Y) averages (t/n) e(X, Y) over the n block
@@ -193,7 +172,7 @@ def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[i
             raise ValueError("arc chain is not nested")
     if n < (k + 1) * s:
         raise ValueError(f"need n >= (k+1)s, got n={n}, k={k}, s={s}")
-    if rainbow([arc.rank_bits(heads) for heads in arc_sets], arc.rank_disjointness) is not None:
+    if rainbow(arc_sets, arc.position_disjointness) is not None:
         raise ValueError("arc chain is not overlapping")
 
     head, *rest = arc_sets

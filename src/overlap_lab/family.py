@@ -8,11 +8,10 @@ This module carries the compression and shifting operators, downset
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bounds import solver_weights, weight_vector
+from .bounds import weight_vector
 from .combinatorics import (
     MAX_GROUND_SET,
     binom,
@@ -131,11 +130,6 @@ class Chain:
     @property
     def s(self) -> int:
         return len(self.families) - 1
-
-    def weighted_value(self, weights: Sequence[Fraction | int]) -> Fraction:
-        """Sum of w_i * |B_i| under the given solver weights."""
-        ws = solver_weights(weights, len(self.families))
-        return sum((w * len(f) for w, f in zip(ws, self.families)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

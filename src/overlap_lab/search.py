@@ -132,10 +132,11 @@ def _solver_frame(
     stands at this call.
     finish(best_val, best_chain, nodes) returns the ExtremalRecord of
     optimum best_val / L, with the witness chain of bitsets revalidated:
-    Chain checks the nesting, and matching's own kernel asks for a full
+    Chain checks the nesting, matching's own kernel asks for a full
     rainbow matching over the cached disjointness table (a nested chain is
     already in the order has_rainbow_matching sorts to, and the kernel picks
-    only members, so the table need not be cut to them).
+    only members, so the table need not be cut to them), and the value is
+    checked in integers, sum iw_j |B_j| == best_val, from the bitsets.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -152,7 +153,7 @@ def _solver_frame(
         record = ExtremalRecord(n, k, s, ws, optimum, witness, solver, nodes)
         if _matching.rainbow(best_chain, _matching.disjointness(n, k)) is not None:
             raise AssertionError("solver returned a non-overlapping witness")
-        if witness.weighted_value(ws) != optimum:
+        if sum(w * b.bit_count() for w, b in zip(iw, best_chain)) != best_val:
             raise AssertionError("witness value does not match reported optimum")
         return record
 
@@ -574,7 +575,7 @@ def exact_f_shifted(
                 return
         best_val, best_card, best_chain = val, card, tuple(chain_bits)
 
-    def descend(j: int, val: int, card: int) -> None:
+    def descend(j: int, val: int, card: int, cap_above: int) -> None:
         nonlocal nodes
         if j < lead0 or j == 0:
             # zero-weight head: the empty family is uniquely optimal in
@@ -586,8 +587,9 @@ def exact_f_shifted(
             return
         slope = prefix_w[j]
         wj = iw[j]
-        # the lowest fixed level i >= j whose B_{i+1} holds the clique gives the least proven cap
-        cap_j = next((level_cap[i] for i in range(j, s) if not clique & ~chain_bits[i + 1]), cap)
+        # the lowest fixed level i >= j whose B_{i+1} holds the clique gives the least proven cap:
+        # j itself if B_{j+1} holds it, else the one found above (the chain is nested)
+        cap_j = level_cap[j] if j < s and not clique & ~chain_bits[j + 1] else cap_above
 
         def admit(d: int) -> bool:
             # the bound; it does not decrease with size, so a refusal prunes the subtree
@@ -610,7 +612,7 @@ def exact_f_shifted(
                     continue
             chain_bits[j] = d
             if j > 1 or lead0:
-                descend(j - 1, val + wj * size, card2)
+                descend(j - 1, val + wj * size, card2, cap_j)
             else:
                 # B_0 in closed form
                 head = _closed_form_head(chain_bits[1:], disj, ups)
@@ -619,7 +621,7 @@ def exact_f_shifted(
                 offer(val + wj * size + w0 * sz, card2 + sz)
         chain_bits[j] = 0
 
-    descend(s, 0, 0)
+    descend(s, 0, 0, cap)
     return finish(best_val, best_chain, nodes)
 
 

@@ -126,6 +126,11 @@ def head_per_member(rest, disj) -> int:
     return sum(1 << r for r in iter_bits(rest[0] if rest else 0) if rainbow(rest, disj, disj[r]) is None)
 
 
+def chain_value(chain, weights) -> Fraction:
+    """Sum of w_i |B_i| over the chain's levels, each weight read as a Fraction (an int or a string such as "3/2")."""
+    return sum((Fraction(w) * len(f) for w, f in zip(weights, chain.families, strict=True)), Fraction(0))
+
+
 def brute_chain_optimum(n: int, k: int, s: int, weights) -> tuple[Fraction, tuple[Family, ...]]:
     """Raw maximum of sum w_i |B_i| over nested chains with no rainbow (s+1)-matching, and its canonical witness.
 

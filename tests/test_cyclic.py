@@ -16,7 +16,6 @@ from overlap_lab import cyclic
 from overlap_lab.combinatorics import binom, elements_of, mask_from_elements
 from overlap_lab.cyclic import (
     CyclicOrder,
-    arc_chain_families,
     arcs,
     random_matching,
     random_overlapping_arc_chain,
@@ -158,13 +157,12 @@ def nested_arc_chains(draw):
 def test_arc_chains_against_naive_construction(drawn):
     arc, arc_sets, p = drawn
     n, k, s = arc.sigma.n, arc.k, len(arc_sets) - 1
-    chain = arc_chain_families(arc, arc_sets)
-    assert chain == Chain(
+    # the k-set chain the head bitsets stand for, checked by the Family-level reference
+    chain = Chain(
         tuple(Family.from_masks(n, k, {arc.masks[i] for i in range(n) if bits >> i & 1}) for bits in arc_sets)
     )
-    # the recheck runs the kernel on the arcs' colex ranks; each Family's bits are those ranks
     overlapping = is_overlapping(chain)
-    assert overlapping == (rainbow([fam.bits for fam in chain.families], arc.rank_disjointness) is None)
+    assert overlapping == (rainbow(arc_sets, arc.position_disjointness) is None)
     if not overlapping or n < (k + 1) * s:
         with pytest.raises(ValueError):
             cyclic._check_arc_chain(arc, arc_sets, p)
@@ -200,14 +198,12 @@ def test_inline_draws_replay_the_stdlib_stream(data, seed):
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(st.data())
-def test_rank_bits_match_arc_chain_families(data):
-    n = data.draw(st.integers(2, 13))
+def test_position_disjointness_is_head_disjointness(data):
+    # two tables of the same n arcs: one from the positions, one from the masks of a permuted order
+    n = data.draw(st.integers(2, 64))
     k = data.draw(st.integers(1, n - 1))
     arc = arcs(CyclicOrder(tuple(data.draw(st.permutations(range(1, n + 1))))), k)
-    assert len(arc.rank_nibbles) == -(-n // 4)
-    for heads in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)):
-        (fam,) = arc_chain_families(arc, [heads]).families
-        assert arc.rank_bits(heads) == fam.bits
+    assert arc.position_disjointness == arc.head_disjointness
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -219,9 +215,6 @@ def test_block_layout_sums_the_block_weights_of_every_head(data):
     rep, blocks = arc.block_layout
     for heads in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)):
         assert (heads * rep & blocks).bit_count() == sum((heads & b).bit_count() for b in arc.block_heads)
-    # the overlap recheck lists all C(n, k) k-sets, so a chain is checked only where they are few
-    if binom(n, k) > 2_000:
-        return
     s = data.draw(st.integers(0, min(3, n // (k + 1))))
     p = data.draw(st.integers(1, 4))
     arc_sets = random_overlapping_arc_chain(arc, s, random.Random(data.draw(st.integers(0, 2**32))))
@@ -270,7 +263,10 @@ def test_random_chain_sampler_output_contract():
         assert len(arc_sets) == 3
         for a, b in zip(arc_sets, arc_sets[1:]):
             assert not a & ~b
-        assert is_overlapping(arc_chain_families(arc, arc_sets))
+        chain = Chain(
+            tuple(Family.from_masks(9, 2, {arc.masks[i] for i in range(9) if bits >> i & 1}) for bits in arc_sets)
+        )
+        assert is_overlapping(chain)
 
 
 def test_sampler_refuses_negative_s_before_drawing():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _brute import (
     brute_max_min_overlapping,
     brute_rainbow_number,
+    chain_value,
     head_per_member,
     rank_permutations,
     sorted_downsets,
@@ -50,7 +51,7 @@ def check_record(rec):
     assert is_overlapping(rec.witness)
     for a, b in zip(rec.witness.families, rec.witness.families[1:]):
         assert a.issubset(b)
-    assert rec.witness.weighted_value(rec.weights) == rec.optimum
+    assert chain_value(rec.witness, rec.weights) == rec.optimum
     return rec
 
 
@@ -177,7 +178,7 @@ def test_integer_objective_agrees_across_solvers(instance):
     assert (a.optimum, a.witness) == (b.optimum, b.witness)
     for rec in (a, b):
         assert isinstance(rec.optimum, Fraction)
-        assert rec.optimum == rec.witness.weighted_value(ws)
+        assert rec.optimum == chain_value(rec.witness, ws)
 
 
 @st.composite
@@ -271,7 +272,7 @@ def _built_best_construction(n, k, s, ws):
     chains = [construction_chain("empty-then-full", n, k, s), Chain((cover_family(n, k, min(s, n)),) * (s + 1))]
     if n >= (s + 1) * k - 1:
         chains.append(construction_chain("clique", n, k, s))
-    return max(chain.weighted_value(ws) for chain in chains)
+    return max(chain_value(chain, ws) for chain in chains)
 
 
 def test_best_construction_closed_form_matches_built_chains():
