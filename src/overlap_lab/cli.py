@@ -8,7 +8,9 @@ single JSON document {tool_version, config, rows, summary} (or kept as CSV
 with a fixed header).  --resume <file> reuses its finished rows and computes
 incomplete ones again; for verify a row is one suite of suites.SUITES.  A
 resume file written under another configuration is a usage error; only the
-grid (bounds and search cells, the verify suite) and the limits may differ.
+grid (bounds and search cells, the verify suite) and the limits may differ;
+a verify row is reused only if it keeps its suite's rows exactly when this
+selection would, so a resume across selections writes the same bytes.
 """
 from __future__ import annotations
 
@@ -200,10 +202,11 @@ class ReportWriter:
                     raise ValueError(f"resume file {path!r} holds a row whose cell is not a string")
                 self._done[row["cell"]] = row
 
-    def fill(self, cells, key, compute, valid, jobs: int = 1):
+    def fill(self, cells, key, compute, valid, jobs: int = 1, reusable=None):
         """Emit and yield each cell's row in order: its finished resumed row, else compute(cell).
 
-        A finished resumed row that valid rejects is a usage error, not computed again.
+        A finished resumed row that valid rejects is a usage error, not computed
+        again; one that reusable (if given) rejects is computed again.
         """
         reused = {}
         for cell in cells:
@@ -211,7 +214,8 @@ class ReportWriter:
             if row is not None and row.get("status") != "incomplete":
                 if not valid(row):
                     raise ValueError(f"resume file holds a malformed row for cell {key(cell)}")
-                reused[key(cell)] = row
+                if reusable is None or reusable(row):
+                    reused[key(cell)] = row
         if self.out and self.fmt == "json":
             self._stream = open(self.out, "w", encoding="utf-8")
             self._stream.write(_canon({"tool_version": __version__, "config": self.config}) + "\n")
@@ -391,11 +395,15 @@ def cmd_verify(args) -> int:
         "trials": args.trials,
     }
 
+    def keeps_rows(summary: dict) -> bool:
+        # under --suite all a passing suite keeps only its summary
+        return summary["status"] != "pass" or args.suite != "all"
+
     def compute(name: str) -> dict:
         report = run_suite(name, trials=args.trials, seed=seed, limit_nodes=args.limit_nodes)
         summary = report["summary"]
         row = {"cell": _canon({"suite": name}), "suite": name, "summary": summary, "status": summary["status"]}
-        if summary["status"] != "pass" or args.suite != "all":
+        if keeps_rows(summary):
             row["rows"] = report["rows"]
         return row
 
@@ -403,9 +411,13 @@ def cmd_verify(args) -> int:
         summary = row.get("summary")
         return isinstance(summary, dict) and "status" in summary and _is_int(summary.get("violations", 0))
 
+    def reusable(row: dict) -> bool:
+        # a row written under another selection may keep rows where this one drops them, or the reverse
+        return ("rows" in row) == keeps_rows(row["summary"])
+
     total_viol = 0
     with ReportWriter(args.format, args.out, config, args.resume) as writer:
-        suite_rows = writer.fill(names, lambda name: _canon({"suite": name}), compute, valid)
+        suite_rows = writer.fill(names, lambda name: _canon({"suite": name}), compute, valid, reusable=reusable)
         for name, row in zip(names, suite_rows):
             summary = row["summary"]
             total_viol += summary.get("violations", 0)

@@ -3,31 +3,27 @@
 A cyclic order sigma on [n] induces n arcs (windows of k consecutive
 positions).  The harnesses here replay three averaging arguments on
 concrete instances: the arc-chain inequality with its exact head-average
-identity, the random-partition cover bound at n = (s+1)k, and the random
-t-matching bound.  Every randomized report carries its seed and trial
-count; identical seeds reproduce identical reports.
+identity (Katona's cyclic method), the random-partition cover bound at
+n = (s+1)k, and the random t-matching bound.  Each harness runs the
+trials of one cell from the seed it is given; suites spreads the trials
+over a suite's cells, derives each cell's seed and builds the report, so
+identical seeds reproduce identical reports.
 
 The arc-chain lemma has one check, `_check_arc_chain`, which
-`run_cyclic_suite` runs on every sampled chain.  An arc chain is only
+`arc_chain_trials` runs on every sampled chain.  An arc chain is only
 ever a tuple of bitsets over head positions, checked in ints: the tables
 the check needs (the arcs' disjointness derived from head positions alone,
 and the block matchings laid out for one popcount per level) are cached
 once per `ArcFamily`, and none depends on C(n,k), so any n up to 64 runs.
-The suite keeps one identity `ArcFamily` per (n, k), so a sampled chain
-builds no `Chain`, `Family` or `Fraction`.  A sampled matching only finds
-its pattern of entry levels; what depends on the pattern alone is
-computed once per distinct pattern.
+One identity `ArcFamily` is kept per (n, k), so a sampled chain builds no
+`Chain`, `Family` or `Fraction`.  A sampled matching only finds its
+pattern of entry levels; what depends on the pattern alone is computed
+once per distinct pattern.
 
 A number below m is drawn inline as `getrandbits(m.bit_length())`, drawn
 again while it is >= m: the words `randrange(m)` and `shuffle` use on
 Python 3.10 to 3.13, in their order.  So the reports depend only on
-`Random.random` and `Random.getrandbits`.  At the default trial counts
-(`--seed 42`, in-process, 2-core host, Python 3.11) the suites take about
-1.3–2.0 s (`cyclic`), 0.14–0.28 s (`partition`) and 0.19–0.36 s
-(`random-matching`), medians 1.36, 0.17 and 0.24 s over seven runs,
-against 1.86, 0.21 and 0.26 s while each trial built its own per-head
-vector and weighed its own matching, and 3.0–4.2, 0.5–0.7 and
-0.67–0.87 s through `randrange`/`shuffle`.
+`Random.random` and `Random.getrandbits`.
 """
 from __future__ import annotations
 
@@ -135,7 +131,7 @@ def arcs(sigma: CyclicOrder, k: int) -> ArcFamily:
     return ArcFamily(sigma, k, tuple(masks))
 
 
-def _check_trials(trials: int) -> int:
+def check_trials(trials: int) -> int:
     """trials, unless it is not an int >= 1 (a bool is not): then ValueError."""
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
@@ -219,59 +215,26 @@ def _identity_arcs(n: int, k: int) -> ArcFamily:
     return arcs(CyclicOrder.identity(n), k)
 
 
-def run_cyclic_suite(
-    cells: Sequence[tuple[int, int, int, int]],
-    trials: int,
-    seed: int,
-) -> dict:
-    """Run the arc-chain harness on random chains, spreading trials over cells.
+def arc_chain_trials(n: int, k: int, s: int, p: int, trials: int, seed: int) -> tuple[int, int, int]:
+    """The arc-chain lemma on `trials` random chains of the identity order's arcs, drawn from `seed`.
 
-    cells are (n, k, s, p); each gets its own deterministic sub-seed.
-    The per-cell count rounds up so at least `trials` (an int >= 1) chains
-    run in total.
+    Returns (min_margin, violations, identity_failures): the least rhs - lhs,
+    the chains with lhs > rhs, and the chains whose block weights miss
+    t * lhs, t = n // k.  trials must be an int >= 1.
     """
-    per_cell = -(-_check_trials(trials) // max(1, len(cells)))
-    rows = []
-    total_violations = 0
-    identity_failures = 0
-    for idx, (n, k, s, p) in enumerate(cells):
-        arc = _identity_arcs(n, k)
-        t = n // k
-        rng = random.Random(seed * 1_000_003 + idx)
-        worst = None
-        failures_before = (total_violations, identity_failures)
-        for _ in range(per_cell):
-            lhs, rhs, total = _check_arc_chain(arc, random_overlapping_arc_chain(arc, s, rng), p)
-            if lhs > rhs:
-                total_violations += 1
-            if total != t * lhs:
-                identity_failures += 1
-            margin = rhs - lhs
-            if worst is None or margin < worst:
-                worst = margin
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "s": s,
-                "p": p,
-                "trials": per_cell,
-                "min_margin": worst,
-                "status": "ok" if (total_violations, identity_failures) == failures_before else "VIOLATION",
-            }
-        )
-    status = "pass" if total_violations == 0 and identity_failures == 0 else "fail"
-    return {
-        "suite": "cyclic",
-        "seed": seed,
-        "rows": rows,
-        "summary": {
-            "trials": per_cell * len(cells),
-            "violations": total_violations,
-            "identity_failures": identity_failures,
-            "status": status,
-        },
-    }
+    check_trials(trials)
+    arc = _identity_arcs(n, k)
+    t = n // k
+    rng = random.Random(seed)
+    worst = math.inf
+    violations = identity_failures = 0
+    for _ in range(trials):
+        lhs, rhs, total = _check_arc_chain(arc, random_overlapping_arc_chain(arc, s, rng), p)
+        violations += lhs > rhs
+        identity_failures += total != t * lhs
+        if rhs - lhs < worst:
+            worst = rhs - lhs
+    return worst, violations, identity_failures
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +339,7 @@ def verify_partition_bound(chain: Chain, weights: Sequence, trials: int, seed: i
     """
     n, k, s = chain.n, chain.k, chain.s
     ws = weight_vector(weights, s + 1)
-    _check_trials(trials)
+    check_trials(trials)
     if n != (s + 1) * k:
         raise ValueError(f"partition bound needs n = (s+1)k, got n={n}")
     if not is_overlapping(chain):
@@ -416,7 +379,7 @@ def verify_random_matching_bound(chain: Chain, weights: Sequence, trials: int, s
     """
     n, k, s = chain.n, chain.k, chain.s
     ws = weight_vector(weights, s + 1)
-    _check_trials(trials)
+    check_trials(trials)
     if not is_overlapping(chain):
         raise ValueError("chain is not overlapping")
     if s < 1:

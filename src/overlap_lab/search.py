@@ -7,21 +7,16 @@ Two independent routes compute the same optimum:
   with branch-and-bound pruning.  It forward-checks: each unassigned k-set
   keeps the lowest entry level at which it can still join, rechecked only
   when a disjoint set is placed, so a node tries its feasible levels with
-  no rainbow call and bounds the value by every later set's own best level
-  (183 795 nodes on the 23 cells of perfbench's oracle workload when only
-  the starting incumbent pruned, 5 129 with forward checking).  The
-  levels are kept as one bitset of sets per level, and a recheck lifts
+  no rainbow call and bounds the value by every later set's own best level.
+  The levels are kept as one bitset of sets per level, and a recheck lifts
   every set that misses one rainbow matching of a level's rivals with no
   call of its own.  The rivals' question does not depend on the level the
   placed set tries, so a node asks each rival set once and each (rival
-  set, set) pair at most once (3 399 top-level rainbow calls on that
-  workload, against 7 225 when every level asked again and 31 746 at one
-  call per set and level).  Permuting [n] keeps value, cardinality and
+  set, set) pair at most once.  Permuting [n] keeps value, cardinality and
   overlap, so a map that some transposition of [n] sends to a
   lex-smaller one is cut as soon as its prefix shows it (lex-leader
   symmetry breaking); the canonical witness is the lex-least map of its
-  orbit and is never cut (890 nodes and 233 top-level rainbow calls on
-  that workload).
+  orbit and is never cut.
 
 * exact_f_shifted enumerates nested chains of shifted families top-down
   (B_s over all downsets of the shift order, each of B_{s-1}..B_1 over
@@ -31,9 +26,7 @@ Two independent routes compute the same optimum:
   by the matching bound M(n,k,s) in a value bound that prunes a candidate
   together with every sub-downset below it.  Once a level B_{j+1} holds
   every k-set inside [(s+1)k], B_0 holds no j+1 disjoint sets, and the cap
-  drops to M(n,k,j) (1 196 nodes on the 19 cells of perfbench's shifted
-  workload, against 1 651 with M(n,k,s) at every level and 4 768 when
-  every downset was listed and tested).  The members of B_1 that B_0 must
+  drops to M(n,k,j).  The members of B_1 that B_0 must
   exclude form an upset of the shift order, so one rainbow call excludes
   a whole upset.
 
@@ -279,16 +272,6 @@ def oracle_f(
     exact_f_shifted's reductions, no shifting, compression or matching
     cap, only that S_n acts on the k-sets, so the two solvers stay
     independent.
-
-    It closes (7,2,1,(3,1)) in 74 nodes, (6,3,1,(1,1)) in 2 278 (772
-    top-level rainbow calls) and (7,2,2,(1,1,1)) in 3 662, where forward
-    checking alone took 435, 88 583 (29 524 calls) and 75 430, and the
-    starting incumbent alone 453 974 and 12.1 M for the first two.
-    (10,3,1,(1,1)) closes in 7 155 nodes and 0.02 s and (8,2,2,(3,1,1))
-    in 14 496 and 0.06 s (1.76 M and 1.94 M nodes, 5 and 10 s, without
-    the cut), and (10,2,2,(1,1,1)) in 9 404 and 0.04 s and
-    (12,3,1,(1,1)) in 32 905 and 0.1 s, where without the cut both ran
-    past 2*10^6 nodes (2-core host, Python 3.11).
     """
     iw, lead0, best_val, budget, finish = _solver_frame("oracle", n, k, s, weights, limit_nodes)
     capacity = binom(n, k)
@@ -521,25 +504,14 @@ def exact_f_shifted(
     B_{j+1}..B_s are fixed, so the walk takes cap = min(M(n,k,s), M(n,k,i))
     for the lowest i >= j whose B_{i+1} holds the clique (the chain is
     nested, so every higher level holds it too, and M(n,k,i) grows with
-    i), and M(n,k,s) when none does.  Taking i = j alone took
-    (10,2,(1,1,1,1)) 2 083 nodes instead of 810 and (10,2,(4,1,1,1))
-    710 177 instead of 555 096.  A candidate d at level j, of size z, bounds every
-    completion by val + (w_j + ... + w_0) z - w_0 max(z - cap, 0).  That
-    bound does not decrease with z, so a candidate below the incumbent
-    prunes its whole subtree of the walk.  nodes_explored counts the
+    i), and M(n,k,s) when none does.  A candidate d at level j, of size z,
+    bounds every completion by val + (w_j + ... + w_0) z - w_0 max(z - cap,
+    0).  That bound does not decrease with z, so a candidate below the
+    incumbent prunes its whole subtree of the walk.  nodes_explored counts the
     candidates tested against the bound, refused ones included, and
     limit_nodes (family.WORK_LIMIT_DEFAULT when None) caps them
     (NodeLimitError) and the downsets each hunt for an M may visit; a
-    hunt that runs out leaves its cap at C(n,k).  (20,2,(3,1)) closes in
-    37 929 nodes and about 0.1 s, (10,3,(1,1)) in 18 827 and 0.06 s,
-    (12,2,(1,1,1)) in 355 and (12,2,(3,1,1)) in 36 503 and 0.13 s, where
-    M(n,k,s) at every level took 3 844 and 610 989 nodes (1.4-2.1 s);
-    listing, sorting and testing every downset took the first three
-    524 288, 252 586 and 566 543 nodes.  (16,2,(3,1,1)) closes in
-    419 707 nodes (1.3-1.4 s), and (32,2,(1,1,1)), where the main
-    theorem's range n >= 4k^2s starts, in 48 060 (0.35-0.55 s); with
-    M(n,k,s) at every level both ran past 3*10^6 nodes (2-core host,
-    Python 3.11).
+    hunt that runs out leaves its cap at C(n,k).
 
     Equals oracle_f whenever both run (the compression and shifting
     reductions preserve the optimum); that equality is enforced by tests
@@ -669,20 +641,13 @@ def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = Non
     window[r] is disj[r] cut to those ranks (_matching_window), built the
     first time the walk asks about r.  The answer depends on that set
     alone, so each distinct set is asked once: at s = 3 most refusals
-    repeat one already seen.  Under a limit of 3*10^6 downsets (12,3,2)
-    closes in about 1.1 s and (13,3,2) in 2.3 s, where the kernel on all of
-    D & disj[r] took 3.9 and 11.9 s, and (11,3,3) and (12,3,3) reach the
-    limit in 5-7 s instead of 111 and 71 s (2-core host, Python 3.11).
+    repeat one already seen.
 
     The finished witness is rechecked as a whole, shifted and with no s+1
     pairwise disjoint members (has_matching_of_size).  For the cover
     witness, s elements meet every member, and the clique on (s+1)k-1
     elements has too few elements for s+1 disjoint k-sets, so matching's
-    certificates give that "no" without a kernel call.  On the ten cells
-    of perfbench's downsets workload the recheck took 2.2 ms of the 6.2 ms
-    of the hunts as an exhaustive search, and now takes 0.11 ms; on
-    (16,2,3) and (13,3,2) it fell from 1.7 and 1.8 ms to 0.02 and 0.01 ms
-    (warm, in-process, 2-core host, Python 3.11).
+    certificates give that "no" without a kernel call.
     """
     budget = _family.WORK_LIMIT_DEFAULT if limit_nodes is None else limit_nodes
     disj = disjointness(n, k)

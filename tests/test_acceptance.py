@@ -19,7 +19,6 @@ from overlap_lab.bounds import (
     thm4_value,
 )
 from overlap_lab.combinatorics import binom
-from overlap_lab.cyclic import run_cyclic_suite
 from overlap_lab.family import Family, nestify, reduce_to_weighted, shift_closure
 from overlap_lab.matching import (
     BipartiteGraph,
@@ -115,7 +114,7 @@ def test_06_binomial_difference_inequalities():
 def test_07_arc_chain_harness():
     t0 = time.perf_counter()
     assert SUITES["cyclic"].trials == 100_000
-    rep = run_cyclic_suite(suite_cells("cyclic", 9), trials=100_000, seed=SEED)
+    rep = run_suite("cyclic", cells=suite_cells("cyclic", 9), trials=100_000, seed=SEED)
     ok = (
         rep["summary"]["violations"] == 0
         and rep["summary"]["identity_failures"] == 0

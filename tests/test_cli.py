@@ -628,6 +628,7 @@ def test_verify_resume_reuses_suite_rows(monkeypatch, tmp_path):
         "suite": "thm3",
         "summary": {"rows": 8, "violations": 2, "status": "fail"},
         "status": "fail",
+        "rows": [{"status": "VIOLATION"}, {"status": "VIOLATION"}],
         "planted": [1, "x"],
     }
     partial = tmp_path / "partial.json"
@@ -637,6 +638,26 @@ def test_verify_resume_reuses_suite_rows(monkeypatch, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["rows"] == [planted]
     assert doc["summary"] == {"suites": 1, "violations": 2, "status": "fail"}
+
+
+def test_verify_resume_from_one_suite_into_all_is_byte_identical(tmp_path):
+    # the partition row keeps its rows under --suite partition; under --suite all a passing suite drops them
+    argv = ["verify", "--seed", "42", "--trials", "30"]
+    one, fresh, resumed = tmp_path / "one.json", tmp_path / "fresh.json", tmp_path / "resumed.json"
+    assert main([*argv, "--suite", "partition", "--out", str(one)]) == 0
+    assert main([*argv, "--suite", "all", "--out", str(fresh)]) == 0
+    assert main([*argv, "--suite", "all", "--resume", str(one), "--out", str(resumed)]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+
+
+def test_verify_resume_from_all_into_one_suite_is_byte_identical(tmp_path):
+    # the reverse: the partition row under --suite all has no rows, which --suite partition writes
+    argv = ["verify", "--seed", "42", "--trials", "30"]
+    every, fresh, resumed = tmp_path / "all.json", tmp_path / "fresh.json", tmp_path / "resumed.json"
+    assert main([*argv, "--suite", "all", "--out", str(every)]) == 0
+    assert main([*argv, "--suite", "partition", "--out", str(fresh)]) == 0
+    assert main([*argv, "--suite", "partition", "--resume", str(every), "--out", str(resumed)]) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
 
 
 def _declared_console_scripts():

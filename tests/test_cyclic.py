@@ -19,7 +19,6 @@ from overlap_lab.cyclic import (
     arcs,
     random_matching,
     random_overlapping_arc_chain,
-    run_cyclic_suite,
     verify_partition_bound,
     verify_random_matching_bound,
 )
@@ -234,7 +233,7 @@ def test_cyclic_suite_reuses_one_arc_family_per_cell_shape(monkeypatch):
 
     monkeypatch.setattr(cyclic, "_check_arc_chain", recording_check)
     for seed in (1, 2):
-        run_cyclic_suite([(9, 2, 2, 1), (9, 2, 2, 3), (8, 2, 1, 1)], 6, seed)
+        run_suite("cyclic", cells=[(9, 2, 2, 1), (9, 2, 2, 3), (8, 2, 1, 1)], trials=6, seed=seed)
     assert {id(arc) for arc in seen} == {id(cyclic._identity_arcs(9, 2)), id(cyclic._identity_arcs(8, 2))}
     assert cyclic._identity_arcs(9, 2) == arcs(CyclicOrder.identity(9), 2)
 
@@ -248,7 +247,12 @@ def test_sampled_entry_points_refuse_bad_trial_counts():
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             verify_random_matching_bound(cover, (1, 1), trials, 0)
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
-            run_cyclic_suite([(8, 2, 1, 1)], trials, 0)
+            cyclic.arc_chain_trials(8, 2, 1, 1, trials, 0)
+    # the suite checks trials before spreading them over its cells, where
+    # True would round up to 1 chain per cell; None stands for its default
+    for trials in (0, -3, 1.5, True):
+        with pytest.raises(ValueError, match=f"trials must be an integer >= 1, got {trials!r}"):
+            run_suite("cyclic", cells=[(8, 2, 1, 1)], trials=trials, seed=0)
     # trials=0 reaches the sampler instead of standing for the default count
     for name in ("cyclic", "partition", "random-matching"):
         with pytest.raises(ValueError, match="trials must be an integer >= 1, got 0"):
@@ -284,20 +288,20 @@ def test_sampler_refuses_negative_s_before_drawing():
         run_suite("cyclic", cells=[(9, 2, -1, 1)], trials=3, seed=1)
 
 
-def test_run_cyclic_suite_deterministic():
+def test_cyclic_suite_deterministic():
     cells = [(9, 2, 2, 1), (8, 2, 1, 2)]
-    one = run_cyclic_suite(cells, 60, seed=9)
-    two = run_cyclic_suite(cells, 60, seed=9)
+    one = run_suite("cyclic", cells=cells, trials=60, seed=9)
+    two = run_suite("cyclic", cells=cells, trials=60, seed=9)
     assert one == two
     assert one["summary"]["status"] == "pass"
-    other = run_cyclic_suite(cells, 60, seed=10)
+    other = run_suite("cyclic", cells=cells, trials=60, seed=10)
     assert other["summary"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("seed", [3, 42])
-def test_run_cyclic_suite_matches_public_replay(seed):
+def test_cyclic_suite_matches_public_replay(seed):
     cells = SUITES["cyclic"].cells
-    rep = run_cyclic_suite(cells, 300, seed)
+    rep = run_suite("cyclic", cells=cells, trials=300, seed=seed)
     per_cell = -(-300 // len(cells))
     margins, violations, identity_failures = [], 0, 0
     for idx, (n, k, s, p) in enumerate(cells):
@@ -317,7 +321,7 @@ def test_run_cyclic_suite_matches_public_replay(seed):
 
 
 @pytest.mark.parametrize("broken", ["inequality", "identity"])
-def test_run_cyclic_suite_marks_each_failing_cell(monkeypatch, broken):
+def test_cyclic_suite_marks_each_failing_cell(monkeypatch, broken):
     check = cyclic._check_arc_chain
 
     def check_broken_on_one_cell(arc, arc_sets, p):
@@ -330,7 +334,7 @@ def test_run_cyclic_suite_marks_each_failing_cell(monkeypatch, broken):
         return lhs, rhs, total
 
     monkeypatch.setattr(cyclic, "_check_arc_chain", check_broken_on_one_cell)
-    rep = run_cyclic_suite([(9, 2, 2, 1), (8, 2, 1, 1)], 60, seed=9)
+    rep = run_suite("cyclic", cells=[(9, 2, 2, 1), (8, 2, 1, 1)], trials=60, seed=9)
     assert [row["status"] for row in rep["rows"]] == ["ok", "VIOLATION"]
     assert rep["summary"]["status"] == "fail"
     expected = (30, 0) if broken == "inequality" else (0, 30)  # 60 trials over two cells

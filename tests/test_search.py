@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from _brute import (
     rank_permutations,
     sorted_downsets,
 )
-from overlap_lab import family, matching, search
+from overlap_lab import bounds, cyclic, family, matching, search
 from overlap_lab.bounds import (
     conj1_value,
     conj2_bound,
@@ -44,7 +45,7 @@ from overlap_lab.search import (
     max_min_overlapping,
     oracle_f,
 )
-from overlap_lab.suites import run_suite
+from overlap_lab.suites import SUITES, run_suite
 
 
 def check_record(rec):
@@ -634,6 +635,51 @@ def test_suite_rows_write_rational_weights_as_json():
         (row,) = json.loads(json.dumps(report["rows"]))
         assert row["weights"] == ["7/2", "1/3"]
     assert thm3["rows"][0]["solver_value"] == "23/6"
+
+
+def _spoil_record(rec):
+    return dataclasses.replace(rec, optimum=rec.optimum + 1000)
+
+
+def _spoil_status(rep):
+    return {**rep, "status": "fail"}
+
+
+# per suite: the function its report builder calls once per cell, and how to spoil one result so its row fails
+_CELL_CALLS = {
+    "hilton": (search, "oracle_f", _spoil_record),
+    "thm1": (search, "exact_f_shifted", _spoil_record),
+    "thm2-k1": (search, "exact_f_shifted", _spoil_record),
+    "thm3": (search, "exact_f_shifted", _spoil_record),
+    "thm4": (search, "exact_f_shifted", _spoil_record),
+    "bde": (bounds, "bde_check", lambda checks: (False, True)),
+    "cyclic": (cyclic, "arc_chain_trials", lambda out: (*out[:2], out[2] + 1)),
+    "partition": (cyclic, "verify_partition_bound", _spoil_status),
+    "random-matching": (cyclic, "verify_random_matching_bound", _spoil_status),
+    "conj1": (search, "exact_f_shifted", _spoil_record),
+    "conj2": (search, "max_min_overlapping", lambda out: (out[0] + 1000, out[1])),
+}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_status_fails_exactly_when_a_row_fails(monkeypatch, name):
+    assert list(_CELL_CALLS) == list(SUITES)
+    module, attr, spoil = _CELL_CALLS[name]
+    real = getattr(module, attr)
+    calls = []
+
+    def second_call_spoiled(*args, **kwargs):
+        calls.append(attr)
+        out = real(*args, **kwargs)
+        return spoil(out) if len(calls) == 2 else out
+
+    for spoiled in (False, True):
+        if spoiled:
+            monkeypatch.setattr(module, attr, second_call_spoiled)
+        report = run_suite(name, cells=SUITES[name].cells[:2], trials=40, seed=1)
+        failing = [row for row in report["rows"] if row["status"] not in ("ok", "pass")]
+        assert bool(failing) == spoiled, report
+        assert report["summary"]["status"] == ("fail" if failing else "pass")
 
 
 def test_verify_unknown_suite():
