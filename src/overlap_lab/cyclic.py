@@ -10,7 +10,12 @@ over a suite's cells, derives each cell's seed and builds the report, so
 identical seeds reproduce identical reports.
 
 The arc-chain lemma has one check, `_check_arc_chain`, which
-`arc_chain_trials` runs on every sampled chain.  An arc chain is only
+`arc_chain_trials` runs on the empty chain of a cell before its first
+draw, so a cell that no chain can pass is refused at once, and then on
+every sampled chain.  Around its one kernel call, the overlap recheck,
+the check is one pass: the head range from the least and the largest
+level, then one loop over the levels that checks the nesting and sums
+both sides of the lemma.  An arc chain is only
 ever a tuple of bitsets over head positions, checked in ints: the tables
 the check needs (the arcs' disjointness derived from head positions alone,
 and the block matchings laid out for one popcount per level) are cached
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import or_
 from typing import Iterator, Sequence
 
 from .bounds import integer_weights, thm4_threshold, weight_vector
@@ -145,38 +149,49 @@ def check_trials(trials: int) -> int:
 def _check_arc_chain(arc: ArcFamily, arc_sets: Sequence[int], p: int) -> tuple[int, int, int]:
     """The arc-chain lemma on head bitsets, in ints: (lhs, rhs, block weight summed over all n heads).
 
-    Raises ValueError unless p is an int >= 1 (a bool is not), the chain
-    has a level, every head lies in 0..n-1, the chain is nested,
-    n >= (k+1)s and the chain is overlapping; the cheap checks run before
-    the overlap recheck, which is the kernel on the head bitsets over
+    Raises ValueError unless, checked in this order, p is an int >= 1 (a
+    bool is not), the chain has a level, every head lies in 0..n-1 (the
+    least and the largest level decide), the chain is nested, n >= (k+1)s
+    and the chain is overlapping.  One pass over the levels checks the
+    nesting and sums lhs and the block total as it goes; the overlap
+    recheck comes last, one kernel call on the head bitsets over
     position_disjointness, a table derived apart from the sampler's.
     The lhs p|B_0| + |B_1| + ... + |B_s| is also e(X, Y), the total degree.
     The inequality is lhs <= rhs = max{ns, (p+s)ks}; the exact head-average
     identity, that e(M_h, Y) averages (t/n) e(X, Y) over the n block
     matchings M_h, t = n // k, is total == t * lhs.
     """
-    n, k = arc.sigma.n, arc.k
-    s = len(arc_sets) - 1
     if type(p) is not int or p < 1:
         raise ValueError(f"head multiplicity p must be a positive integer, got {p}")
-    if s < 0:
+    if not arc_sets:
         raise ValueError("arc chain needs at least one level")
-    if any(heads < 0 or heads >> n for heads in arc_sets):
+    n = len(arc.masks)
+    if min(arc_sets) < 0 or max(arc_sets) >> n:
         raise ValueError(f"arc chain has a head outside 0..{n - 1}")
-    for a, b in zip(arc_sets, arc_sets[1:]):
-        if a & ~b:
+    rep, blocks = arc.block_layout
+    below = arc_sets[0]
+    lhs = p * below.bit_count()
+    total = p * (below * rep & blocks).bit_count()
+    for bits in arc_sets[1:]:
+        if below & ~bits:
             raise ValueError("arc chain is not nested")
+        below = bits
+        lhs += bits.bit_count()
+        total += (bits * rep & blocks).bit_count()
+    s = len(arc_sets) - 1
+    k = arc.k
     if n < (k + 1) * s:
         raise ValueError(f"need n >= (k+1)s, got n={n}, k={k}, s={s}")
     if rainbow(arc_sets, arc.position_disjointness) is not None:
         raise ValueError("arc chain is not overlapping")
+    return lhs, max(n * s, (p + s) * k * s), total
 
-    head, *rest = arc_sets
-    lhs = p * head.bit_count() + sum(bits.bit_count() for bits in rest)
-    rhs = max(n * s, (p + s) * k * s)
-    rep, blocks = arc.block_layout
-    total = p * (head * rep & blocks).bit_count() + sum((bits * rep & blocks).bit_count() for bits in rest)
-    return lhs, rhs, total
+
+def _levels(s: int) -> int:
+    """s + 1, the number of levels B_0..B_s; an s < 0 leaves none, so it is a ValueError."""
+    if s < 0:
+        raise ValueError(f"need s >= 0, got s={s}")
+    return s + 1
 
 
 def random_overlapping_arc_chain(
@@ -190,23 +205,23 @@ def random_overlapping_arc_chain(
     is tested on the head bitsets directly, so none builds a Family.
     An s < 0 leaves no level to draw into, so it is a ValueError.
     """
-    if s < 0:
-        raise ValueError(f"need s >= 0, got s={s}")
+    m = _levels(s)
     head_bits, head_disj = arc.head_bits, arc.head_disjointness
-    m = s + 1
     draw, getrandbits, width = rng.random, rng.getrandbits, m.bit_length()
+    above = range(1, m)
     while True:
         density = draw()
-        entering = [0] * m  # the arcs whose entry level is j
+        levels = [0] * m  # first the arcs whose entry level is j, then B_j
         for bit in head_bits:
             if draw() < density:
                 j = getrandbits(width)
                 while j >= m:
                     j = getrandbits(width)
-                entering[j] |= bit
-        arc_sets = tuple(accumulate(entering, or_))
-        if rainbow(arc_sets, head_disj) is None:
-            return arc_sets
+                levels[j] |= bit
+        for j in above:
+            levels[j] |= levels[j - 1]
+        if rainbow(levels, head_disj) is None:
+            return tuple(levels)
 
 
 @lru_cache(maxsize=64)
@@ -220,18 +235,23 @@ def arc_chain_trials(n: int, k: int, s: int, p: int, trials: int, seed: int) -> 
 
     Returns (min_margin, violations, identity_failures): the least rhs - lhs,
     the chains with lhs > rhs, and the chains whose block weights miss
-    t * lhs, t = n // k.  trials must be an int >= 1.
+    t * lhs, t = n // k.  trials must be an int >= 1.  A cell that no chain
+    can pass (s < 0, a bad p, n < (k+1)s) is refused before the first draw:
+    the empty chain goes through the one check.
     """
     check_trials(trials)
     arc = _identity_arcs(n, k)
+    _check_arc_chain(arc, (0,) * _levels(s), p)
     t = n // k
     rng = random.Random(seed)
     worst = math.inf
     violations = identity_failures = 0
     for _ in range(trials):
         lhs, rhs, total = _check_arc_chain(arc, random_overlapping_arc_chain(arc, s, rng), p)
-        violations += lhs > rhs
-        identity_failures += total != t * lhs
+        if lhs > rhs:
+            violations += 1
+        if total != t * lhs:
+            identity_failures += 1
         if rhs - lhs < worst:
             worst = rhs - lhs
     return worst, violations, identity_failures

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,25 @@ def test_cyclic_lemma_rejects_bad_chains():
     for p in (0, 1.5, True):
         with pytest.raises(ValueError, match="positive integer"):
             cyclic._check_arc_chain(arc, (0,), p)
+
+
+def rejects(arc, arc_sets, p, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cyclic._check_arc_chain(arc, arc_sets, p)
+
+
+def test_cyclic_lemma_rejects_in_order():
+    # a chain that breaks two rules is refused for the first in the check's order
+    arc = arcs(CyclicOrder.identity(8), 2)
+    full = (1 << 8) - 1
+    for p in (0, 1.5, True):
+        rejects(arc, (), p, f"head multiplicity p must be a positive integer, got {p}")
+    rejects(arc, (), 1, "arc chain needs at least one level")
+    rejects(arc, (0b11, -1), 1, "arc chain has a head outside 0..7")
+    rejects(arc, (0b11, 0b01, 1 << 8), 1, "arc chain has a head outside 0..7")
+    rejects(arc, (0b11, 0b01, full, full), 1, "arc chain is not nested")
+    rejects(arc, (full,) * 4, 1, "need n >= (k+1)s, got n=8, k=2, s=3")
+    rejects(arc, (full, full), 1, "arc chain is not overlapping")
 
 
 def test_cyclic_lemma_identity_exact_random():
@@ -273,19 +293,39 @@ def test_random_chain_sampler_output_contract():
         assert is_overlapping(chain)
 
 
+class NoDraws(random.Random):
+    def random(self):
+        raise AssertionError("the sampler drew before refusing its cell")
+
+    getrandbits = random
+
+
 def test_sampler_refuses_negative_s_before_drawing():
     # s = -1 leaves no level: the level draw getrandbits(0) is always 0, so a
     # sampler that drew first would spin forever
-    class NoDraws(random.Random):
-        def random(self):
-            raise AssertionError("the sampler drew before refusing s")
-
-        getrandbits = random
-
     with pytest.raises(ValueError, match="need s >= 0, got s=-1"):
         random_overlapping_arc_chain(arcs(CyclicOrder.identity(9), 2), -1, NoDraws(1))
     with pytest.raises(ValueError, match="need s >= 0, got s=-1"):
         run_suite("cyclic", cells=[(9, 2, -1, 1)], trials=3, seed=1)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ((9, 2, -1, 1), "need s >= 0, got s=-1"),
+        ((9, 2, -1, 0), "need s >= 0, got s=-1"),
+        ((9, 2, 2, 0), "head multiplicity p must be a positive integer, got 0"),
+        ((9, 2, 2, 1.5), "head multiplicity p must be a positive integer, got 1.5"),
+        ((9, 2, 2, True), "head multiplicity p must be a positive integer, got True"),
+        ((8, 2, 3, 1), "need n >= (k+1)s, got n=8, k=2, s=3"),
+    ],
+)
+def test_arc_chain_trials_refuse_a_cell_no_chain_can_pass_before_drawing(monkeypatch, cell, message):
+    monkeypatch.setattr(cyclic.random, "Random", NoDraws)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cyclic.arc_chain_trials(*cell, trials=3, seed=1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite("cyclic", cells=[cell], trials=3, seed=1)
 
 
 def test_cyclic_suite_deterministic():
@@ -318,6 +358,38 @@ def test_cyclic_suite_matches_public_replay(seed):
     assert [row["min_margin"] for row in rep["rows"]] == margins
     assert rep["summary"]["violations"] == violations
     assert rep["summary"]["identity_failures"] == identity_failures
+
+
+# k does not divide n in four of them, and s = 0 and s = 3 appear; the same
+# cells are pinned in CI through run_suite
+OFF_DEFAULT_CELLS = [(7, 2, 1, 2), (10, 3, 2, 1), (9, 4, 0, 2), (13, 3, 3, 1), (11, 2, 3, 3)]
+
+
+@pytest.mark.parametrize("cell", OFF_DEFAULT_CELLS)
+def test_arc_chain_trials_match_a_family_level_replay(cell):
+    # stdlib draws and the degrees of the k-set chain each arc chain stands
+    # for: nothing here calls _check_arc_chain or the inline sampler
+    n, k, s, p = cell
+    arc = arcs(CyclicOrder.identity(n), k)
+    t = n // k
+    rhs = max(n * s, (p + s) * k * s)
+    for seed in (5, 2**40 + 7):
+        rng = random.Random(seed)
+        margins, violations, identity_failures = [], 0, 0
+        for _ in range(40):
+            arc_sets = stdlib_random_overlapping_arc_chain(arc, s, rng)
+            chain = Chain(
+                tuple(Family.from_masks(n, k, {arc.masks[i] for i in range(n) if bits >> i & 1}) for bits in arc_sets)
+            )
+            assert is_overlapping(chain)
+            head, *rest = chain.families
+            deg = [p * (mask in head) + sum(mask in fam for fam in rest) for mask in arc.masks]
+            lhs = sum(deg)
+            total = sum(deg[(h + j * k) % n] for h in range(n) for j in range(t))
+            violations += lhs > rhs
+            identity_failures += total != t * lhs
+            margins.append(rhs - lhs)
+        assert cyclic.arc_chain_trials(n, k, s, p, 40, seed) == (min(margins), violations, identity_failures)
 
 
 @pytest.mark.parametrize("broken", ["inequality", "identity"])
