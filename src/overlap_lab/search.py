@@ -24,11 +24,13 @@ Two independent routes compute the same optimum:
   is a reverse-search walk that peels one member per step, so no downset
   list is built, and since B_0 holds no s+1 disjoint sets, |B_0| is capped
   by the matching bound M(n,k,s) in a value bound that prunes a candidate
-  together with every sub-downset below it.  Once a level B_{j+1} holds
-  every k-set inside [(s+1)k], B_0 holds no j+1 disjoint sets, and the cap
-  drops to M(n,k,j).  The members of B_1 that B_0 must
-  exclude form an upset of the shift order, so one rainbow call excludes
-  a whole upset.
+  together with every sub-downset below it.  Once a level B_j holds every
+  k-set inside [(s+1)k], as it does iff it holds their top one T, B_0
+  holds no j disjoint sets, and the cap drops to M(n,k,j-1), which is 0
+  at j = 1.  A candidate that holds T bounds its sub-downsets that hold T
+  with that cap, and the rest, which lie outside T's upset, with the cap
+  of the levels above.  The members of B_1 that B_0 must exclude form an
+  upset of the shift order, so one rainbow call excludes a whole upset.
 
 Both ask the rainbow question through matching.rainbow over the cached
 matching.disjointness table, and both open and close in _solver_frame
@@ -492,26 +494,39 @@ def exact_f_shifted(
     of each excluded rank.
 
     B_0 lies in every level, so it holds no s+1 pairwise disjoint sets and
-    |B_0| <= M(n,k,s) (_matching_cap).  The cap tightens level by level:
-    if n >= (s+1)k, 1 <= j < s and B_{j+1} holds the clique, every k-set
-    inside [(s+1)k] (the colex prefix of C((s+1)k, k) ranks), then B_0
-    holds no j+1 pairwise disjoint sets, so |B_0| <= M(n,k,j).  For j+1
-    disjoint members of B_0 could stand at levels 0..j, since B_0 lies in
-    every level, and their union leaves at least (s-j)k elements of
-    [(s+1)k] free, as in the hunt's window; s-j disjoint k-sets of those
-    are in the clique, so they could stand at levels j+1..s, and the chain
-    would have a full rainbow matching.  At level j the families
-    B_{j+1}..B_s are fixed, so the walk takes cap = min(M(n,k,s), M(n,k,i))
-    for the lowest i >= j whose B_{i+1} holds the clique (the chain is
-    nested, so every higher level holds it too, and M(n,k,i) grows with
-    i), and M(n,k,s) when none does.  A candidate d at level j, of size z,
-    bounds every completion by val + (w_j + ... + w_0) z - w_0 max(z - cap,
-    0).  That bound does not decrease with z, so a candidate below the
-    incumbent prunes its whole subtree of the walk.  nodes_explored counts the
-    candidates tested against the bound, refused ones included, and
-    limit_nodes (family.WORK_LIMIT_DEFAULT when None) caps them
-    (NodeLimitError) and the downsets each hunt for an M may visit; a
-    hunt that runs out leaves its cap at C(n,k).
+    |B_0| <= M(n,k,s) (_matching_cap).  The cap tightens with the clique,
+    every k-set inside [(s+1)k] (the colex prefix of C((s+1)k, k) ranks):
+    if n >= (s+1)k, 1 <= j <= s and B_j holds the clique, then B_0 holds
+    no j pairwise disjoint sets, so |B_0| <= M(n,k,j-1), and at j = 1 B_0
+    is empty.  For j disjoint members of B_0 could stand at levels 0..j-1,
+    since B_0 lies in every level, and their union leaves at least
+    (s-j+1)k elements of [(s+1)k] free, as in the hunt's window; s-j+1
+    disjoint k-sets of those are in the clique, so they could stand at
+    levels j..s, and the chain would have a full rainbow matching.  T, the
+    top k-set of [(s+1)k] (rank C((s+1)k, k) - 1), lies above every k-set
+    inside [(s+1)k] in the shift order, so a downset holds the clique iff
+    it holds T.
+
+    At level j the families B_{j+1}..B_s are fixed, and the cap they prove
+    is cap_j = min(M(n,k,s), M(n,k,i-1)) for the lowest i > j whose B_i
+    holds T (the chain is nested, so every higher level holds it too, and
+    M(n,k,i-1) grows with i), or M(n,k,s) when none does.  A candidate d
+    of size z, taken as B_j, bounds its completions by val + (w_j + ... +
+    w_0) z - w_0 max(z - c, 0), where c is cap_j, or head_cap[j] =
+    min(M(n,k,s), M(n,k,j-1)) (0 at j = 1) when d holds T.  The walk's
+    subtree of d holds only sub-downsets of d.  Those that hold T are
+    bounded by d's bound with c = head_cap[j]; those without T lie outside
+    the upset of T, so the bound at size |d & ~ups[T]| with c = cap_j
+    covers them.  d is admitted when the larger of the two reaches the
+    incumbent (for a d without T only the second counts, and it is d's own
+    bound).  Both grow with d, so a refusal prunes d's whole subtree of
+    the walk.  d's own descent is pruned by d's own bound, strictly below
+    the incumbent, and a value tie by cardinality only, so no tie is cut
+    on value alone.  nodes_explored counts the candidates tested against
+    the bound, refused ones included, and limit_nodes
+    (family.WORK_LIMIT_DEFAULT when None) caps them (NodeLimitError) and
+    the downsets each hunt for an M may visit; a hunt that runs out leaves
+    its cap at C(n,k).
 
     Equals oracle_f whenever both run (the compression and shifting
     reductions preserve the optimum); that equality is enforced by tests
@@ -524,13 +539,16 @@ def exact_f_shifted(
     capacity = binom(n, k)
     # a zero w_0 leaves the caps out of every bound
     cap = _matching_cap(n, k, s, budget) if s and lead0 == 0 else capacity
-    # level_cap[i]: the cap on |B_0| once B_{i+1} holds the clique, every
-    # k-set inside [(s+1)k]
-    level_cap = [cap] * (s + 1)
-    if lead0 == 0 and n >= (s + 1) * k:
-        for j in range(1, s):
-            level_cap[j] = min(cap, _matching_cap(n, k, j, budget))
-    clique = (1 << binom((s + 1) * k, k)) - 1
+    # head_cap[j]: the cap on |B_0| once B_j holds the clique, every k-set
+    # inside [(s+1)k], which a downset does iff it holds T, the top one
+    head_cap = [cap] * (s + 1)
+    t_bit = t_out = 0
+    if s and lead0 == 0 and n >= (s + 1) * k:
+        head_cap[1] = 0
+        for j in range(2, s + 1):
+            head_cap[j] = min(cap, _matching_cap(n, k, j - 1, budget))
+        t_rank = binom((s + 1) * k, k) - 1
+        t_bit, t_out = 1 << t_rank, ~ups[t_rank]
     w0 = iw[0]
 
     best_card: int | None = None
@@ -547,7 +565,8 @@ def exact_f_shifted(
                 return
         best_val, best_card, best_chain = val, card, tuple(chain_bits)
 
-    def descend(j: int, val: int, card: int, cap_above: int) -> None:
+    def descend(j: int, val: int, card: int, cap_j: int) -> None:
+        # cap_j: the cap on |B_0| that the fixed levels B_{j+1}..B_s prove
         nonlocal nodes
         if j < lead0 or j == 0:
             # zero-weight head: the empty family is uniquely optimal in
@@ -559,32 +578,41 @@ def exact_f_shifted(
             return
         slope = prefix_w[j]
         wj = iw[j]
-        # the lowest fixed level i >= j whose B_{i+1} holds the clique gives the least proven cap:
-        # j itself if B_{j+1} holds it, else the one found above (the chain is nested)
-        cap_j = level_cap[j] if j < s and not clique & ~chain_bits[j + 1] else cap_above
+        hcap = head_cap[j]
 
         def admit(d: int) -> bool:
-            # the bound; it does not decrease with size, so a refusal prunes the subtree
+            # the bound; it does not decrease with d, so a refusal prunes the subtree
             nonlocal nodes
             nodes += 1
             if nodes > budget:
                 raise NodeLimitError(f"shifted search exceeded {budget} nodes")
             size = d.bit_count()
+            if d & t_bit:
+                # the sub-downsets that hold T are capped by hcap; the rest lie outside T's upset
+                if val + slope * size - w0 * (size - hcap if size > hcap else 0) >= best_val:
+                    return True
+                size = (d & t_out).bit_count()
             return val + slope * size - w0 * (size - cap_j if size > cap_j else 0) >= best_val
 
         top = chain_bits[j + 1] if j < s else (1 << capacity) - 1
         for d in walk_subdownsets(n, k, top, admit):
             size = d.bit_count()
             card2 = card + size
-            if best_card is not None and val + slope * size - w0 * (size - cap_j if size > cap_j else 0) == best_val:
+            # with B_j = d, every level below holds at most size members and B_0 at most cap_d
+            cap_d = hcap if d & t_bit else cap_j
+            bound = val + slope * size - w0 * (size - cap_d if size > cap_d else 0)
+            if bound < best_val:
+                # d holds T: admit kept its subtree for the sub-downsets without T
+                continue
+            if bound == best_val and best_card is not None:
                 # a value tie fills the first positive-weight level with
-                # min(size, cap_j) members, so every level up to j holds as
+                # min(size, cap_d) members, so every level up to j holds as
                 # many, and leaves each zero-weight head level empty
-                if card2 + (j - lead0) * min(size, cap_j) > best_card:
+                if card2 + (j - lead0) * min(size, cap_d) > best_card:
                     continue
             chain_bits[j] = d
             if j > 1 or lead0:
-                descend(j - 1, val + wj * size, card2, cap_j)
+                descend(j - 1, val + wj * size, card2, cap_d)
             else:
                 # B_0 in closed form
                 head = _closed_form_head(chain_bits[1:], disj, ups)

@@ -234,7 +234,7 @@ def _conj2(name, cells, trials, seed, limit_nodes):
 _THM34_WEIGHTS = ((1, 1), (2, 1), (3, 1), (1, 1, 1), (4, 2, 1))
 
 # (k, s, first n, last n) blocks; conj1 repeats its blocks for p = 1, 2, 3
-_CONJ1_BLOCKS = ((1, 1, 2, 12), (1, 2, 3, 12), (2, 1, 4, 8), (2, 2, 6, 8))
+_CONJ1_BLOCKS = ((1, 1, 2, 12), (1, 2, 3, 12), (2, 1, 4, 24), (2, 2, 6, 16))
 _CONJ2_BLOCKS = (
     (1, 1, 2, 12), (2, 1, 4, 16), (1, 2, 3, 12), (2, 2, 6, 16),
     (2, 3, 8, 16), (3, 1, 6, 10), (3, 2, 9, 10), (4, 1, 9, 9),

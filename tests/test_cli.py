@@ -263,14 +263,18 @@ def test_resume_interleaves_resumed_and_pooled_rows(tmp_path):
 
 @pytest.mark.parametrize(
     "grid, limit",
-    [(["--n", "5..6"], ["--limit-nodes", "1"]), (["--n", "6"], ["--limit-nodes", "2"])],
+    [
+        (["--n", "5..6", "--weights", "1,1"], ["--limit-nodes", "1"]),
+        (["--n", "6", "--weights", "2,1"], ["--limit-nodes", "2"]),
+    ],
     ids=["limit-nodes", "limit-shifted-candidates"],
 )
 def test_resume_recomputes_rows_a_limit_left_incomplete(tmp_path, grid, limit):
     # a finished row does not depend on the limit, so a resume may raise or drop it;
-    # the budget of 2 stops the shifted solver at its third candidate at (6, 2)
+    # the budget of 2 stops the shifted solver at its third candidate at (6,2,(2,1)),
+    # which takes 27 (at weights 1,1 a B_1 that holds the clique empties B_0, and 2 close it)
     r1, r2, fresh = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "fresh.json"
-    args = ["search", *grid, "--k", "2", "--weights", "1,1"]
+    args = ["search", *grid, "--k", "2"]
     assert main([*args, *limit, "--out", str(r1)]) == 3
     assert main([*args, "--resume", str(r1), "--out", str(r2)]) == 0
     assert main([*args, "--out", str(fresh)]) == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
+    brute_matching_number,
     brute_max_min_overlapping,
     brute_rainbow_number,
     chain_value,
@@ -26,9 +27,10 @@ from overlap_lab.bounds import (
     thm3_value,
     thm4_value,
 )
-from overlap_lab.combinatorics import binom, ksets
+from overlap_lab.combinatorics import binom, iter_bits, ksets
 from overlap_lab.family import (
     Chain,
+    Family,
     construction_chain,
     cover_family,
     poset_upsets,
@@ -459,31 +461,33 @@ def test_lex_floor_cuts_exactly_the_maps_a_transposition_makes_smaller(n, k, s):
 @pytest.mark.parametrize(
     "n,k,s,ws,nodes",
     [
-        (12, 2, 2, (1, 1, 1), 355),
-        (9, 3, 1, (2, 1), 19509),
-        (8, 2, 2, (5, 0, 0), 633),
-        (8, 2, 3, (2, 1, 1, 0), 1113),
-        (10, 2, 3, (1, 1, 1, 1), 810),
+        (12, 2, 2, (1, 1, 1), 25),
+        (9, 3, 1, (2, 1), 19459),
+        (8, 2, 2, (5, 0, 0), 610),
+        (8, 2, 3, (2, 1, 1, 0), 1112),
+        (10, 2, 3, (1, 1, 1, 1), 502),
     ],
 )
 def test_shifted_node_counts(n, k, s, ws, nodes):
     # the capped bound sets where each walk stops, and with trailing zero
     # weights a value tie is pruned by cardinality, so a looser bound or a
     # lost tie prune moves the count; with M(n,k,s) at every level, the
-    # s >= 2 cells took 3 844, 1 698 and 1 399 nodes, and with the clique
-    # read on B_{j+1} alone (10,2,3,(1,1,1,1)) took 2 083
+    # s >= 2 cells took 3 844, 1 698 and 1 399 nodes, with the clique
+    # read on B_{j+1} alone (10,2,3,(1,1,1,1)) took 2 083, and with the
+    # clique read one level late (on B_{j+1}, not on B_j) the cells took
+    # 355, 19 509, 633, 1 113 and 810
     assert exact_f_shifted(n, k, s, ws).nodes_explored == nodes
 
 
 def test_node_limits():
     with pytest.raises(NodeLimitError):
         oracle_f(6, 2, 1, (2, 1), limit_nodes=10)
-    # (7,2,2,(1,1,1)) tests 105 candidates; no downset list is built, so even
+    # (7,2,2,(1,1,1)) tests 94 candidates; no downset list is built, so even
     # a budget too small for the hunt of M stops at the node count
-    for limit in (5, 100, 104):
+    for limit in (5, 90, 93):
         with pytest.raises(NodeLimitError):
             exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=limit)
-    assert exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=105).nodes_explored == 105
+    assert exact_f_shifted(7, 2, 2, (1, 1, 1), limit_nodes=94).nodes_explored == 94
     # at s = 0 B_0 comes in closed form and no candidate is tested
     rec = exact_f_shifted(6, 2, 0, (1,), limit_nodes=5)
     assert (rec.optimum, rec.nodes_explored) == (0, 0)
@@ -506,11 +510,13 @@ def _level_cap_weights(s):
         for n, k, s in [(6, 1, 2), (7, 1, 2), (6, 2, 2), (6, 1, 3), (7, 1, 3), (8, 1, 3)]
         for ws in _level_cap_weights(s)
     ]
-    + [(7, 2, 2, (3, 1, 0)), (5, 1, 4, (1, 1, 1, 1, 1)), (6, 1, 4, (2, 1, 1, 1, 1)), (9, 1, 4, (5, 1, 1, 1, 1))],
+    + [(7, 2, 2, (3, 1, 0)), (5, 1, 4, (1, 1, 1, 1, 1)), (6, 1, 4, (2, 1, 1, 1, 1)), (9, 1, 4, (5, 1, 1, 1, 1))]
+    + [(n, k, 1, ws) for n, k in [(6, 2), (7, 2), (7, 3)] for ws in _level_cap_weights(1)],
 )
 def test_level_cap_agrees_with_oracle(n, k, s, ws):
-    # n >= (s+1)k, so once B_{j+1} holds every k-set inside [(s+1)k] the
-    # shifted solver caps |B_0| by M(n,k,j), j < s; the oracle has no cap.
+    # n >= (s+1)k, so once B_j holds every k-set inside [(s+1)k] the shifted
+    # solver caps |B_0| by M(n,k,j-1), 1 <= j <= s, which is 0 at j = 1 (at
+    # s = 1 a B_1 holding the clique empties B_0); the oracle has no cap.
     # On these cells a clique one k-set short, or the cap taken without the
     # clique test, loses the optimum or the witness
     a = check_record(oracle_f(n, k, s, ws))
@@ -535,6 +541,73 @@ def test_level_cap_closes_the_thm2_range_start():
     assert rec.optimum == thm2_value(32, 2, 1, 2) == 992
 
 
+def _has_full_rainbow(levels, used=0):
+    # plain depth-first search: one member per level, pairwise disjoint
+    return not levels or any(not m & used and _has_full_rainbow(levels[1:], used | m) for m in levels[0])
+
+
+@pytest.mark.parametrize("n,k,s", [(5, 1, 3), (6, 2, 2), (7, 2, 1), (6, 3, 1)])
+def test_clique_at_a_level_caps_the_head(n, k, s):
+    # the lemma behind exact_f_shifted's caps, by brute force over every
+    # nested chain of shifted families with no full rainbow matching, no
+    # solver code run: a downset holds every k-set inside [(s+1)k] iff it
+    # holds T, the top one, and once B_j holds them, B_0 has no j pairwise
+    # disjoint members, so |B_0| <= M(n,k,j-1) and B_0 is empty at j = 1
+    table = ksets(n, k)
+    width = (s + 1) * k
+    t = table.index(((1 << k) - 1) << (width - k))
+    assert t == binom(width, k) - 1
+    clique = (1 << binom(width, k)) - 1
+    downs = sorted_downsets(n, k)
+    assert all(bool(d >> t & 1) == (d & clique == clique) for d in downs)
+    cap = [brute_max_min_overlapping(n, k, i)[0] for i in range(s)]
+    nu = {d: brute_matching_number(Family(n, k, d)) for d in downs}
+    members = {d: [table[r] for r in iter_bits(d)] for d in downs}
+    chains = [(d,) for d in downs]
+    for _ in range(s):
+        chains = [c + (d,) for c in chains for d in downs if not c[-1] & ~d]
+    held = [0] * (s + 1)
+    for chain in chains:
+        if _has_full_rainbow([members[d] for d in chain]):
+            continue
+        head = chain[0]
+        for j in range(1, s + 1):
+            if chain[j] >> t & 1:
+                held[j] += 1
+                assert nu[head] <= j - 1 and head.bit_count() <= cap[j - 1], (chain, j)
+                if j == 1:
+                    assert head == 0, chain
+    # every level holds the clique in some overlapping chain
+    assert all(held[1:]), held
+
+
+@st.composite
+def clique_rule_instances(draw):
+    """(n, k, s, weights) with (s+1)k <= n <= 8: a zero prefix, nonincreasing positive rationals, maybe a trailing zero."""
+    k = draw(st.integers(1, 3))
+    s = draw(st.integers(1, min(2, 8 // k - 1)))
+    n = draw(st.integers((s + 1) * k, 8))
+    zeros = draw(st.integers(0, s))
+    size = s + 1 - zeros
+    dens = draw(st.lists(st.sampled_from((1,) + _PRIMES), min_size=size, max_size=size))
+    nums = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))
+    positive = sorted((Fraction(a, b) for a, b in zip(nums, dens)), reverse=True)
+    if size > 1 and draw(st.booleans()):
+        positive[-1] = Fraction(0)
+    return n, k, s, (Fraction(0),) * zeros + tuple(positive)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(clique_rule_instances())
+def test_shifted_agrees_with_oracle_where_the_clique_rule_applies(instance):
+    # n >= (s+1)k, so a level holding the clique caps |B_0| in exact_f_shifted
+    # (and empties it at j = 1); the oracle has no cap
+    n, k, s, ws = instance
+    a = check_record(oracle_f(n, k, s, ws))
+    b = check_record(exact_f_shifted(n, k, s, ws))
+    assert (a.optimum, a.witness) == (b.optimum, b.witness)
+
+
 @pytest.mark.parametrize("solver, args", [(oracle_f, (6, 2, 1, (2, 1))), (exact_f_shifted, (7, 2, 2, (1, 1, 1)))])
 def test_witness_recheck_builds_no_table(solver, args, monkeypatch):
     # the recheck asks the kernel over the cached disjointness table, so a
@@ -546,10 +619,15 @@ def test_witness_recheck_builds_no_table(solver, args, monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("n,k,s,ws,calls", [(12, 2, 2, (3, 1, 1), 29763), (12, 2, 1, (3, 1), 1059)])
+@pytest.mark.parametrize(
+    "n,k,s,ws,calls", [(12, 2, 2, (3, 1, 1), 152), (12, 2, 1, (3, 1), 1), (7, 3, 1, (1, 1), 487)]
+)
 def test_shifted_kernel_calls(n, k, s, ws, calls, monkeypatch):
     # top-level rainbow calls of the closed-form head, with M memoized by a
-    # first call; with M(n,k,s) at every level (12,2,2,(3,1,1)) took 575 894
+    # first call; with M(n,k,s) at every level (12,2,2,(3,1,1)) took 575 894,
+    # and with the clique read on B_{j+1} only, not on B_j, the cells took
+    # 29 763, 1 059 and 518: a B_1 that holds the clique leaves B_0 empty,
+    # so at s = 1 only a B_1 outside T's upset reaches the head
     _matching_cap.cache_clear()
     exact_f_shifted(n, k, s, ws)
     count = 0
