@@ -257,10 +257,23 @@ def _poset_succs(n: int, k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _lower_covers(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per colex rank, (upper covers, bit) of each of its lower covers."""
-    preds = _poset_preds(n, k)
+    """Per colex rank, (upper covers, bit) of each of its lower covers.
+
+    Built with a plain bit loop, not a generator per rank: a fresh process
+    builds this table for every (n, k) it solves, and on small cells the
+    build is a sizeable share of the solve.
+    """
     succs = _poset_succs(n, k)
-    return tuple(tuple((succs[q], 1 << q) for q in iter_bits(pb)) for pb in preds)
+    pairs = [(up, 1 << q) for q, up in enumerate(succs)]
+    table = []
+    for pb in _poset_preds(n, k):
+        row = ()
+        while pb:
+            low = pb & -pb
+            pb ^= low
+            row += (pairs[low.bit_length() - 1],)
+        table.append(row)
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -319,18 +332,28 @@ def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool]) -> Iterato
             stack.append((child, addable | grown))
 
 
-def walk_subdownsets(n: int, k: int, top: int, keep: Callable[[int], bool]) -> Iterator[int]:
-    """Yield the sub-downsets of the downset `top` as rank bitsets, by reverse search.
+def walk_subdownsets(
+    n: int, k: int, top: int, maximal: int, keep: Callable[[int], bool]
+) -> Iterator[tuple[int, int]]:
+    """Yield (D, maximal members of D) for the sub-downsets D of the downset `top`, by reverse search.
 
-    The parent of a downset D inside top, D != top, is D | 1<<m for the
-    lowest rank m of top outside D: m's lower covers rank below m, so they
-    lie in D, and the parent is a downset.  The children of D are D minus
-    r, for each rank r maximal in D (no upper cover in D) below every rank
-    of top outside D.  A child's removable ranks are its parent's below r,
-    plus the lower covers of r left with no upper cover in the child.  A
-    depth-first walk of this tree from top reaches every sub-downset
-    exactly once, and after its parent, so each step peels one member off
-    (Avis and Fukuda, "Reverse search for enumeration", 1996).
+    maximal holds top's maximal members (no upper cover in top); the walk
+    never scans a downset for them.  The parent of a downset D inside top,
+    D != top, is D | 1<<m for the lowest rank m of top outside D: m's lower
+    covers rank below m, so they lie in D, and the parent is a downset.
+    The children of D are D minus r, for each rank r maximal in D below
+    every rank of top outside D.  A child's removable ranks are its
+    parent's below r, plus the lower covers of r left with no upper cover
+    in the child.  A depth-first walk of this tree from top reaches every
+    sub-downset exactly once, and after its parent, so each step peels one
+    member off (Avis and Fukuda, "Reverse search for enumeration", 1996).
+
+    The maximal set moves by the same step: max(D - r) is max(D) without r,
+    plus the lower covers of r left with no upper cover in D - r, the very
+    ranks that join the removable set.  Removing r gives no other member of
+    D - r an upper cover, so every other maximal member of D stays maximal;
+    and a member that was not maximal keeps an upper cover in D - r unless
+    r was its only one, which makes it a lower cover of r.
 
     keep(D) is asked as D is reached, after the caller has finished with
     every downset yielded before it; when it declines, D and its whole
@@ -338,28 +361,27 @@ def walk_subdownsets(n: int, k: int, top: int, keep: Callable[[int], bool]) -> I
     keep declines every sub-downset of a downset it declines, as a size
     threshold does, the walk yields exactly the downsets it keeps.
     """
-    succs = _poset_succs(n, k)
-    removable = 0
-    for r in iter_bits(top):
-        if not succs[r] & top:
-            removable |= 1 << r
     covers = _lower_covers(n, k)
     # each entry: a downset, its parent's removable ranks below the rank
-    # peeled off to reach it, and the lower covers of that rank
-    stack = [(top, removable, ())]
+    # peeled off to reach it, its parent's maximal ranks less that rank,
+    # and the lower covers of that rank
+    stack = [(top, maximal, maximal, ())]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        d, removable, below = stack.pop()
+        d, removable, maxes, below = pop()
         if not keep(d):
             continue
         for up, bit in below:
             if not up & d:
                 removable |= bit
-        yield d
+                maxes |= bit
+        yield d, maxes
         rest = removable
         while rest:
             low = rest & -rest
             rest ^= low
-            stack.append((d ^ low, removable & (low - 1), covers[low.bit_length() - 1]))
+            push((d ^ low, removable & (low - 1), maxes ^ low, covers[low.bit_length() - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ Two independent routes compute the same optimum:
   (B_s over all downsets of the shift order, each of B_{s-1}..B_1 over
   sub-downsets of its parent) and takes B_0 in closed form.  Each level
   is a reverse-search walk that peels one member per step, so no downset
-  list is built, and since B_0 holds no s+1 disjoint sets, |B_0| is capped
-  by the matching bound M(n,k,s) in a value bound that prunes a candidate
-  together with every sub-downset below it.  Once a level B_j holds every
+  list is built, and each candidate comes with its maximal members, which
+  start the walk of the level below, so no level scans its top for them.
+  Since B_0 holds no s+1 disjoint sets, |B_0| is capped by the matching
+  bound M(n,k,s) in a value bound that prunes a candidate together with
+  every sub-downset below it.  Once a level B_j holds every
   k-set inside [(s+1)k], as it does iff it holds their top one T, B_0
   holds no j disjoint sets, and the cap drops to M(n,k,j-1), which is 0
   at j = 1.  A candidate that holds T bounds its sub-downsets that hold T
@@ -456,16 +458,20 @@ def _closed_form_head(rest: Sequence[int], disj: Sequence[int], ups: Sequence[in
 def _matching_cap(n: int, k: int, s: int, budget: int) -> int:
     """M(n,k,s), the most k-sets of [n] with no s+1 pairwise disjoint; C(n,k) if the hunt runs out.
 
-    Below n = (s+1)k no s+1 k-sets are disjoint, and at s = 1 M is the
-    Erdos-Ko-Rado value C(n-1,k-1).  Otherwise max_min_overlapping hunts it
-    under the budget.  The answer is a function of the arguments alone, so
-    it is cached per argument tuple, the budget included: a hunt that ran
-    out under one budget does not stand for another.
+    Below n = (s+1)k no s+1 k-sets are disjoint, at s = 1 M is the
+    Erdos-Ko-Rado value C(n-1,k-1), and at k = 1 it is s, since any s+1
+    distinct singletons are pairwise disjoint.  Otherwise
+    max_min_overlapping hunts it under the budget.  The answer is a
+    function of the arguments alone, so it is cached per argument tuple,
+    the budget included: a hunt that ran out under one budget does not
+    stand for another.
     """
     if n < (s + 1) * k:
         return binom(n, k)
     if s == 1:
         return binom(n - 1, k - 1)
+    if k == 1:
+        return s
     try:
         return max_min_overlapping(n, k, s, limit_nodes=budget)[0]
     except NodeLimitError:
@@ -484,7 +490,10 @@ def exact_f_shifted(
 
     B_s ranges over the downsets of the shift order, then each of
     B_{s-1}..B_1 over the sub-downsets of its parent, each level walked by
-    family.walk_subdownsets, which peels one member at a time.  B_0 is then
+    family.walk_subdownsets, which peels one member at a time and yields
+    each candidate with its maximal members.  Those start the walk of the
+    level below, and B_s's walk starts from the top colex rank alone, the
+    one maximal member of C([n],k), so no level scans its top.  B_0 is then
     forced: a full rainbow matching uses exactly one member of B_0, so a
     member A of B_1 may join B_0 exactly when no rainbow matching of
     B_1..B_s misses A.  With w_0 > 0 the best B_0 holds every such A, and
@@ -565,8 +574,9 @@ def exact_f_shifted(
                 return
         best_val, best_card, best_chain = val, card, tuple(chain_bits)
 
-    def descend(j: int, val: int, card: int, cap_j: int) -> None:
-        # cap_j: the cap on |B_0| that the fixed levels B_{j+1}..B_s prove
+    def descend(j: int, val: int, card: int, cap_j: int, top_max: int) -> None:
+        # cap_j: the cap on |B_0| that the fixed levels B_{j+1}..B_s prove;
+        # top_max: the maximal members of B_{j+1}, or of C([n],k) at j = s
         nonlocal nodes
         if j < lead0 or j == 0:
             # zero-weight head: the empty family is uniquely optimal in
@@ -595,7 +605,7 @@ def exact_f_shifted(
             return val + slope * size - w0 * (size - cap_j if size > cap_j else 0) >= best_val
 
         top = chain_bits[j + 1] if j < s else (1 << capacity) - 1
-        for d in walk_subdownsets(n, k, top, admit):
+        for d, d_max in walk_subdownsets(n, k, top, top_max, admit):
             size = d.bit_count()
             card2 = card + size
             # with B_j = d, every level below holds at most size members and B_0 at most cap_d
@@ -612,7 +622,7 @@ def exact_f_shifted(
                     continue
             chain_bits[j] = d
             if j > 1 or lead0:
-                descend(j - 1, val + wj * size, card2, cap_d)
+                descend(j - 1, val + wj * size, card2, cap_d, d_max)
             else:
                 # B_0 in closed form
                 head = _closed_form_head(chain_bits[1:], disj, ups)
@@ -621,7 +631,8 @@ def exact_f_shifted(
                 offer(val + wj * size + w0 * sz, card2 + sz)
         chain_bits[j] = 0
 
-    descend(s, 0, 0, cap)
+    # the top colex rank lies above every k-set, so it alone is maximal in C([n],k)
+    descend(s, 0, 0, cap, 1 << (capacity - 1))
     return finish(best_val, best_chain, nodes)
 
 

@@ -233,6 +233,12 @@ def _conj2(name, cells, trials, seed, limit_nodes):
 
 _THM34_WEIGHTS = ((1, 1), (2, 1), (3, 1), (1, 1, 1), (4, 2, 1))
 
+# (k, s, last n, largest p) blocks, each from n = 4k^2 s, where Theorem 2's
+# range starts.  At (k, s) = (2, 2) p stops at 2: each p = 2 cell takes at
+# most 16 281 nodes, but each p = 3 cell 39 806 to 169 606, past the 20 000
+# under which a limited `verify --suite all` stops in conj2 and nowhere else
+_THM2_BLOCKS = ((1, 1, 12, 12), (1, 2, 12, 12), (2, 1, 24, 3), (2, 2, 40, 2), (3, 1, 42, 3))
+
 # (k, s, first n, last n) blocks; conj1 repeats its blocks for p = 1, 2, 3
 _CONJ1_BLOCKS = ((1, 1, 2, 12), (1, 2, 3, 12), (2, 1, 4, 24), (2, 2, 6, 16))
 _CONJ2_BLOCKS = (
@@ -253,8 +259,13 @@ SUITES: dict[str, Suite] = {
         _theorem(_head, "exact_f_shifted", "thm1", "le"),
         searches=True,
     ),
-    "thm2-k1": Suite(
-        tuple((n, 1, s, p) for s in (1, 2) for n in range(4 * s, 13) for p in range(1, 13)),
+    "thm2": Suite(
+        tuple(
+            (n, k, s, p)
+            for k, s, last, top_p in _THM2_BLOCKS
+            for n in range(4 * k * k * s, last + 1)
+            for p in range(1, top_p + 1)
+        ),
         _theorem(_head, "exact_f_shifted", "thm2", "equal"),
         searches=True,
     ),

@@ -96,6 +96,26 @@ def is_downset_direct(bits: int, n: int, k: int) -> bool:
     return True
 
 
+def brute_downset_below(ranks, n: int, k: int) -> int:
+    """The least downset holding the given ranks: every k-set below one of them, via shift_leq only."""
+    table = ksets(n, k)
+    return sum(1 << r for r, x in enumerate(table) if any(shift_leq(x, table[t]) for t in ranks))
+
+
+def brute_maximal(bits: int, n: int, k: int) -> int:
+    """The members of the rank bitset `bits` with no upper cover (one element bumped up by 1) in it."""
+    table = ksets(n, k)
+    rank = {x: r for r, x in enumerate(table)}
+    out = 0
+    for r in iter_bits(bits):
+        x = table[r]
+        # e in x and e+1 not: bump e up to e+1
+        ups = [rank[x ^ (3 << e)] for e in range(n - 1) if (x >> e) & 3 == 1]
+        if not any(bits >> u & 1 for u in ups):
+            out |= 1 << r
+    return out
+
+
 def sorted_downsets(n: int, k: int) -> list[int]:
     """Every downset walk_downsets yields, sorted by (size, bitset); not a reference for the walk itself."""
     return sorted(walk_downsets(n, k, lambda d, r: False), key=lambda d: (d.bit_count(), d))

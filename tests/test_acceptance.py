@@ -71,12 +71,13 @@ def test_02_head_weight_upper_bound():
 def test_03_exact_value_k1():
     t0 = time.perf_counter()
     bad = []
-    cells = suite_cells("thm2-k1", 168)
+    cells = suite_cells("thm2", 234)
     for n, k, s, p in cells:
         rec = exact_f_shifted(n, k, s, (p,) + (1,) * s)
-        if k != 1 or n < 4 * s or rec.optimum != thm2_value(n, k, p, s):
-            bad.append((n, s, p, rec.optimum))
-    report(3, "exact value at k=1", not bad, time.perf_counter() - t0, 300, f"{len(cells)} cells, bad={bad}")
+        if n < 4 * k * k * s or rec.optimum != thm2_value(n, k, p, s):
+            bad.append((n, k, s, p, rec.optimum))
+    elapsed = time.perf_counter() - t0
+    report(3, "exact value in Theorem 2's range", not bad, elapsed, 300, f"{len(cells)} cells, bad={bad}")
 
 
 def test_04_tight_ground_set_equality():

@@ -709,7 +709,7 @@ def test_verify_all_smoke(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["summary"]["status"] == "pass"
     assert [row["suite"] for row in doc["rows"]] == [
-        "hilton", "thm1", "thm2-k1", "thm3", "thm4", "bde", "cyclic", "partition", "random-matching", "conj1", "conj2"
+        "hilton", "thm1", "thm2", "thm3", "thm4", "bde", "cyclic", "partition", "random-matching", "conj1", "conj2"
     ]
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
+    brute_downset_below,
     brute_downset_count,
+    brute_maximal,
     brute_rainbow_number,
     brute_upsets,
     chain_value,
@@ -269,9 +271,10 @@ def test_peel_walk_yields_each_large_sub_downset_once(n, k):
     tops = [downs[-1], downs[0]] + rng.sample(downs, 6)
     for top in tops:
         inside = [d for d in downs if not d & ~top]
-        assert sorted(walk_subdownsets(n, k, top, lambda d: True)) == sorted(inside)
+        top_max = brute_maximal(top, n, k)
+        assert sorted(d for d, _ in walk_subdownsets(n, k, top, top_max, lambda d: True)) == sorted(inside)
         for t in range(top.bit_count() + 2):
-            walked = list(walk_subdownsets(n, k, top, lambda d: d.bit_count() >= t))
+            walked = [d for d, _ in walk_subdownsets(n, k, top, top_max, lambda d: d.bit_count() >= t)]
             assert sorted(walked) == sorted(d for d in inside if d.bit_count() >= t), (top, t)
 
 
@@ -286,12 +289,34 @@ def test_peel_walk_asks_keep_once_the_caller_is_done():
         return d.bit_count() >= floor
 
     walked = []
-    for d in walk_subdownsets(6, 2, top, keep):
+    for d, _ in walk_subdownsets(6, 2, top, 1 << 14, keep):
         walked.append(d)
         floor = d.bit_count()
     # {5,6} is the one maximal pair, so top has one child, asked and refused
     assert walked == [top]
     assert asked == [top, top ^ 1 << 14]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_peel_walk_carries_each_downsets_maximal_members(data):
+    # every yielded pair holds exactly the members of d with no upper cover in d
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(1, min(3, n)), label="k")
+    ranks = data.draw(st.lists(st.integers(0, binom(n, k) - 1), max_size=4), label="ranks")
+    top = brute_downset_below(ranks, n, k)
+    t = data.draw(st.integers(0, top.bit_count() + 1), label="t")
+    pairs = list(walk_subdownsets(n, k, top, brute_maximal(top, n, k), lambda d: d.bit_count() >= t))
+    assert len(pairs) == len({d for d, _ in pairs})
+    for d, maxes in pairs:
+        assert maxes == brute_maximal(d, n, k), (n, k, top, d)
+
+
+def test_full_family_has_the_top_rank_as_its_one_maximal_member():
+    # the shifted solver starts its top level's walk from this set
+    for n in range(1, 8):
+        for k in range(1, min(3, n) + 1):
+            assert brute_maximal((1 << binom(n, k)) - 1, n, k) == 1 << (binom(n, k) - 1), (n, k)
 
 
 @pytest.mark.parametrize("corruption", ["half", "list"])

@@ -302,6 +302,15 @@ def test_matching_cap_closed_forms_equal_the_hunt():
                 assert _matching_cap(n, k, s, 10**6) == max_min_overlapping(n, k, s)[0], (n, k, s)
 
 
+def test_matching_cap_at_k1_is_s_with_no_hunt(monkeypatch):
+    # s+1 distinct singletons are pairwise disjoint, so M(n,1,s) = s once n >= s+1
+    hunted = {(n, s): max_min_overlapping(n, 1, s)[0] for n in range(1, 20) for s in range(1, 6)}
+    _matching_cap.cache_clear()
+    monkeypatch.setattr(search, "max_min_overlapping", None)
+    for (n, s), value in hunted.items():
+        assert _matching_cap(n, 1, s, 10**6) == value, (n, s)
+
+
 def test_matching_cap_falls_back_when_the_hunt_runs_out(monkeypatch):
     # M(7,2,2) = 11 takes a hunt over 29 downsets; one fewer leaves the cap at
     # C(7,2), and a larger budget afterwards still finds M
@@ -727,7 +736,7 @@ def _spoil_status(rep):
 _CELL_CALLS = {
     "hilton": (search, "oracle_f", _spoil_record),
     "thm1": (search, "exact_f_shifted", _spoil_record),
-    "thm2-k1": (search, "exact_f_shifted", _spoil_record),
+    "thm2": (search, "exact_f_shifted", _spoil_record),
     "thm3": (search, "exact_f_shifted", _spoil_record),
     "thm4": (search, "exact_f_shifted", _spoil_record),
     "bde": (bounds, "bde_check", lambda checks: (False, True)),
