@@ -62,21 +62,25 @@ def validate_kset(mask: int, n: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def ksets(n: int, k: int) -> tuple[int, ...]:
-    """All k-subsets of [n] as masks, in colex order (index == colex rank)."""
+    """All k-subsets of [n] as masks, in colex order (index == colex rank).
+
+    Among masks of one size, colex order is increasing mask order, so the
+    table runs from the k lowest bits upwards by Gosper's next-combination
+    step: the least larger mask with k bits.
+    """
     if n < 0 or n > MAX_GROUND_SET:
         raise ValueError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
+    if k == 0:
+        return (0,)
     out: list[int] = []
-
-    def gen(top: int, kk: int, acc: int) -> None:
-        if kk == 0:
-            out.append(acc)
-            return
-        for hi in range(kk - 1, top):
-            gen(hi, kk - 1, acc | (1 << hi))
-
-    gen(n, k, 0)
+    mask, end = (1 << k) - 1, 1 << n
+    while mask < end:
+        out.append(mask)
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
     return tuple(out)
 
 

@@ -228,18 +228,24 @@ def is_shifted(fam: Family) -> bool:
 
 @lru_cache(maxsize=None)
 def _poset_preds(n: int, k: int) -> tuple[int, ...]:
-    """Per colex rank, the bitset of immediate lower covers (one element bumped down by 1)."""
-    table = ksets(n, k)
-    rank_of = {m: r for r, m in enumerate(table)}
+    """Per colex rank, the bitset of immediate lower covers (one element bumped down by 1).
+
+    Colex rank is the sum of C(e, j) over the j-th smallest element e
+    (0-based e, j counted from 1).  Lowering e to a free e-1 keeps it the
+    j-th smallest and changes only its term, so the rank falls by
+    C(e-1, j-1): each cover's rank is found by arithmetic, with no k-set
+    ranked or looked up.
+    """
+    steps = [[binom(e, i) for i in range(k)] for e in range(n)]
     preds = []
-    for m in table:
+    for r, m in enumerate(ksets(n, k)):
+        # bit t: element t+1 of m may move down to the free t
+        dest = (m >> 1) & ~m
         pb = 0
-        for e in iter_bits(m):
-            if e == 0:
-                continue
-            below = 1 << (e - 1)
-            if not (m & below):
-                pb |= 1 << rank_of[(m ^ (1 << e)) | below]
+        while dest:
+            low = dest & -dest
+            dest ^= low
+            pb |= 1 << (r - steps[low.bit_length() - 1][(m & (low - 1)).bit_count()])
         preds.append(pb)
     return tuple(preds)
 
@@ -253,6 +259,25 @@ def _poset_succs(n: int, k: int) -> tuple[int, ...]:
         for q in iter_bits(pb):
             succs[q] |= 1 << r
     return tuple(succs)
+
+
+@lru_cache(maxsize=None)
+def _upper_covers(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Per colex rank r, q - r for each upper cover q of r whose highest lower cover is r.
+
+    walk_downsets reads this table: it adds ranks in increasing order, so
+    a rank q can join only the child that adds q's highest lower cover.
+    Every rank but 0 has lower covers, so each appears in exactly one row.
+    The offsets repeat from rank to rank, and equal rows share one tuple,
+    so the table costs about a pointer per rank.
+    """
+    rows: list[list[int]] = [[] for _ in range(binom(n, k))]
+    for q, pb in enumerate(_poset_preds(n, k)):
+        if pb:
+            r = pb.bit_length() - 1
+            rows[r].append(q - r)
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return tuple(shared.setdefault(row, row) for row in map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
@@ -308,13 +333,21 @@ def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool]) -> Iterato
     order.  refuse(D, r) may reject the child D | 1<<r, and then its whole
     subtree is skipped.  The walk sets no budget: a caller that needs one
     counts what it is given.
+
+    The walk adds ranks in increasing order, so the child D | 1<<r gains
+    an upper cover q of r only when r is q's highest lower cover and the
+    others lie in D.  The walk reads those q from the cached table
+    _upper_covers, and runs no generator per child.
     """
     preds = _poset_preds(n, k)
-    succs = _poset_succs(n, k)
-    # each entry: a downset and the ranks above its top that may join it
-    stack = [(0, sum(1 << r for r, pb in enumerate(preds) if not pb))]
+    covers = _upper_covers(n, k)
+    # each entry: a downset and the ranks above its top that may join it;
+    # rank 0, the k lowest elements, is the one rank with no lower cover
+    stack = [(0, 1 if covers else 0)]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        d, addable = stack.pop()
+        d, addable = pop()
         yield d
         while addable:
             low = addable & -addable
@@ -323,13 +356,14 @@ def walk_downsets(n: int, k: int, refuse: Callable[[int, int], bool]) -> Iterato
             if refuse(d, r):
                 continue
             child = d | low
-            outside = ~child
-            grown = 0
-            for q in iter_bits(succs[r]):
-                if not preds[q] & outside:
+            grown = addable
+            for step in covers[r]:
+                q = r + step
+                below = preds[q]
+                if below & child == below:
                     grown |= 1 << q
-            # addable now holds only ranks above r, as does succs[r]
-            stack.append((child, addable | grown))
+            # addable holds only ranks above r, as do r's upper covers
+            push((child, grown))
 
 
 def walk_subdownsets(

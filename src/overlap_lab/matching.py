@@ -46,10 +46,17 @@ def _disjoint_within(n: int, k: int, within: int) -> dict[int, int]:
     table = ksets(n, k)
     holders = _element_holders(n, k)
     out = {}
-    for r in iter_bits(within):
+    rest = within
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        r = low.bit_length() - 1
+        mask = table[r]
         hit = 0
-        for e in iter_bits(table[r]):
-            hit |= holders[e]
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            hit |= holders[bit.bit_length() - 1]
         out[r] = within & ~hit
     return out
 

@@ -15,9 +15,9 @@ from itertools import accumulate, combinations, permutations, product
 from operator import or_
 
 from overlap_lab.bounds import thm4_threshold
-from overlap_lab.combinatorics import binom, iter_bits, ksets, shift_leq
+from overlap_lab.combinatorics import binom, colex_rank, iter_bits, ksets, shift_leq
 from overlap_lab.cyclic import random_matching
-from overlap_lab.family import Family, _poset_preds, walk_downsets
+from overlap_lab.family import Family, walk_downsets
 from overlap_lab.matching import BipartiteGraph, rainbow
 
 
@@ -126,9 +126,25 @@ def brute_downset_count(n: int, k: int) -> int:
     return sum(is_downset_direct(bits, n, k) for bits in range(1 << capacity))
 
 
+def brute_covers(n: int, k: int, step: int) -> list[int]:
+    """Per colex rank, the ranks whose k-sets move one element of its own by step (-1 down, +1 up) onto a free one.
+
+    The k-sets come from combinations and each moved set is ranked by
+    colex_rank, so no table of the package is read.
+    """
+    out = [0] * binom(n, k)
+    for combo in combinations(range(n), k):
+        m = sum(1 << e for e in combo)
+        for e in combo:
+            t = e + step
+            if 0 <= t < n and not m >> t & 1:
+                out[colex_rank(m)] |= 1 << colex_rank(m ^ (1 << e) ^ (1 << t))
+    return out
+
+
 def brute_upsets(n: int, k: int) -> list[int]:
-    """Per rank, every rank reachable through upper covers: _poset_preds closed by iterating to a fixpoint."""
-    preds = _poset_preds(n, k)
+    """Per rank, every rank reachable through upper covers: the mask-level lower covers closed by iterating to a fixpoint."""
+    preds = brute_covers(n, k, -1)
     ups = [1 << r for r in range(len(preds))]
     changed = True
     while changed:

@@ -1,12 +1,14 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
+    brute_covers,
     brute_downset_below,
     brute_downset_count,
     brute_maximal,
@@ -20,6 +22,10 @@ from overlap_lab.combinatorics import binom, ksets
 from overlap_lab.family import (
     Chain,
     Family,
+    _lower_covers,
+    _poset_preds,
+    _poset_succs,
+    _upper_covers,
     chain_from_dict,
     chain_to_dict,
     compress_pair,
@@ -228,6 +234,24 @@ def test_downset_counts_against_brute(n, k, count):
 @pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (5, 2), (6, 3), (7, 2), (8, 4)])
 def test_poset_upsets_close_the_cover_relation(n, k):
     assert list(poset_upsets(n, k)) == brute_upsets(n, k)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_shift_order_tables_match_their_mask_definitions(n):
+    # the tables are built by rank arithmetic and from one another;
+    # brute_covers ranks each moved k-set of combinations on its own
+    for k in range(n + 2):
+        assert ksets(n, k) == tuple(sorted(sum(1 << e for e in c) for c in combinations(range(n), k)))
+        down, up = brute_covers(n, k, -1), brute_covers(n, k, 1)
+        assert list(_poset_preds(n, k)) == down, (n, k)
+        assert list(_poset_succs(n, k)) == up, (n, k)
+
+        ranks = range(len(down))
+        lower = tuple(tuple((up[q], 1 << q) for q in ranks if b >> q & 1) for b in down)
+        assert _lower_covers(n, k) == lower, (n, k)
+        # the upper covers q of r whose highest lower cover is r, as q - r
+        owned = tuple(tuple(q - r for q in ranks if up[r] >> q & 1 and down[q].bit_length() == r + 1) for r in ranks)
+        assert _upper_covers(n, k) == owned, (n, k)
 
 
 def test_downset_count_larger_grid():

@@ -820,6 +820,10 @@ def test_max_min_overlapping_visits_only_feasible_downsets():
         max_min_overlapping(14, 2, 1, limit_nodes=14)
     with pytest.raises(NodeLimitError):
         max_min_overlapping(8, 2, 2, limit_nodes=3)
+    # (10,3,2) visits 46 588 downsets; the limited resume checks stop in this cell under 20 000
+    assert max_min_overlapping(10, 3, 2, limit_nodes=46588)[0] == 64
+    with pytest.raises(NodeLimitError):
+        max_min_overlapping(10, 3, 2, limit_nodes=46587)
 
 
 @pytest.mark.parametrize("planted", [0b111111, 0b100000], ids=["matching", "not-shifted"])
