@@ -534,8 +534,8 @@ def exact_f_shifted(
     on value alone.  nodes_explored counts the candidates tested against
     the bound, refused ones included, and limit_nodes
     (family.WORK_LIMIT_DEFAULT when None) caps them (NodeLimitError) and
-    the downsets each hunt for an M may visit; a hunt that runs out leaves
-    its cap at C(n,k).
+    the downsets of C([min(n, (i+1)k)],k) each hunt for an M(n,k,i) may
+    visit; a hunt that runs out leaves its cap at C(n,k).
 
     Equals oracle_f whenever both run (the compression and shifting
     reductions preserve the optimum); that equality is enforced by tests
@@ -653,6 +653,52 @@ def _matching_window(a: int, n: int, k: int, s: int) -> int:
     return (1 << binom(min(e + 1, n), k)) - 1
 
 
+@lru_cache(maxsize=None)
+def _fiber_weights(n: int, k: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The fiber sizes of pi onto C([m],k) as (low, extra) pairs: rank p's fiber holds 1 + the extras with low <= p.
+
+    pi maps a k-set A of [n], a_1 < ... < a_k (0-based), to the k-set of
+    [m] with i-th element min(a_i, m-k+i-1).  The capped positions, where
+    a_i >= m-k+i-1, are a suffix, so p = pi(A) ends in m-c, ..., m-1 for
+    its c capped positions, and its fiber fixes p's other k-c elements and
+    takes any c elements of {m-c, ..., n-1}: C(n-m+c, c) k-sets.  The
+    k-sets of [m] that end in m-c, ..., m-1 are the colex ranks from
+    C(m-1,k) + C(m-2,k-1) + ... + C(m-c,k-c+1) up, and the fiber grows by
+    C(n-m+c, c) - C(n-m+c-1, c-1) = C(n-m+c-1, c) at the c-th of these
+    thresholds.  At m = n every fiber is one k-set and the table is empty.
+    """
+    if m == n:
+        return ()
+    terms = []
+    low = 0
+    for c in range(1, k + 1):
+        low += binom(m - c, k - c + 1)
+        extra = binom(n - m + c - 1, c)
+        if extra:
+            terms.append((low, extra))
+    return tuple(terms)
+
+
+def _expand_fibers(bits: int, n: int, k: int, m: int) -> int:
+    """The k-sets of [n] whose image under pi (_fiber_weights) lies in bits, a set of k-sets of [m].
+
+    pi fixes the k-sets of [m], the ranks below C(m,k).  A k-set of [n]
+    with top element e >= m is A' + {e}, rank C(e,k) + rank(A'), with A' a
+    (k-1)-set of [e]; its own cap at position k is m-1 and its caps below
+    are those of (k-1)-sets projected onto [m-1], so pi(A) is pi(A') +
+    {m-1}, rank C(m-1,k) + rank(pi(A')).  So the block of top element e is
+    the expansion of bits' block of top element m-1 from (k-1)-sets of
+    [m-1] to (k-1)-sets of [e].
+    """
+    if n == m or not k:
+        return bits
+    top = bits >> binom(m - 1, k)
+    if top:
+        for e in range(m, n):
+            bits |= _expand_fibers(top, e, k - 1, m - 1) << binom(e, k)
+    return bits
+
+
 def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = None) -> tuple[int, Family]:
     """Maximum of min_i |B_i| over overlapping nested chains, with witness family.
 
@@ -661,20 +707,40 @@ def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = Non
     optimal completion: the hunt reduces to the largest shifted family
     whose matching number is at most s.  Ties go to the least bitset.
 
-    The downset walk refuses a child D | r exactly when it holds s+1
-    pairwise disjoint members.  Its parent D holds none, so such a matching
-    uses r, and its other s members lie in D & disj[r].  A matching stays in
-    every superset, so a refused subtree holds no feasible downset, and the
-    walk visits exactly the feasible ones.  Raises NodeLimitError on
-    visiting more than limit_nodes of them (family.WORK_LIMIT_DEFAULT as it
-    stands at this call when None).
+    The hunt walks only the k-sets of [m], m = min(n, (s+1)k), the colex
+    ranks below C(m,k) (Frankl, "The shifting technique in extremal set
+    theory", 1987).  A downset D of C([n],k) holds s+1 pairwise disjoint
+    members iff D & C([m],k) does: map their union, in order, onto [m];
+    every element moves down, so each image lies below its member in the
+    shift order and is in D.  The k-sets of [m] below a k-set A of [n] are
+    exactly those below pi(A), whose i-th element is min(a_i, m-k+i-1), so
+    the largest downset of C([n],k) that meets C([m],k) in a given downset
+    D' is the union of the fibers of pi over D' (_expand_fibers), and it is
+    feasible with D'.  A largest feasible D is the largest over its own D',
+    so M(n,k,s) is the largest weight of a feasible downset D' of C([m],k)
+    where each member weighs the size of its fiber, read from
+    _fiber_weights as the popcounts of D' above a few colex thresholds.
+    The top rank of a fiber rises with its k-set of [m]: if p < q differ
+    first, from the top, at position i, then p_i is below its cap, so the
+    top member of p's fiber keeps p_i there, and that of q's holds at
+    least q_i, with equal elements above.  Two expanded bitsets first
+    differ, from the top, at the top of the highest fiber over which their
+    D' differ, so they compare as their D' do, and the least D' of largest
+    weight expands to the least largest feasible downset of C([n],k).
 
-    The question needs only a window of D & disj[r] (Frankl, "The shifting
-    technique in extremal set theory", 1987).  If F_1..F_s are disjoint
-    members of D that miss A_r, the k-set of rank r, map their union, in
-    order, onto the lowest s*k elements outside A_r.  Every element moves
-    down, so each image lies below its F_i in the shift order and is in the
-    downset D, and the images are disjoint and miss A_r.  With e the
+    The downset walk over C([m],k) refuses a child D | r exactly when it
+    holds s+1 pairwise disjoint members.  Its parent D holds none, so such a
+    matching uses r, and its other s members lie in D & disj[r].  A
+    matching stays in every superset, so a refused subtree holds no
+    feasible downset, and the walk visits exactly the feasible ones.
+    Raises NodeLimitError on visiting more than limit_nodes of them
+    (family.WORK_LIMIT_DEFAULT as it stands at this call when None), so
+    limit_nodes counts downsets of C([m],k).
+
+    The question needs only a window of D & disj[r], by the same shifting.
+    If F_1..F_s are disjoint members of D that miss A_r, the k-set of rank
+    r, map their union, in order, onto the lowest s*k elements outside
+    A_r; the images are disjoint, miss A_r and lie in D.  With e the
     (s*k)-th element outside A_r, the k-sets inside {0..e} are the ranks
     below C(e+1,k), so the kernel is asked only on D & window[r], where
     window[r] is disj[r] cut to those ranks (_matching_window), built the
@@ -682,39 +748,54 @@ def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = Non
     alone, so each distinct set is asked once: at s = 3 most refusals
     repeat one already seen.
 
-    The finished witness is rechecked as a whole, shifted and with no s+1
-    pairwise disjoint members (has_matching_of_size).  For the cover
-    witness, s elements meet every member, and the clique on (s+1)k-1
-    elements has too few elements for s+1 disjoint k-sets, so matching's
-    certificates give that "no" without a kernel call.
+    The expanded witness is rechecked as a whole, of the reported size,
+    shifted and with no s+1 pairwise disjoint members
+    (has_matching_of_size).  For the cover witness, s elements meet every
+    member, and the clique on (s+1)k-1 elements has too few elements for
+    s+1 disjoint k-sets, so matching's certificates give that "no" without
+    a kernel call.
     """
     budget = _family.WORK_LIMIT_DEFAULT if limit_nodes is None else limit_nodes
-    disj = disjointness(n, k)
-    sets = ksets(n, k)
+    # at k = 0 the one k-set is the empty set for every n
+    m = min(n, (s + 1) * k) if k else n
+    disj = disjointness(m, k)
+    sets = ksets(m, k)
+    terms = _fiber_weights(n, k, m)
     window: list[int | None] = [None] * len(sets)
     answers: dict[int, bool] = {}
 
     def refuse(d: int, r: int) -> bool:
         w = window[r]
         if w is None:
-            w = window[r] = disj[r] & _matching_window(sets[r], n, k, s)
+            w = window[r] = disj[r] & _matching_window(sets[r], m, k, s)
         cand = d & w
         found = answers.get(cand)
         if found is None:
             found = answers[cand] = rainbow((cand,) * s, disj) is not None
         return found
 
+    # at m = n every fiber is one k-set: the weight is the popcount, read
+    # with no Python frame per visit, since such a hunt can run to millions
+    weigh: Callable[[int], int] = int.bit_count
+    if terms:
+
+        def weigh(bits: int) -> int:
+            size = bits.bit_count()
+            for low, extra in terms:
+                size += extra * (bits >> low).bit_count()
+            return size
+
     best_size = -1
     best_bits = 0
-    for visited, bits in enumerate(walk_downsets(n, k, refuse), 1):
+    for visited, bits in enumerate(walk_downsets(m, k, refuse), 1):
         if visited > budget:
             raise NodeLimitError(f"conj2 hunt exceeded {budget} downsets for (n={n}, k={k}, s={s})")
-        size = bits.bit_count()
+        size = weigh(bits)
         if size > best_size or (size == best_size and bits < best_bits):
             best_size, best_bits = size, bits
-    fam = Family(n, k, best_bits)
+    fam = Family(n, k, _expand_fibers(best_bits, n, k, m))
     # recheck the finished family as a whole, not through the per-child prune above
-    if not is_shifted(fam) or has_matching_of_size(fam, s + 1):
+    if len(fam) != best_size or not is_shifted(fam) or has_matching_of_size(fam, s + 1):
         raise AssertionError("conj2 witness is not a shifted family without an (s+1)-matching")
     return best_size, fam
 

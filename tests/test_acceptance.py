@@ -227,7 +227,7 @@ def test_10_mixed_construction_endpoint():
 def test_11_conjecture_hunts():
     t0 = time.perf_counter()
     rep1 = run_suite("conj1", cells=suite_cells("conj1", 159))
-    rep2 = run_suite("conj2", cells=suite_cells("conj2", 62))
+    rep2 = run_suite("conj2", cells=suite_cells("conj2", 76))
     ok = rep1["summary"]["violations"] == 0 and rep2["summary"]["violations"] == 0
     details = f"conj1 {rep1['summary']} conj2 {rep2['summary']}"
     report(11, "conjecture hunts", ok, time.perf_counter() - t0, 1800, details)

@@ -544,11 +544,11 @@ def test_verify_all_hands_limit_nodes_to_every_searching_suite(monkeypatch, tmp_
 
 
 def test_verify_conj2_stops_at_the_node_limit(tmp_path, capsys):
-    # (9,3,2) visits 11 720 feasible downsets and (10,3,2) 46 588, so the hunt stops at (10,3,2)
+    # every (n,3,2) visits 11 720 feasible downsets of C([9],3) and (9,3,3) 21 760, so the hunt stops at (9,3,3)
     out = tmp_path / "c.json"
     assert main(["verify", "--suite", "conj2", "--limit-nodes", "20000", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("resource limit: conj2 hunt exceeded 20000 downsets for (n=10, k=3, s=2)")
+    assert err.startswith("resource limit: conj2 hunt exceeded 20000 downsets for (n=9, k=3, s=3)")
 
 
 def test_resume_from_another_config_is_usage_error(tmp_path, capsys):

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
+    brute_downset_below,
     brute_matching_number,
     brute_max_min_overlapping,
     brute_rainbow_number,
     chain_value,
     head_per_member,
+    is_downset_direct,
     rank_permutations,
     sorted_downsets,
 )
@@ -27,7 +29,7 @@ from overlap_lab.bounds import (
     thm3_value,
     thm4_value,
 )
-from overlap_lab.combinatorics import binom, iter_bits, ksets
+from overlap_lab.combinatorics import binom, iter_bits, ksets, shift_leq
 from overlap_lab.family import (
     Chain,
     Family,
@@ -312,17 +314,17 @@ def test_matching_cap_at_k1_is_s_with_no_hunt(monkeypatch):
 
 
 def test_matching_cap_falls_back_when_the_hunt_runs_out(monkeypatch):
-    # M(7,2,2) = 11 takes a hunt over 29 downsets; one fewer leaves the cap at
-    # C(7,2), and a larger budget afterwards still finds M
+    # M(7,2,2) = 11 takes a hunt over 22 downsets of C([6],2); one fewer
+    # leaves the cap at C(7,2), and a larger budget afterwards still finds M
     _matching_cap.cache_clear()
-    assert _matching_cap(7, 2, 2, 28) == 21
+    assert _matching_cap(7, 2, 2, 21) == 21
     assert _matching_cap(7, 2, 2, 1000) == 11
-    assert _matching_cap(7, 2, 2, 28) == 21
-    assert _matching_cap(7, 2, 2, 29) == 11
+    assert _matching_cap(7, 2, 2, 21) == 21
+    assert _matching_cap(7, 2, 2, 22) == 11
     # a repeated (n, k, s, budget) makes no hunt
     monkeypatch.setattr(search, "max_min_overlapping", None)
-    assert _matching_cap(7, 2, 2, 29) == 11
-    assert _matching_cap(7, 2, 2, 28) == 21
+    assert _matching_cap(7, 2, 2, 22) == 11
+    assert _matching_cap(7, 2, 2, 21) == 21
 
 
 def test_construction_lower_bound_sandwich():
@@ -376,9 +378,9 @@ def _conj2_hunt(n, k, s, **budget):
     [
         (oracle_f, (6, 2, 1, (2, 1)), 55),
         (exact_f_shifted, (6, 2, 1, (2, 1)), 27),
-        # (8,2,2) has 37 downsets of matching number at most 2
-        (max_min_overlapping, (8, 2, 2), 37),
-        (_conj2_hunt, (8, 2, 2), 37),
+        # the (8,2,2) hunt walks the 22 downsets of C([6],2) with matching number at most 2
+        (max_min_overlapping, (8, 2, 2), 22),
+        (_conj2_hunt, (8, 2, 2), 22),
     ],
     ids=["oracle_f", "exact_f_shifted", "max_min_overlapping", "conj2_suite"],
 )
@@ -814,16 +816,21 @@ def test_hunt_witness_recheck_takes_no_kernel_call(monkeypatch):
 
 
 def test_max_min_overlapping_visits_only_feasible_downsets():
-    # (14,2,1): the walk stops at the 15 intersecting downsets of 8192
-    assert max_min_overlapping(14, 2, 1, limit_nodes=15)[0] == 13
+    # (14,2,1): the walk stops at the 5 intersecting downsets of C([4],2)
+    assert max_min_overlapping(14, 2, 1, limit_nodes=5)[0] == 13
     with pytest.raises(NodeLimitError):
-        max_min_overlapping(14, 2, 1, limit_nodes=14)
+        max_min_overlapping(14, 2, 1, limit_nodes=4)
     with pytest.raises(NodeLimitError):
         max_min_overlapping(8, 2, 2, limit_nodes=3)
-    # (10,3,2) visits 46 588 downsets; the limited resume checks stop in this cell under 20 000
-    assert max_min_overlapping(10, 3, 2, limit_nodes=46588)[0] == 64
+    # every (n,3,2) with n >= 9 walks the 11 720 feasible downsets of C([9],3)
+    for n in (10, 16):
+        assert max_min_overlapping(n, 3, 2, limit_nodes=11720)[0] == conj2_bound(n, 3, 2)
+        with pytest.raises(NodeLimitError):
+            max_min_overlapping(n, 3, 2, limit_nodes=11719)
+    # (9,3,3) has nothing to reduce and visits 21 760; the limited resume checks stop in this cell under 20 000
+    assert max_min_overlapping(9, 3, 3, limit_nodes=21760)[0] == binom(9, 3)
     with pytest.raises(NodeLimitError):
-        max_min_overlapping(10, 3, 2, limit_nodes=46587)
+        max_min_overlapping(9, 3, 3, limit_nodes=21759)
 
 
 @pytest.mark.parametrize("planted", [0b111111, 0b100000], ids=["matching", "not-shifted"])
@@ -864,7 +871,8 @@ def test_matching_window_keeps_every_refusal():
 
 def test_max_min_overlapping_walks_like_the_full_refusal(monkeypatch):
     # the windowed, memoised refusal yields the same downsets, in the same
-    # order, as a walk that asks the kernel on all of D & disj[r]
+    # order, as a walk of C([m],k), m = min(n, (s+1)k), that asks the
+    # kernel on all of D & disj[r]
     seen = []
 
     def spy(n, k, refuse):
@@ -874,11 +882,66 @@ def test_max_min_overlapping_walks_like_the_full_refusal(monkeypatch):
 
     monkeypatch.setattr(search, "walk_downsets", spy)
     for n, k, s in _hunt_cells(84):
-        disj = disjointness(n, k)
-        plain = list(family.walk_downsets(n, k, lambda d, r: rainbow((d,) * s, disj, disj[r]) is not None))
+        m = min(n, (s + 1) * k)
+        disj = disjointness(m, k)
+        plain = list(family.walk_downsets(m, k, lambda d, r: rainbow((d,) * s, disj, disj[r]) is not None))
         seen.clear()
         max_min_overlapping(n, k, s)
         assert seen == plain, (n, k, s)
+
+
+def test_fibers_are_cut_by_the_greatest_prefix_set_below():
+    # each k-set A of [n] lies in the fiber of exactly one k-set p of [m],
+    # the greatest k-set of [m] below A in the shift order, and the fiber
+    # sizes are those _fiber_weights gives
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            big = ksets(n, k)
+            for m in range(k, n + 1, k):
+                prefix = ksets(m, k)
+                assert big[: len(prefix)] == prefix
+                terms = search._fiber_weights(n, k, m)
+                owner = {}
+                for p in range(len(prefix)):
+                    fiber = search._expand_fibers(1 << p, n, k, m)
+                    assert fiber.bit_count() == 1 + sum(extra for low, extra in terms if low <= p), (n, k, m, p)
+                    for q in iter_bits(fiber):
+                        assert q not in owner, (n, k, m, q)
+                        owner[q] = p
+                assert sorted(owner) == list(range(len(big))), (n, k, m)
+                for q, a in enumerate(big):
+                    below = [x for x in prefix if shift_leq(x, a)]
+                    p = prefix[owner[q]]
+                    assert p in below and all(shift_leq(x, p) for x in below), (n, k, m, q)
+
+
+def test_prefix_decides_the_matching_number():
+    # random downsets D of C([n],k): D holds s+1 pairwise disjoint members
+    # iff D's part inside [m], m = min(n, (s+1)k), does, and the union of
+    # the fibers over that part is a downset that holds D and meets [m] in it
+    rng = random.Random(38)
+    for n in range(1, 10):
+        for k in range(1, min(n, 3) + 1):
+            sets = ksets(n, k)
+            for _ in range(5):
+                d = brute_downset_below([rng.randrange(len(sets)) for _ in range(rng.randint(1, 3))], n, k)
+                nu = brute_matching_number(Family(n, k, d))
+                for s in range(4):
+                    m = min(n, (s + 1) * k)
+                    inside = d & ((1 << binom(m, k)) - 1)
+                    grown = search._expand_fibers(inside, n, k, m)
+                    assert grown & d == d and grown & ((1 << binom(m, k)) - 1) == inside, (n, k, s, d)
+                    assert is_downset_direct(grown, n, k), (n, k, s, d)
+                    feasible = brute_matching_number(Family(n, k, inside)) <= s
+                    assert (nu <= s) == feasible == (brute_matching_number(Family(n, k, grown)) <= s), (n, k, s, d)
+
+
+def test_matching_cap_at_k3_s2_is_the_frankl_value():
+    # the hunt on C([9],3) closes every (n,3,2) cell, so the cap is the
+    # proven M(n,3,2) and not the C(n,3) fallback
+    _matching_cap.cache_clear()
+    for n in range(9, 17):
+        assert _matching_cap(n, 3, 2, 2 * 10**6) == conj2_bound(n, 3, 2), n
 
 
 def test_hunt_conjectures_subgrids():
@@ -896,7 +959,7 @@ def test_run_suite_hands_limit_nodes_to_both_hunts():
     # conj1 gives it to each solver call, conj2 to each hunt (test_default_budget_is_read_at_each_call)
     assert run_suite("conj1", cells=[(4, 2, 1, 2)], limit_nodes=10**5)["summary"]["violations"] == 0
     # a suite run hands the budget to either hunt, as verify --suite all does
-    for name, cell in (("conj1", (4, 2, 1, 2)), ("conj2", (14, 2, 1))):
+    for name, cell in (("conj1", (4, 2, 1, 2)), ("conj2", (14, 2, 2))):
         with pytest.raises(NodeLimitError):
             run_suite(name, cells=[cell], limit_nodes=5)
 
