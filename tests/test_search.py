@@ -797,6 +797,16 @@ def test_max_min_overlapping_against_brute(n, k):
         assert (value, fam.bits) == brute_max_min_overlapping(n, k, s)
 
 
+@pytest.mark.parametrize(
+    "n,k,s,message",
+    [(2, 3, 1, "need 0 <= k <= n"), (1, 2, 0, "need 0 <= k <= n"), (0, 1, 1, "ground set size 0")],
+)
+def test_max_min_overlapping_refuses_a_bad_ground_set(n, k, s, message):
+    # Family's own refusal, before the fiber tables ask binom about m - 1 < 0
+    with pytest.raises(ValueError, match=message):
+        max_min_overlapping(n, k, s)
+
+
 def test_hunt_witness_recheck_takes_no_kernel_call(monkeypatch):
     # the (13,2,3) witness is the cover by three elements, so the recheck's
     # "no 4 disjoint members" is settled by the transversal certificate
