@@ -376,18 +376,19 @@ def walk_subdownsets(
     D != top, is D | 1<<m for the lowest rank m of top outside D: m's lower
     covers rank below m, so they lie in D, and the parent is a downset.
     The children of D are D minus r, for each rank r maximal in D below
-    every rank of top outside D.  A child's removable ranks are its
-    parent's below r, plus the lower covers of r left with no upper cover
-    in the child.  A depth-first walk of this tree from top reaches every
-    sub-downset exactly once, and after its parent, so each step peels one
-    member off (Avis and Fukuda, "Reverse search for enumeration", 1996).
+    every rank of top outside D.  A depth-first walk of this tree from top
+    reaches every sub-downset exactly once, and after its parent, so each
+    step peels one member off (Avis and Fukuda, "Reverse search for
+    enumeration", 1996).  The lowest rank of top outside D - r is r, so the
+    child's removable ranks are its maximal members below r, and the walk
+    keeps no other set for them.
 
-    The maximal set moves by the same step: max(D - r) is max(D) without r,
-    plus the lower covers of r left with no upper cover in D - r, the very
-    ranks that join the removable set.  Removing r gives no other member of
-    D - r an upper cover, so every other maximal member of D stays maximal;
-    and a member that was not maximal keeps an upper cover in D - r unless
-    r was its only one, which makes it a lower cover of r.
+    The maximal set moves by one step: max(D - r) is max(D) without r, plus
+    the lower covers of r left with no upper cover in D - r.  Removing r
+    gives no other member of D - r an upper cover, so every other maximal
+    member of D stays maximal; and a member that was not maximal keeps an
+    upper cover in D - r unless r was its only one, which makes it a lower
+    cover of r.
 
     keep(D) is asked as D is reached, after the caller has finished with
     every downset yielded before it; when it declines, D and its whole
@@ -396,26 +397,25 @@ def walk_subdownsets(
     threshold does, the walk yields exactly the downsets it keeps.
     """
     covers = _lower_covers(n, k)
-    # each entry: a downset, its parent's removable ranks below the rank
-    # peeled off to reach it, its parent's maximal ranks less that rank,
-    # and the lower covers of that rank
-    stack = [(top, maximal, maximal, ())]
+    # each entry: a downset, its parent's maximal ranks less the rank
+    # peeled off to reach it, that rank's bit (0 at top) and its lower covers
+    stack = [(top, maximal, 0, ())]
     pop = stack.pop
     push = stack.append
     while stack:
-        d, removable, maxes, below = pop()
+        d, maxes, peeled, below = pop()
         if not keep(d):
             continue
         for up, bit in below:
             if not up & d:
-                removable |= bit
                 maxes |= bit
         yield d, maxes
-        rest = removable
+        # peeled - 1 is -1 at top, where every maximal rank is removable
+        rest = maxes & (peeled - 1)
         while rest:
             low = rest & -rest
             rest ^= low
-            push((d ^ low, removable & (low - 1), maxes ^ low, covers[low.bit_length() - 1]))
+            push((d ^ low, maxes ^ low, low, covers[low.bit_length() - 1]))
 
 
 # ---------------------------------------------------------------------------

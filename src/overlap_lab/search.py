@@ -478,6 +478,22 @@ def _matching_cap(n: int, k: int, s: int, budget: int) -> int:
         return binom(n, k)
 
 
+def _head_caps(n: int, k: int, s: int, lead0: int, budget: int) -> tuple[int, list[int], int | None]:
+    """exact_f_shifted's caps on |B_0|: cap, head_cap[j] once B_j holds T, and T's rank (None if no clique rule)."""
+    # a zero w_0 leaves the caps out of every bound
+    cap = _matching_cap(n, k, s, budget) if s and lead0 == 0 else binom(n, k)
+    # head_cap[j]: the cap on |B_0| once B_j holds the clique, every k-set
+    # inside [(s+1)k], which a downset does iff it holds T, the top one
+    head_cap = [cap] * (s + 1)
+    t_rank = None
+    if s and lead0 == 0 and n >= (s + 1) * k:
+        head_cap[1] = 0
+        for j in range(2, s + 1):
+            head_cap[j] = min(cap, _matching_cap(n, k, j - 1, budget))
+        t_rank = binom((s + 1) * k, k) - 1
+    return cap, head_cap, t_rank
+
+
 def exact_f_shifted(
     n: int,
     k: int,
@@ -508,8 +524,8 @@ def exact_f_shifted(
     if n >= (s+1)k, 1 <= j <= s and B_j holds the clique, then B_0 holds
     no j pairwise disjoint sets, so |B_0| <= M(n,k,j-1), and at j = 1 B_0
     is empty.  For j disjoint members of B_0 could stand at levels 0..j-1,
-    since B_0 lies in every level, and their union leaves at least
-    (s-j+1)k elements of [(s+1)k] free, as in the hunt's window; s-j+1
+    since B_0 lies in every level, and their union has jk elements, so at
+    least (s+1)k - jk = (s-j+1)k elements of [(s+1)k] are free; s-j+1
     disjoint k-sets of those are in the clique, so they could stand at
     levels j..s, and the chain would have a full rainbow matching.  T, the
     top k-set of [(s+1)k] (rank C((s+1)k, k) - 1), lies above every k-set
@@ -522,11 +538,11 @@ def exact_f_shifted(
     M(n,k,i-1) grows with i), or M(n,k,s) when none does.  A candidate d
     of size z, taken as B_j, bounds its completions by val + (w_j + ... +
     w_0) z - w_0 max(z - c, 0), where c is cap_j, or head_cap[j] =
-    min(M(n,k,s), M(n,k,j-1)) (0 at j = 1) when d holds T.  The walk's
-    subtree of d holds only sub-downsets of d.  Those that hold T are
-    bounded by d's bound with c = head_cap[j]; those without T lie outside
-    the upset of T, so the bound at size |d & ~ups[T]| with c = cap_j
-    covers them.  d is admitted when the larger of the two reaches the
+    min(M(n,k,s), M(n,k,j-1)) (0 at j = 1; _head_caps) when d holds T.
+    The walk's subtree of d holds only sub-downsets of d.  Those that hold
+    T are bounded by d's bound with c = head_cap[j]; those without T lie
+    outside the upset of T, so the bound at size |d & ~ups[T]| with
+    c = cap_j covers them.  d is admitted when the larger of the two reaches the
     incumbent (for a d without T only the second counts, and it is d's own
     bound).  Both grow with d, so a refusal prunes d's whole subtree of
     the walk.  d's own descent is pruned by d's own bound, strictly below
@@ -546,17 +562,9 @@ def exact_f_shifted(
     ups = poset_upsets(n, k)
     prefix_w = [sum(iw[: j + 1]) for j in range(s + 1)]
     capacity = binom(n, k)
-    # a zero w_0 leaves the caps out of every bound
-    cap = _matching_cap(n, k, s, budget) if s and lead0 == 0 else capacity
-    # head_cap[j]: the cap on |B_0| once B_j holds the clique, every k-set
-    # inside [(s+1)k], which a downset does iff it holds T, the top one
-    head_cap = [cap] * (s + 1)
+    cap, head_cap, t_rank = _head_caps(n, k, s, lead0, budget)
     t_bit = t_out = 0
-    if s and lead0 == 0 and n >= (s + 1) * k:
-        head_cap[1] = 0
-        for j in range(2, s + 1):
-            head_cap[j] = min(cap, _matching_cap(n, k, j - 1, budget))
-        t_rank = binom((s + 1) * k, k) - 1
+    if t_rank is not None:
         t_bit, t_out = 1 << t_rank, ~ups[t_rank]
     w0 = iw[0]
 
@@ -639,19 +647,6 @@ def exact_f_shifted(
 # ---------------------------------------------------------------------------
 # conjecture hunts
 # ---------------------------------------------------------------------------
-
-def _matching_window(a: int, n: int, k: int, s: int) -> int:
-    """The ranks of the k-sets inside {0..e}, e the (s*k)-th element of [n] outside the k-set a.
-
-    When fewer than s*k elements lie outside a, the window is all of C([n],k).
-    """
-    e = s * k - 1
-    # each element of a at or below e pushes e one step up
-    while a and (a & -a).bit_length() <= e + 1:
-        a &= a - 1
-        e += 1
-    return (1 << binom(min(e + 1, n), k)) - 1
-
 
 @lru_cache(maxsize=None)
 def _fiber_weights(n: int, k: int, m: int) -> tuple[tuple[int, int], ...]:
@@ -737,16 +732,12 @@ def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = Non
     (family.WORK_LIMIT_DEFAULT as it stands at this call when None), so
     limit_nodes counts downsets of C([m],k).
 
-    The question needs only a window of D & disj[r], by the same shifting.
-    If F_1..F_s are disjoint members of D that miss A_r, the k-set of rank
-    r, map their union, in order, onto the lowest s*k elements outside
-    A_r; the images are disjoint, miss A_r and lie in D.  With e the
-    (s*k)-th element outside A_r, the k-sets inside {0..e} are the ranks
-    below C(e+1,k), so the kernel is asked only on D & window[r], where
-    window[r] is disj[r] cut to those ranks (_matching_window), built the
-    first time the walk asks about r.  The answer depends on that set
-    alone, so each distinct set is asked once: at s = 3 most refusals
-    repeat one already seen.
+    No window of D & disj[r] narrows the question: s disjoint members that
+    miss A_r, the k-set of rank r, shift down onto the lowest s*k elements
+    outside A_r, but at most s*k elements of [m] lie outside A_r (exactly
+    s*k at m = (s+1)k), so every member of disj[r] already lies among them.
+    The answer depends on D & disj[r] alone, so each distinct set is asked
+    once: at s = 3 most refusals repeat one already seen.
 
     The expanded witness is rechecked as a whole, of the reported size,
     shifted and with no s+1 pairwise disjoint members
@@ -760,16 +751,11 @@ def max_min_overlapping(n: int, k: int, s: int, *, limit_nodes: int | None = Non
     # at k = 0 the one k-set is the empty set for every n
     m = min(n, (s + 1) * k) if k else n
     disj = disjointness(m, k)
-    sets = ksets(m, k)
     terms = _fiber_weights(n, k, m)
-    window: list[int | None] = [None] * len(sets)
     answers: dict[int, bool] = {}
 
     def refuse(d: int, r: int) -> bool:
-        w = window[r]
-        if w is None:
-            w = window[r] = disj[r] & _matching_window(sets[r], m, k, s)
-        cand = d & w
+        cand = d & disj[r]
         found = answers.get(cand)
         if found is None:
             found = answers[cand] = rainbow((cand,) * s, disj) is not None

@@ -592,6 +592,36 @@ def test_clique_at_a_level_caps_the_head(n, k, s):
     assert all(held[1:]), held
 
 
+_HEAD_CAP_CELLS = [(n, k, s) for k in (1, 2) for s in (1, 2) for n in range((s + 1) * k, 8)] + [
+    (n, 1, 3) for n in range(4, 8)
+]
+
+
+@pytest.mark.parametrize("n,k,s", _HEAD_CAP_CELLS)
+def test_head_caps_bound_the_closed_form_head(n, k, s):
+    # the caps exact_f_shifted prunes with, against every nested chain of
+    # downsets B_1 <= ... <= B_s: once B_j holds T, the largest B_0 that
+    # keeps the chain overlapping has at most head_cap[j] members; with
+    # head_cap[j] = M(n,k,j-2), (6,2,2) fails at B_1 the star of element 1
+    # and B_2 = C([6],2), whose head is the star's 5 members
+    cap, head_cap, t = search._head_caps(n, k, s, 0, 10**6)
+    assert t == binom((s + 1) * k, k) - 1
+    disj, ups = disjointness(n, k), poset_upsets(n, k)
+    downs = sorted_downsets(n, k)
+    chains = [(d,) for d in downs]
+    for _ in range(s - 1):
+        chains = [c + (d,) for c in chains for d in downs if not c[-1] & ~d]
+    held = [0] * (s + 1)
+    for chain in chains:
+        size = _closed_form_head(chain, disj, ups).bit_count()
+        assert size <= cap, chain
+        for j in range(1, s + 1):
+            if chain[j - 1] >> t & 1:
+                held[j] += 1
+                assert size <= head_cap[j], (chain, j)
+    assert all(held[1:]), held
+
+
 @st.composite
 def clique_rule_instances(draw):
     """(n, k, s, weights) with (s+1)k <= n <= 8: a zero prefix, nonincreasing positive rationals, maybe a trailing zero."""
@@ -859,28 +889,26 @@ def _hunt_cells(most):
     return [(n, k, s) for n in range(1, 65) for k in range(1, n + 1) if binom(n, k) <= most for s in range(4)]
 
 
-def test_matching_window_keeps_every_refusal():
-    # random downsets D (the downward closures of a few random k-sets): s
-    # disjoint members of D miss the k-set of rank r exactly when s such
-    # members lie in the window of rank r
-    rng = random.Random(20)
-    for n, k, s in _hunt_cells(84):
-        if k > 3 or s == 0:
-            continue
-        disj = disjointness(n, k)
-        ups = poset_upsets(n, k)
-        sets = ksets(n, k)
-        for _ in range(6):
-            gens = sum(1 << rng.randrange(len(sets)) for _ in range(rng.randint(1, 4)))
-            d = sum(1 << q for q, up in enumerate(ups) if up & gens)
-            for r, a in enumerate(sets):
-                cand = d & disj[r] & search._matching_window(a, n, k, s)
-                full = rainbow((d,) * s, disj, disj[r]) is None
-                assert (rainbow((cand,) * s, disj) is None) == full, (n, k, s, d, r)
+@pytest.mark.parametrize("n,k,s,value,calls", [(9, 3, 2, 56, 568), (10, 3, 3, 120, 5205), (9, 3, 3, 84, 858)])
+def test_hunt_asks_each_distinct_refusal_once(n, k, s, value, calls, monkeypatch):
+    # the refusal's answer depends on D & disj[r] alone, so the hunt asks the
+    # kernel once per distinct set; asked at every refusal, these cells take
+    # 12 651, 252 585 and 21 759 calls, and with the answers keyed on D
+    # instead 9 209, 193 658 and 16 508
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return rainbow(*args)
+
+    monkeypatch.setattr(search, "rainbow", counting)
+    assert max_min_overlapping(n, k, s)[0] == value
+    assert count == calls
 
 
 def test_max_min_overlapping_walks_like_the_full_refusal(monkeypatch):
-    # the windowed, memoised refusal yields the same downsets, in the same
+    # the memoised refusal yields the same downsets, in the same
     # order, as a walk of C([m],k), m = min(n, (s+1)k), that asks the
     # kernel on all of D & disj[r]
     seen = []
